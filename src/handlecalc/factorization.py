@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .knots import Knot, StallingsKnot, TwoBridgeKnot
 from .surfaces import CurveId, FiberSurface, b_word, beta_word, c_word, phi_b_word
-from .twists import MonodromySpec, apply_monodromy, stallings_rules
+from .twists import CompiledMonodromy, MonodromySpec, StallingsImages, compile_monodromy, stallings_rules
 from .words import Word, concat, invert, word_str
 
 FRAMING = "fiber-1"
@@ -74,32 +74,39 @@ def build_W(s: FiberSurface) -> Factorization:
     return Factorization(tuple(cycles), s)
 
 
-def _phi_cycle(vc: VanishingCycle, knot: Knot, s: FiberSurface) -> VanishingCycle:
-    if isinstance(knot, StallingsKnot):
-        if vc.curve.family == "B":
-            word = stallings_rules(knot.m).phi_b_word(vc.curve.index, s)
-        else:
-            word = None  # no letterwise rules for t_{b2}; c-images stay opaque
+def _phi_cycle(
+    vc: VanishingCycle, phi: CompiledMonodromy | StallingsImages, s: FiberSurface
+) -> VanishingCycle:
+    if isinstance(phi, StallingsImages):
+        # No letterwise rules for t_{b2}; c-images stay opaque.
+        word = phi.phi_b_word(vc.curve.index, s) if vc.curve.family == "B" else None
         return replace(vc, word=word, phi_image=True)
-    phi = knot.piece_monodromy()
     if vc.word is None:
         return replace(vc, phi_image=True)
     if vc.curve.family == "B" and s.n >= 2:
         # The stored B_i spelling is basepoint-rotated, so the image is
         # assembled from the image of the beta part; applying the letter
         # rules to the rotated spelling would not be the twist action.
-        head = apply_monodromy(phi, beta_word(vc.curve.index, s), s)
+        head = phi.apply(beta_word(vc.curve.index, s))
         return replace(vc, word=phi_b_word(vc.curve.index, head, s), phi_image=True)
-    return replace(vc, word=apply_monodromy(phi, vc.word, s), phi_image=True)
+    return replace(vc, word=phi.apply(vc.word), phi_image=True)
 
 
 def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
-    """Factorizations of both pieces for the given knot and elliptic index."""
+    """Factorizations of both pieces for the given knot and elliptic index.
+
+    The monodromy images are computed once per call, as a compiled table
+    (two-bridge) or the Stallings image table, and shared by every cycle.
+    """
     if isinstance(knot, TwoBridgeKnot) and not knot.is_fibered:
         raise ValueError(f"{knot} is not fibered; no Lefschetz piece exists")
     s = FiberSurface(knot.genus, n)
     base = build_W(s)
-    phi_block = tuple(_phi_cycle(vc, knot, s) for vc in base.cycles)
+    if isinstance(knot, StallingsKnot):
+        phi = stallings_rules(knot.m)
+    else:
+        phi = compile_monodromy(knot.piece_monodromy(), s)
+    phi_block = tuple(_phi_cycle(vc, phi, s) for vc in base.cycles)
     x1 = Factorization(phi_block + base.cycles, s)
     x2 = Factorization(base.cycles + phi_block, s)
     return LFPiece("X1", x1), LFPiece("X2", x2)
@@ -112,9 +119,9 @@ def piece_handle_counts(s: FiberSurface) -> tuple[int, int, int]:
 
 def conjugate_factorization(f: Factorization, phi: MonodromySpec, inverse: bool = False) -> Factorization:
     """Simultaneous conjugation: replace every word by its (inverse-)image."""
-    spec = phi.inverse() if inverse else phi
+    table = compile_monodromy(phi.inverse() if inverse else phi, f.fiber)
     cycles = tuple(
-        vc if vc.word is None else replace(vc, word=apply_monodromy(spec, vc.word, f.fiber))
+        vc if vc.word is None else replace(vc, word=table.apply(vc.word))
         for vc in f.cycles
     )
     return Factorization(cycles, f.fiber)

@@ -30,6 +30,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
 
+#: Fields every trace document must carry, in the order they are read.
+_REQUIRED_FIELDS = ("knot", "n", "piece", "initial", "moves", "final", "certificate")
+
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
 
@@ -172,6 +175,9 @@ class MoveTrace:
     def from_json(d: dict) -> "MoveTrace":
         if d.get("schema") != SCHEMA:
             raise MoveError(f"unsupported trace schema {d.get('schema')!r}")
+        for name in _REQUIRED_FIELDS:
+            if name not in d:
+                raise MoveError(f"trace lacks required field {name!r}")
         return MoveTrace(
             knot=d["knot"],
             n=d["n"],

@@ -7,9 +7,20 @@ are stored in application order: the FIRST entry of MonodromySpec.twists
 is applied first, so the tuple reads left to right while the usual
 composition notation reads right to left.
 
-The Stallings monodromy t_{a3}^m t_{a4} t_{b2} t_{a2}^-1 t_{a1}^-1 cannot
-be applied letterwise (there is no letter rule for t_{b2}); its images of
-the B-curves come from the precomputed tables in stallings_rules instead.
+A composite of twists is one automorphism of the free group pi_1(fiber)
+(Farb-Margalit, A Primer on Mapping Class Groups, ch. 3).
+compile_monodromy builds it once as a table from each moved letter to its
+image, and CompiledMonodromy.apply maps a word through that table in a
+single substitution.  The input word is validated once, at that entry;
+intermediate words cannot leave the alphabet because every image lies
+inside it.  apply_twist stays the single-twist primitive and the
+reference the table is tested against.
+
+The power t_{a3}^m has a closed form (ta3_power), so its table costs
+O(|m|) letters.  The Stallings monodromy t_{a3}^m t_{a4} t_{b2} t_{a2}^-1
+t_{a1}^-1 cannot be applied letterwise (there is no letter rule for
+t_{b2}); its images of the B-curves come from the precomputed tables in
+stallings_rules instead.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .surfaces import CurveId, FiberSurface, beta_word, eta_word, phi_b_word, validate_word
-from .words import Word, alpha, concat, invert, reduce_word
+from .words import Word, alpha, concat, invert
 
 
 class UnsupportedTwistError(ValueError):
@@ -39,6 +50,11 @@ class TwistRule:
     surface: FiberSurface
 
 
+def _check_chain_index(j: int, s: FiberSurface) -> None:
+    if not 1 <= j <= 2 * s.g:
+        raise ValueError(f"chain twist index {j} out of range [1, {2 * s.g}]")
+
+
 def chain_twist_rule(j: int, sign: int, s: FiberSurface) -> TwistRule:
     """Rule table for t_{a_j}^sign, 1 <= j <= 2g.
 
@@ -47,8 +63,7 @@ def chain_twist_rule(j: int, sign: int, s: FiberSurface) -> TwistRule:
     and the mutually inverse pair for sign = -1.  Twists outside the
     stated range are rejected rather than guessed.
     """
-    if not 1 <= j <= 2 * s.g:
-        raise ValueError(f"chain twist index {j} out of range [1, {2 * s.g}]")
+    _check_chain_index(j, s)
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +-1, got {sign}")
     lo, hi = alpha(j - 1), alpha(j)
@@ -117,15 +132,57 @@ class MonodromySpec:
         return " ".join(f"t_{t}" for t in reversed(toks)) if toks else "id"
 
 
-def apply_monodromy(phi: MonodromySpec, w: Word, s: FiberSurface) -> Word:
-    """Apply the twists of `phi` to w in sequence (twists[0] first)."""
+@dataclass(frozen=True)
+class CompiledMonodromy:
+    """A composite of twists as one automorphism of the free group.
+
+    `images` maps the signed code of every letter the composite moves to
+    its reduced image word (both signs are stored); every other letter of
+    the surface alphabet is fixed.
+    """
+
+    images: Mapping[int, Word]
+    surface: FiberSurface
+
+    def apply(self, w: Word) -> Word:
+        """Image of w: validate it once, substitute every letter, reduce."""
+        validate_word(w, self.surface)
+        images = self.images
+        return concat(*[images.get(c, (c,)) for c in w])
+
+
+def compile_monodromy(phi: MonodromySpec, s: FiberSurface) -> CompiledMonodromy:
+    """Compose the twists of `phi` into one image table.
+
+    The twists are checked in application order.  The table is then built
+    from the outermost twist inwards, R_j = R_{j+1} ∘ t_j with R_N = id:
+    t_j moves only two letters, so each step rewrites two entries, each as
+    one concat of at most three images of R_{j+1}.
+    """
+    rules = []
     for curve, sign in phi.twists:
         if curve.family != "a":
             raise UnsupportedTwistError(
                 f"twist t_{curve} has no letterwise rule; use its precomputed images"
             )
-        w = apply_twist(chain_twist_rule(curve.index, sign, s), w)
-    return reduce_word(w)
+        rules.append(chain_twist_rule(curve.index, sign, s))
+    images: dict[int, Word] = {}
+    for rule in reversed(rules):
+        step = {code: concat(*[images.get(c, (c,)) for c in img])
+                for code, img in rule.images.items()}
+        for code, img in step.items():
+            images[code] = img
+            images[-code] = invert(img)
+    return CompiledMonodromy(images, s)
+
+
+def apply_monodromy(phi: MonodromySpec, w: Word, s: FiberSurface) -> Word:
+    """Apply the twists of `phi` to w (twists[0] first) as one substitution.
+
+    A twist without a letterwise rule or out of range is reported before a
+    letter of w outside the surface alphabet.
+    """
+    return compile_monodromy(phi, s).apply(w)
 
 
 def mirror(eps: Sequence[int]) -> tuple[int, ...]:
@@ -180,14 +237,24 @@ def stallings_monodromy(m: int) -> MonodromySpec:
 
 
 def ta3_power(w: Word, m: int, s: FiberSurface | None = None) -> Word:
-    """t_{a3}^m applied letterwise (moves alpha_2 and alpha_3 only)."""
+    """t_{a3}^m applied letterwise (moves alpha_2 and alpha_3 only).
+
+    The images come in closed form.  With a = alpha_2, b = alpha_3, k >= 1:
+    t^k(a) = (a b^-1)^k a,       t^k(b) = (a b^-1)^(k-1) a,
+    t^-k(a) = (b a^-1)^(k-1) b,  t^-k(b) = (b a^-1)^k b,
+    so the table costs O(|m|) letters and w is substituted once.
+    """
     if s is None:
         s = FiberSurface(2, 1)
-    sign = 1 if m > 0 else -1
-    rule = chain_twist_rule(3, sign, s)
-    for _ in range(abs(m)):
-        w = apply_twist(rule, w)
-    return reduce_word(w)
+    _check_chain_index(3, s)
+    images: dict[int, Word] = {}
+    if m:
+        # t^-k swaps the roles of a and b in t^k.
+        p, q = (alpha(2), alpha(3)) if m > 0 else (alpha(3), alpha(2))
+        k = abs(m)
+        long, short = (p, -q) * k + (p,), (p, -q) * (k - 1) + (p,)
+        images = {p: long, -p: invert(long), q: short, -q: invert(short)}
+    return CompiledMonodromy(images, s).apply(w)
 
 
 @dataclass(frozen=True)
@@ -233,6 +300,8 @@ __all__ = [
     "UnsupportedTwistError",
     "chain_twist_rule",
     "apply_twist",
+    "CompiledMonodromy",
+    "compile_monodromy",
     "apply_monodromy",
     "mirror",
     "two_bridge_monodromy",

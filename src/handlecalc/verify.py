@@ -20,7 +20,7 @@ from .knots import Knot, TwoBridgeKnot, parse_knot_spec
 from .schedules import ScheduleError, assemble, run_both
 from .surfaces import FiberSurface
 from .trace import SCHEMA
-from .twists import apply_monodromy, piece_monodromy, two_bridge_monodromy
+from .twists import compile_monodromy, piece_monodromy, two_bridge_monodromy
 from .words import alpha, handle_letters, handle_occurrences, is_tilde
 
 
@@ -72,9 +72,10 @@ def check_twist_image_closure(eps: Sequence[int]) -> VerificationReport:
     phi = piece_monodromy(eps)
     g = len(tuple(eps)) // 2
     s = FiberSurface(g, 1)
+    table = compile_monodromy(phi, s)
     report = VerificationReport(knot=phi.source, n=1)
     for i in range(2 * g):
-        w = apply_monodromy(phi, (alpha(i),), s)
+        w = table.apply((alpha(i),))
         ok_letters = handle_letters(w) <= set(range(1, i + 2)) and not any(is_tilde(c) for c in w)
         report.add(f"image of a{i} stays below a{i + 1}", True, ok_letters)
         report.add(f"image of a{i} crosses a{i + 1} once", 1, handle_occurrences(w, i + 1))
@@ -84,12 +85,12 @@ def check_twist_image_closure(eps: Sequence[int]) -> VerificationReport:
 def check_monodromy_invertible(eps: Sequence[int]) -> VerificationReport:
     """Applying the monodromy then its inverse fixes every generator."""
     phi = two_bridge_monodromy(eps)
-    inv = phi.inverse()
     g = len(tuple(eps)) // 2
     s = FiberSurface(g, 1)
+    forward, backward = compile_monodromy(phi, s), compile_monodromy(phi.inverse(), s)
     report = VerificationReport(knot=phi.source, n=1)
     for i in range(2 * g + 1):
-        w = apply_monodromy(inv, apply_monodromy(phi, (alpha(i),), s), s)
+        w = backward.apply(forward.apply((alpha(i),)))
         report.add(f"round trip fixes a{i}", (alpha(i),), w)
     return report
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from handlecalc.complexes import MoveError
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
 from handlecalc.trace import MoveTrace, ReplayError, complex_digest, replay
@@ -145,6 +146,15 @@ def test_trace_json_round_trip_and_replay():
         # Determinism: re-running the schedule gives the identical trace JSON.
         _, trace2 = run_schedule(spec, n, "X1")
         assert json.dumps(trace2.to_json(), sort_keys=True) == encoded
+
+
+@pytest.mark.parametrize("field", ["knot", "n", "piece", "initial", "moves", "final", "certificate"])
+def test_trace_missing_field_is_move_error(field):
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    doc = trace.to_json()
+    del doc[field]
+    with pytest.raises(MoveError, match=f"required field '{field}'"):
+        MoveTrace.from_json(doc)
 
 
 def test_replay_detects_tampering():

@@ -1,17 +1,19 @@
 """Twist rules, composite monodromies, Stallings image tables."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from handlecalc.surfaces import FiberSurface, beta_word
+from handlecalc.surfaces import CurveId, FiberSurface, beta_word, eta_word
 from handlecalc.twists import (
     MonodromySpec,
     UnsupportedTwistError,
     apply_monodromy,
     apply_twist,
     chain_twist_rule,
+    compile_monodromy,
     mirror,
     piece_monodromy,
     stallings_monodromy,
@@ -19,7 +21,16 @@ from handlecalc.twists import (
     ta3_power,
     two_bridge_monodromy,
 )
-from handlecalc.words import alpha, concat, handle_letters, handle_occurrences, invert, parse_word
+from handlecalc.words import (
+    TILDE,
+    alpha,
+    concat,
+    handle_letters,
+    handle_occurrences,
+    invert,
+    parse_word,
+    reduce_word,
+)
 
 S11 = FiberSurface(1, 1)
 S21 = FiberSurface(2, 1)
@@ -28,6 +39,42 @@ S31 = FiberSurface(3, 1)
 eps_strategy = st.integers(1, 5).flatmap(
     lambda k: st.tuples(*[st.sampled_from((1, -1))] * (2 * k))
 )
+
+
+def sequential(twists, w, s):
+    """Reference action: one apply_twist per twist, twists[0] first."""
+    for curve, sign in twists:
+        w = apply_twist(chain_twist_rule(curve.index, sign, s), w)
+    return reduce_word(w)
+
+
+def iterated_ta3(w, m, s=S21):
+    """Reference t_{a3}^m: |m| single twists."""
+    return sequential([(CurveId("a", 3), 1 if m > 0 else -1)] * abs(m), w, s)
+
+
+def alphabet(s):
+    """Every unsigned letter code of the surface: alpha_0..alpha_N, and the tilde arc at n = 1."""
+    return list(range(1, s.num_handles + 2)) + ([TILDE] if s.n == 1 else [])
+
+
+@st.composite
+def monodromy_and_word(draw):
+    g = draw(st.integers(1, 4))
+    s = FiberSurface(g, draw(st.integers(1, 3)))
+    eps = draw(st.tuples(*[st.sampled_from((1, -1))] * (2 * g)))
+    kind = draw(st.sampled_from(("piece", "fibration", "inverse", "chain")))
+    if kind == "piece":
+        twists = piece_monodromy(eps).twists
+    elif kind == "fibration":
+        twists = two_bridge_monodromy(eps).twists
+    elif kind == "inverse":
+        twists = two_bridge_monodromy(eps).inverse().twists
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(1, 2 * g), st.sampled_from((1, -1))), max_size=12))
+        twists = tuple((CurveId("a", j), e) for j, e in pairs)
+    letters = draw(st.lists(st.tuples(st.sampled_from(alphabet(s)), st.sampled_from((1, -1))), max_size=16))
+    return s, MonodromySpec(twists), tuple(c * e for c, e in letters)
 
 
 def test_twist_rule_basic_cases():
@@ -99,6 +146,44 @@ def test_apply_monodromy_displayed_cases():
     assert apply_monodromy(MonodromySpec(()), w, s) == w
 
 
+@given(monodromy_and_word())
+def test_compiled_table_matches_sequential_twists(case):
+    s, phi, w = case
+    table = compile_monodromy(phi, s)
+    assert table.apply(w) == sequential(phi.twists, w, s)
+    assert apply_monodromy(phi, w, s) == sequential(phi.twists, w, s)
+    for code in alphabet(s):
+        for c in (code, -code):
+            assert table.apply((c,)) == sequential(phi.twists, (c,), s)
+
+
+def test_word_validated_without_twists():
+    # No twist to apply, but the word is still checked against the alphabet.
+    with pytest.raises(ValueError, match="outside alphabet"):
+        ta3_power((99,), 0)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        apply_monodromy(MonodromySpec(()), (99,), S21)
+    with pytest.raises(ValueError, match="only legal when n = 1"):
+        apply_monodromy(MonodromySpec(()), (TILDE,), FiberSurface(1, 2))
+
+
+def test_monodromy_error_kinds():
+    bad_word = (99,)
+    with pytest.raises(UnsupportedTwistError):
+        apply_monodromy(MonodromySpec(((CurveId("b2"), 1),)), bad_word, S21)
+    with pytest.raises(ValueError, match="chain twist index 5 out of range"):
+        apply_monodromy(MonodromySpec(((CurveId("a", 5), 1),)), bad_word, S21)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        apply_monodromy(piece_monodromy((1, -1, 1, 1)), bad_word, S21)
+    # A bad twist anywhere in the spec is reported before a bad letter.
+    with pytest.raises(UnsupportedTwistError):
+        apply_monodromy(stallings_monodromy(1), bad_word, S21)
+    with pytest.raises(ValueError, match="chain twist index 3 out of range"):
+        ta3_power(bad_word, 2, S11)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        ta3_power(bad_word, -2, S21)
+
+
 def test_monodromy_orders():
     # Fibration monodromy applies t_{a1} first; the piece monodromy the reverse.
     phi_k = two_bridge_monodromy((1, -1))
@@ -146,6 +231,40 @@ def test_ta3_power_length_law():
     for m in range(-6, 0):
         assert len(ta3_power((alpha(2),), m)) == 2 * abs(m) - 1
     assert ta3_power((alpha(2),), 0) == (alpha(2),)
+
+
+def test_ta3_closed_form_matches_iterated_twists():
+    words = [
+        (alpha(2),),
+        (alpha(3),),
+        (alpha(2, -1),),
+        (alpha(3, -1),),
+        (alpha(3), alpha(2, -1)),
+        invert(beta_word(3, S21)),
+        parse_word("a0 a2 a2 a3' a4 at a2'"),
+    ]
+    for m in range(-40, 41):
+        for w in words:
+            assert ta3_power(w, m, S21) == iterated_ta3(w, m)
+
+
+def test_stallings_heads_unchanged():
+    # The heads as the iterated-twist construction built them, and a digest
+    # of that construction's output for m in [-6, 6].
+    for m in range(-6, 7):
+        t_a3 = iterated_ta3((alpha(3),), m)
+        expected = (
+            concat(eta_word(), t_a3, iterated_ta3((alpha(2, -1),), m)),
+            concat(eta_word(), t_a3, beta_word(0, S21)),
+            concat(eta_word(), t_a3, beta_word(1, S21)),
+            concat(eta_word(), t_a3, beta_word(4, S21)),
+            concat(beta_word(4, S21), iterated_ta3(invert(beta_word(3, S21)), m), beta_word(4, S21)),
+        )
+        assert stallings_rules(m).heads == expected
+    heads = repr([stallings_rules(m).heads for m in range(-6, 7)])
+    assert hashlib.sha256(heads.encode()).hexdigest() == (
+        "7d5098c781c427dd3a2f1daabf358afb8b4b88a6b7a9d413b68021745da6bb62"
+    )
 
 
 def test_ta3_fixes_a3_a2inv():
