@@ -35,10 +35,7 @@ from .knots import (
     TwoBridgeKnot,
     continued_fraction,
     d_to_conway,
-    equivalent,
-    genus_of,
     is_fibered,
-    isotopic_d,
     parse_knot_spec,
 )
 from .schedules import HandleCounts, ScheduleError, assemble, run_both, run_schedule
@@ -49,7 +46,6 @@ from .surfaces import (
     beta_word,
     c_word,
     eta_word,
-    stallings_reference_words,
     tilde_alpha_word,
 )
 from .trace import MoveTrace, ReplayError, replay
@@ -66,8 +62,6 @@ from .twists import (
 )
 from .verify import VerificationReport, check_twist_image_closure, check_monodromy_invertible, euler_char, full_report
 from .words import (
-    Letter,
-    LetterKind,
     Word,
     alpha,
     concat,

@@ -33,6 +33,7 @@ from .words import (
     handle_occurrences,
     invert,
     reduce_word,
+    substitute,
     word_str,
 )
 
@@ -62,15 +63,15 @@ class HandleComplex:
     """One piece's handle data; mutated in place by moves.
 
     A schedule run owns its complex exclusively; distinct runs are
-    independent.  Word values themselves stay immutable tuples.
+    independent.  Word values themselves stay immutable tuples.  `freed`
+    maps each cancelled letter to the relator its cancellation freed.
     """
 
     surface: FiberSurface
     one_handles: set[int]
     two_handles: list[TwoHandle]
     zero_handles: int = 1
-    four_handle_pending: bool = False
-    warnings: list[str] = field(default_factory=list)
+    freed: dict[int, Word] = field(default_factory=dict)
 
     def handle(self, hid: str) -> TwoHandle:
         for h in self.two_handles:
@@ -163,8 +164,6 @@ def eliminate_letter(target: Word, helper: Word, j: int) -> Word:
     The helper must cross alpha_j exactly once (after cyclic reduction);
     afterwards the target crosses alpha_j zero times.
     """
-    from .words import substitute
-
     sign, repl = relator_solution(helper, j)
     return substitute(target, j, sign, repl)
 
@@ -197,7 +196,7 @@ def cancel(complex_: HandleComplex, pair: CancelPair) -> CancelResult:
 
     Preconditions: the 2-handle word is known and crosses the 1-handle
     exactly once (cyclically).  Postcondition: no surviving word mentions
-    the cancelled letter.
+    the cancelled letter, and `complex_.freed` holds its relator.
     """
     h = complex_.handle(pair.two_handle)
     i = pair.one_handle
@@ -213,6 +212,7 @@ def cancel(complex_: HandleComplex, pair: CancelPair) -> CancelResult:
     relator = cyclic_reduce(h.word)
     complex_.one_handles.remove(i)
     complex_.two_handles.remove(h)
+    complex_.freed[i] = relator
     result = CancelResult(relator, [])
     for other in complex_.two_handles:
         if other.word is None or handle_occurrences(other.word, i) == 0:

@@ -112,11 +112,6 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     return LFPiece("X1", x1), LFPiece("X2", x2)
 
 
-def piece_handle_counts(s: FiberSurface) -> tuple[int, int, int]:
-    """(0-handles, 1-handles, 2-handles) of one piece, boundary handle included."""
-    return 1, s.num_handles, 4 * s.g + 8 * s.n - 3
-
-
 def conjugate_factorization(f: Factorization, phi: MonodromySpec, inverse: bool = False) -> Factorization:
     """Simultaneous conjugation: replace every word by its (inverse-)image."""
     table = compile_monodromy(phi.inverse() if inverse else phi, f.fiber)
@@ -182,7 +177,6 @@ __all__ = [
     "LFPiece",
     "build_W",
     "build_pieces",
-    "piece_handle_counts",
     "conjugate_factorization",
     "hurwitz_move",
     "factorization_json",

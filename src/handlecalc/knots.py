@@ -111,53 +111,6 @@ def is_fibered(d: DForm) -> bool:
     return all(e in (1, -1) for e in d.entries)
 
 
-def equivalent(f: KnotFraction, f2: KnotFraction) -> bool:
-    """Knot equivalence: p = p' and q = q' or q q' = 1 (mod p)."""
-    return f.p == f2.p and ((f.q - f2.q) % f.p == 0 or (f.q * f2.q) % f.p == 1 % f.p)
-
-
-def isotopic_d(a: DForm, b: DForm) -> bool:
-    """Ambient isotopy of fibered forms: equal entrywise or under reversal."""
-    if not (is_fibered(a) and is_fibered(b)):
-        raise KnotSpecError("isotopy criterion applies to fibered D-forms")
-    return len(a.entries) == len(b.entries) and (
-        a.entries == b.entries or a.entries == tuple(reversed(b.entries))
-    )
-
-
-def genus_of(d: DForm) -> int:
-    """Fiber genus of a fibered D-form: half the number of plumbed bands."""
-    if not is_fibered(d):
-        raise KnotSpecError(f"{d} is not fibered")
-    return len(d.entries) // 2
-
-
-def plat_braid_word(c: ConwayForm, closing_sign: int = 1) -> tuple[int, ...]:
-    """Three-strand braid word of the 4-plat presentation, as signed sigma indices.
-
-    Odd k: sigma_2^{n_1} sigma_1^{-n_2} ... sigma_2^{n_k}.  Even k gets the
-    closing adjustment sigma_1^{-n_k + e} sigma_2^{e}; e is not pinned by
-    the normal form and is exposed as closing_sign.
-    """
-    if closing_sign not in (1, -1):
-        raise KnotSpecError("closing sign must be +-1")
-    word: list[int] = []
-
-    def power(gen: int, exponent: int):
-        word.extend([gen if exponent > 0 else -gen] * abs(exponent))
-
-    coeffs = c.coefficients
-    for j, n in enumerate(coeffs):
-        gen = 2 if j % 2 == 0 else 1
-        exponent = n if gen == 2 else -n
-        if j == len(coeffs) - 1 and len(coeffs) % 2 == 0:
-            power(gen, exponent + closing_sign)
-            power(2, closing_sign)
-        else:
-            power(gen, exponent)
-    return tuple(word)
-
-
 @dataclass(frozen=True)
 class TwoBridgeKnot:
     """A two-bridge knot presented by a Conway form, fibered when eps is set."""
@@ -285,10 +238,6 @@ __all__ = [
     "d_to_conway",
     "conway_to_d",
     "is_fibered",
-    "equivalent",
-    "isotopic_d",
-    "genus_of",
-    "plat_braid_word",
     "TwoBridgeKnot",
     "StallingsKnot",
     "Knot",

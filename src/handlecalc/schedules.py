@@ -32,27 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    CancelPair,
     HandleComplex,
     TwoHandle,
-    cancel,
     complex_from_piece,
-    eliminate_letter,
     is_cancelling,
     is_isolated,
-    slide_words,
 )
 from .factorization import build_pieces
 from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import (
-    REMOVED_TEXT,
-    Move,
-    MoveTrace,
-    complex_state,
-    fnv1a64,
-    word_digest,
-)
+from .trace import MoveTrace, complex_state, execute
 from .twists import ta3_power
 from .words import (
     Word,
@@ -60,7 +49,6 @@ from .words import (
     concat,
     cyclic_reduce,
     handle_occurrences,
-    reduce_word,
     word_str,
 )
 
@@ -75,11 +63,10 @@ class ScheduleError(RuntimeError):
 
 
 class _Run:
-    """Mutable schedule state: the complex, freed relators, and the move log."""
+    """Mutable schedule state: the complex (with its freed relators) and the move log."""
 
     def __init__(self, cx: HandleComplex, knot_spec: str, n: int, piece: str):
         self.cx = cx
-        self.relators: dict[int, Word] = {}
         self.trace = MoveTrace(knot=knot_spec, n=n, piece=piece, initial=complex_state(cx))
 
     def fail(self, message: str, word: Word | None) -> ScheduleError:
@@ -89,42 +76,24 @@ class _Run:
         }
         return ScheduleError(message, word=word, trace=self.trace)
 
-    def slide(self, target: TwoHandle, over: TwoHandle, shared_prefix: Word | None = None) -> None:
-        before = word_digest(target.word)
-        target.word = slide_words(target.word, over.word, shared_prefix)
+    def move(
+        self,
+        kind: str,
+        target: TwoHandle,
+        over: TwoHandle | None = None,
+        letter: int | None = None,
+        shared_prefix: Word | None = None,
+    ) -> None:
+        """Apply one move through the shared executor and log its record."""
         self.trace.moves.append(
-            Move(
-                kind="slide",
-                target=target.id,
-                over=over.id,
-                shared_prefix=None if shared_prefix is None else word_str(reduce_word(shared_prefix)),
-                before=before,
-                after=word_digest(target.word),
-                after_word=word_str(target.word),
-            )
+            execute(self.cx, kind, target.id, None if over is None else over.id, letter, shared_prefix)
         )
 
-    def eliminate(self, target: TwoHandle, j: int, relator: Word, helper_id: str | None = None) -> None:
-        before = word_digest(target.word)
-        target.word = eliminate_letter(target.word, relator, j)
-        self.trace.moves.append(
-            Move(
-                kind="eliminate",
-                target=target.id,
-                over=helper_id,
-                letter=j,
-                relator=word_str(relator),
-                before=before,
-                after=word_digest(target.word),
-                after_word=word_str(target.word),
-            )
-        )
-
-    def sweep_relators(self, target: TwoHandle, skip: tuple[int, ...] = ()) -> None:
+    def sweep_relators(self, target: TwoHandle) -> None:
         """Eliminate any residual freed letters (normally all no-ops)."""
-        for j in sorted(self.relators):
-            if j not in skip and target.word is not None and handle_occurrences(target.word, j):
-                self.eliminate(target, j, self.relators[j])
+        for j in sorted(self.cx.freed):
+            if target.word is not None and handle_occurrences(target.word, j):
+                self.move("eliminate", target, letter=j)
 
     def assert_and_cancel(self, i: int, target: TwoHandle) -> None:
         """Check the single-crossing form, warn if not isolated, cancel the pair."""
@@ -142,19 +111,7 @@ class _Run:
                 f"weak cancellation of a{i} against {target.id}: "
                 f"word {word_str(w)!r} is not over alpha_0/a{i} alone"
             )
-        before = word_digest(target.word)
-        result = cancel(self.cx, CancelPair(i, target.id))
-        self.relators[i] = result.relator
-        self.trace.moves.append(
-            Move(
-                kind="cancel",
-                target=target.id,
-                letter=i,
-                relator=word_str(result.relator),
-                before=before,
-                after=fnv1a64(REMOVED_TEXT),
-            )
-        )
+        self.move("cancel", target, letter=i)
 
 
 def _phase_a(run: _Run) -> None:
@@ -162,10 +119,10 @@ def _phase_a(run: _Run) -> None:
     for i in range(1, 2 * g + 1):
         target = run.cx.find("B", i - 1, phi_image=True)
         over = run.cx.find("B", i - 1, phi_image=False)
-        run.slide(target, over)
+        run.move("slide", target, over)
         for j in range(1, i):
             if handle_occurrences(target.word, j):
-                run.eliminate(target, j, run.relators[j])
+                run.move("eliminate", target, letter=j)
         run.assert_and_cancel(i, target)
 
 
@@ -174,7 +131,7 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     image = [run.cx.find("B", i, phi_image=True) for i in range(5)]
     base = [run.cx.find("B", i, phi_image=False) for i in range(5)]
     for i in range(5):
-        run.slide(image[i], base[i])
+        run.move("slide", image[i], base[i])
     h0, h1, h2, h3 = image[0], image[1], image[2], image[3]
 
     # H_1 and H_3 share the initial subpath eta * t_{a3}^m(alpha_3) with
@@ -182,19 +139,19 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     # that subpath, not along a common suffix.
     conj = () if s.n == 1 else (alpha(0),)
     prefix = concat(conj, eta_word(), ta3_power((alpha(3),), knot.m, s))
-    run.slide(h1, h2, shared_prefix=prefix)  # the H_{1,2} double slide
-    run.slide(h3, h2, shared_prefix=prefix)  # the H_{3,2} double slide
+    run.move("slide", h1, h2, shared_prefix=prefix)  # the H_{1,2} double slide
+    run.move("slide", h3, h2, shared_prefix=prefix)  # the H_{3,2} double slide
 
     run.assert_and_cancel(2, h1)
 
     # Sliding over the H_{3,2} double slide eliminates its single alpha_4
     # crossing; the remaining alpha_2/alpha_3 letters go through the freed
     # relators (mostly already rewritten by the cancellations).
-    run.eliminate(h0, 4, h3.word, helper_id=h3.id)
+    run.move("eliminate", h0, h3, letter=4)
     run.sweep_relators(h0)
     run.assert_and_cancel(3, h0)
 
-    run.eliminate(h2, 4, h3.word, helper_id=h3.id)
+    run.move("eliminate", h2, h3, letter=4)
     run.sweep_relators(h2)
     run.assert_and_cancel(1, h2)
 

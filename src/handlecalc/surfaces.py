@@ -183,15 +183,6 @@ def eta_word() -> Word:
     return (alpha(0, -1), alpha(1), alpha(2, -1), alpha(3), alpha(4, -1))
 
 
-def stallings_reference_words() -> dict[str, Word]:
-    """Reference word table for the genus-2 Stallings fiber (n = 1)."""
-    s = FiberSurface(2, 1)
-    table = {"eta": eta_word(), "tilde9": tilde_alpha_word(s)}
-    for i in range(5):
-        table[f"beta{i}"] = beta_word(i, s)
-    return table
-
-
 def validate_word(w: Word, s: FiberSurface) -> None:
     """Reject letters outside this surface's alphabet.
 
@@ -221,6 +212,5 @@ __all__ = [
     "phi_b_word",
     "c_word",
     "eta_word",
-    "stallings_reference_words",
     "validate_word",
 ]

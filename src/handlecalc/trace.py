@@ -1,28 +1,37 @@
-"""Replayable move traces with stable digests.
+"""Replayable move traces with stable digests, and the one move executor.
 
-Schema "handlecalc/1": a trace holds the initial complex state, the move
-list, the final state and the certificate counts.  Word digests are
-64-bit FNV-1a over the word text form; replaying the moves against the
-initial state must reproduce every step digest and the final complex
-digest exactly.
+Schema "handlecalc/1": a trace holds the knot spec, the index n, the
+piece, the initial complex state, the move list, the final state and the
+certificate counts.  Word digests are 64-bit FNV-1a over the word text
+form.
+
+`execute` applies one slide, eliminate or cancel to a complex and returns
+the move's full record; the schedules log moves only through it.  Replay
+rebuilds the initial complex from the knot spec, re-derives every move
+with `execute` from the live complex (an eliminate's relator comes from
+the live helper it names or from an earlier cancellation, never from the
+trace) and requires each recorded move to equal the re-derived one, field
+for field.  The final state and the certificate must match the replayed
+complex.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .complexes import (
     CancelPair,
     HandleComplex,
     MoveError,
-    TwoHandle,
     cancel,
+    complex_from_piece,
     eliminate_letter,
     slide_words,
 )
-from .surfaces import CurveId, FiberSurface
-from .words import Word, parse_word, word_str
+from .factorization import build_pieces
+from .knots import parse_knot_spec
+from .words import Word, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/1"
 
@@ -30,8 +39,15 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
 
-#: Fields every trace document must carry, in the order they are read.
-_REQUIRED_FIELDS = ("knot", "n", "piece", "initial", "moves", "final", "certificate")
+#: Fields every trace document must carry, in the order they are read,
+#: with their JSON types.  `final` and `certificate` are null in the trace
+#: of a failed schedule, which replay rejects.
+_REQUIRED_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict,
+                    "moves": list, "final": dict, "certificate": dict}
+_NULLABLE_FIELDS = ("final", "certificate")
+
+#: Move fields: the first four are required; all but `letter` are strings.
+_MOVE_FIELDS = ("kind", "target", "before", "after", "over", "letter", "relator", "shared_prefix", "after_word")
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
@@ -48,19 +64,6 @@ def word_digest(w: Word | None) -> str:
     return fnv1a64(OPAQUE_TEXT if w is None else word_str(w))
 
 
-def curve_to_str(c: CurveId) -> str:
-    return str(c)
-
-
-def curve_from_str(text: str) -> CurveId:
-    if text == "dF":
-        return CurveId("boundary")
-    if text == "b2":
-        return CurveId("b2")
-    family = text[0]
-    return CurveId(family, int(text[1:]))
-
-
 def complex_state(cx: HandleComplex) -> dict:
     return {
         "surface": {"g": cx.surface.g, "n": cx.surface.n},
@@ -69,34 +72,32 @@ def complex_state(cx: HandleComplex) -> dict:
         "two_handles": [
             {
                 "id": h.id,
-                "origin": curve_to_str(h.origin),
+                "origin": str(h.origin),
                 "phi": h.phi_image,
                 "word": None if h.word is None else word_str(h.word),
                 "framing": h.framing,
             }
             for h in cx.two_handles
         ],
-        "four_handle_pending": cx.four_handle_pending,
+        "four_handle_pending": False,  # no move in this model adds a 4-handle
     }
 
 
-def complex_from_state(state: dict) -> HandleComplex:
-    s = FiberSurface(state["surface"]["g"], state["surface"]["n"])
-    two = [
-        TwoHandle(
-            h["id"],
-            curve_from_str(h["origin"]),
-            h["phi"],
-            None if h["word"] is None else parse_word(h["word"]),
-            h["framing"],
-        )
-        for h in state["two_handles"]
-    ]
-    return HandleComplex(s, set(state["one_handles"]), two, state["zero_handles"])
+def _canonical(state: dict | None) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def complex_digest(cx: HandleComplex) -> str:
-    return fnv1a64(json.dumps(complex_state(cx), sort_keys=True, separators=(",", ":")))
+    return fnv1a64(_canonical(complex_state(cx)))
+
+
+def _typed(where: str, name: str, value, kind: type, nullable: bool = True):
+    """A field's value, if it has the given JSON type (or is an allowed null)."""
+    if value is None and nullable:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MoveError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,13 @@ class Move:
 
     @staticmethod
     def from_json(d: dict) -> "Move":
-        return Move(
-            kind=d["kind"],
-            target=d["target"],
-            over=d.get("over"),
-            letter=d.get("letter"),
-            relator=d.get("relator"),
-            shared_prefix=d.get("shared_prefix"),
-            before=d["before"],
-            after=d["after"],
-            after_word=d.get("after_word"),
-        )
+        if not isinstance(d, dict):
+            raise MoveError(f"a move must be an object, got {type(d).__name__}")
+        for name in _MOVE_FIELDS[:4]:
+            if d.get(name) is None:
+                raise MoveError(f"move lacks required field {name!r}")
+        return Move(**{name: _typed("move", name, d.get(name), int if name == "letter" else str)
+                       for name in _MOVE_FIELDS})
 
 
 @dataclass
@@ -173,65 +170,111 @@ class MoveTrace:
 
     @staticmethod
     def from_json(d: dict) -> "MoveTrace":
+        if not isinstance(d, dict):
+            raise MoveError(f"a trace must be an object, got {type(d).__name__}")
         if d.get("schema") != SCHEMA:
             raise MoveError(f"unsupported trace schema {d.get('schema')!r}")
-        for name in _REQUIRED_FIELDS:
+        values = {}
+        for name, kind in _REQUIRED_FIELDS.items():
             if name not in d:
                 raise MoveError(f"trace lacks required field {name!r}")
-        return MoveTrace(
-            knot=d["knot"],
-            n=d["n"],
-            piece=d["piece"],
-            initial=d["initial"],
-            moves=[Move.from_json(m) for m in d["moves"]],
-            final=d["final"],
-            certificate=d["certificate"],
-            warnings=d.get("warnings", []),
-            error=d.get("error"),
-        )
+            values[name] = _typed("trace", name, d[name], kind, name in _NULLABLE_FIELDS)
+        values["moves"] = [Move.from_json(m) for m in values["moves"]]
+        return MoveTrace(**values, warnings=d.get("warnings", []), error=d.get("error"))
 
     def final_digest(self) -> str:
-        return fnv1a64(json.dumps(self.final, sort_keys=True, separators=(",", ":")))
+        return fnv1a64(_canonical(self.final))
 
 
 class ReplayError(MoveError):
-    """A replayed move did not reproduce its recorded digest."""
+    """A recorded trace does not match what its knot spec and moves re-derive."""
+
+
+def execute(
+    cx: HandleComplex,
+    kind: str,
+    target: str,
+    over: str | None = None,
+    letter: int | None = None,
+    shared_prefix: Word | None = None,
+) -> Move:
+    """Apply one move to the complex and return its full record.
+
+    * slide: the target slides over the live handle `over`, along
+      `shared_prefix` when one is given;
+    * eliminate: every alpha_letter in the target is rewritten through the
+      word of the live helper `over` or, without a helper, through the
+      relator that cancelling alpha_letter freed;
+    * cancel: the target cancels the 1-handle alpha_letter.
+
+    Raises MoveError on an opaque target or helper, on a handle moved over
+    itself, and on an elimination with neither a helper nor a freed relator.
+    """
+    h = cx.handle(target)
+    before = word_digest(h.word)
+    if kind == "cancel":
+        result = cancel(cx, CancelPair(letter, target))
+        return Move(kind, target, letter=letter, relator=word_str(result.relator),
+                    before=before, after=fnv1a64(REMOVED_TEXT))
+    if kind not in ("slide", "eliminate"):
+        raise MoveError(f"unknown move kind {kind!r}")
+    helper = None if over is None else cx.handle(over)
+    if helper is h:
+        raise MoveError(f"cannot {kind} handle {target} over itself")
+    if h.word is None or (helper is not None and helper.word is None):
+        raise MoveError(f"cannot {kind} with opaque handle {target if h.word is None else over}")
+    if kind == "slide":
+        if helper is None:
+            raise MoveError(f"slide of {target} names no handle to slide over")
+        h.word = slide_words(h.word, helper.word, shared_prefix)
+        record = {"shared_prefix": None if shared_prefix is None else word_str(reduce_word(shared_prefix))}
+    else:
+        if letter is None:
+            raise MoveError(f"eliminate on {target} names no letter")
+        relator = cx.freed.get(letter) if helper is None else helper.word
+        if relator is None:
+            raise MoveError(f"a{letter} has no freed relator to eliminate from {target}")
+        h.word = eliminate_letter(h.word, relator, letter)
+        record = {"letter": letter, "relator": word_str(relator)}
+    after_word = word_str(h.word)
+    return Move(kind, target, over, before=before, after=fnv1a64(after_word), after_word=after_word, **record)
 
 
 def replay(trace: MoveTrace) -> HandleComplex:
-    """Re-execute the trace against its initial state; digests must match.
+    """Rebuild the trace's piece from its knot spec and re-derive every move.
 
-    Also enforces that the Euler characteristic never moves: slides and
-    eliminations keep both handle counts, and a cancellation drops a
-    1-handle and a 2-handle together.
+    The rebuilt complex must match the recorded initial state; each
+    recorded move must equal, field for field, the move `execute` derives
+    from the live complex; the final state and the certificate must match
+    the replayed complex, and the Euler characteristic must never move.
+    Any mismatch, or a move the executor rejects, raises ReplayError.
     """
-    cx = complex_from_state(trace.initial)
+    if trace.piece not in ("X1", "X2"):
+        raise ReplayError(f"unknown piece {trace.piece!r}")
+    try:
+        x1, x2 = build_pieces(parse_knot_spec(trace.knot), trace.n)
+    except ValueError as err:  # KnotSpecError, a non-fibered knot, n < 1
+        raise ReplayError(f"cannot rebuild {trace.piece} of {trace.knot!r} at n={trace.n}: {err}") from err
+    cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
+    if _canonical(complex_state(cx)) != _canonical(trace.initial):
+        raise ReplayError(f"initial state is not that of {trace.piece} of {trace.knot} at n={trace.n}")
     chi = cx.euler()
     for k, move in enumerate(trace.moves):
-        target = cx.handle(move.target)
-        if word_digest(target.word) != move.before:
-            raise ReplayError(f"move {k}: before-digest mismatch on {move.target}")
-        if move.kind == "slide":
-            over = cx.handle(move.over)
+        try:
             prefix = None if move.shared_prefix is None else parse_word(move.shared_prefix)
-            target.word = slide_words(target.word, over.word, prefix)
-            got = word_digest(target.word)
-        elif move.kind == "eliminate":
-            target.word = eliminate_letter(target.word, parse_word(move.relator), move.letter)
-            got = word_digest(target.word)
-        elif move.kind == "cancel":
-            result = cancel(cx, CancelPair(move.letter, move.target))
-            if word_str(result.relator) != move.relator:
-                raise ReplayError(f"move {k}: cancel relator mismatch on {move.target}")
-            got = fnv1a64(REMOVED_TEXT)
-        else:
-            raise ReplayError(f"move {k}: unknown move kind {move.kind!r}")
-        if got != move.after:
-            raise ReplayError(f"move {k}: after-digest mismatch on {move.target}")
+            got = execute(cx, move.kind, move.target, move.over, move.letter, prefix)
+        except ValueError as err:  # MoveError, or a bad token in the shared prefix
+            raise ReplayError(f"move {k}: {err}") from err
+        if got != move:
+            wrong = ", ".join(f.name for f in fields(Move) if getattr(got, f.name) != getattr(move, f.name))
+            raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
         if cx.euler() != chi:
             raise ReplayError(f"move {k}: Euler characteristic drifted from {chi}")
-    if trace.final is not None and complex_digest(cx) != trace.final_digest():
-        raise ReplayError("final complex digest mismatch")
+    if trace.final is None or _canonical(complex_state(cx)) != _canonical(trace.final):
+        raise ReplayError("final complex state mismatch")
+    certificate = {"one_handles": len(cx.one_handles), "two_handles": len(cx.two_handles)}
+    if _canonical(trace.certificate) != _canonical(certificate):
+        raise ReplayError(f"certificate {trace.certificate} does not match the replayed complex {certificate}")
     return cx
 
 
@@ -240,12 +283,10 @@ __all__ = [
     "fnv1a64",
     "word_digest",
     "complex_state",
-    "complex_from_state",
     "complex_digest",
-    "curve_to_str",
-    "curve_from_str",
     "Move",
     "MoveTrace",
     "ReplayError",
+    "execute",
     "replay",
 ]

@@ -19,8 +19,6 @@ conjugation-invariant form is needed (e.g. cancellation tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Tuple
 
 Word = Tuple[int, ...]
@@ -29,46 +27,6 @@ Word = Tuple[int, ...]
 TILDE = 1 << 20
 
 EMPTY: Word = ()
-
-
-class LetterKind(Enum):
-    CONNECTOR = "connector"
-    HANDLE = "handle"
-    TILDE = "tilde"
-
-
-@dataclass(frozen=True)
-class Letter:
-    """One unsigned letter of the alphabet: alpha_0, a handle core, or the tilde arc."""
-
-    kind: LetterKind
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind is LetterKind.CONNECTOR and self.index != 0:
-            raise ValueError("connector letter is alpha_0; index must be 0")
-        if self.kind is LetterKind.HANDLE and self.index < 1:
-            raise ValueError(f"handle index must be >= 1, got {self.index}")
-
-    @property
-    def code(self) -> int:
-        if self.kind is LetterKind.TILDE:
-            return TILDE
-        return self.index + 1
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        code = abs(code)
-        if code == TILDE:
-            return Letter(LetterKind.TILDE)
-        if code == 1:
-            return Letter(LetterKind.CONNECTOR, 0)
-        if code > 1:
-            return Letter(LetterKind.HANDLE, code - 1)
-        raise ValueError(f"invalid letter code {code}")
-
-    def __str__(self):
-        return "at" if self.kind is LetterKind.TILDE else f"a{self.index}"
 
 
 def alpha(i: int, sign: int = 1) -> int:
@@ -113,13 +71,7 @@ def reduce_word(w: Iterable[int]) -> Word:
     >>> word_str(reduce_word(parse_word("a1 a2' a2 a3")))
     'a1 a3'
     """
-    out: list[int] = []
-    for c in w:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    return concat(w)
 
 
 def is_reduced(w: Iterable[int]) -> bool:
@@ -165,8 +117,8 @@ def handle_occurrences(w: Iterable[int], i: int) -> int:
     """
     if i < 1:
         return 0
-    code = i + 1
-    return sum(1 for c in w if abs(c) == code)
+    w = tuple(w)
+    return w.count(i + 1) + w.count(-i - 1)
 
 
 def handle_letters(w: Iterable[int]) -> set[int]:
@@ -190,21 +142,16 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     code = i + 1
     repl = tuple(replacement)
     repl_inv = invert(repl)
-    out: list[int] = []
-
-    def push(seq):
-        for c in seq:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-
-    for c in w:
-        if abs(c) == code:
-            push(repl if (1 if c > 0 else -1) == sign_target else repl_inv)
-        else:
-            push((c,))
-    return tuple(out)
+    pos, neg = (repl, repl_inv) if sign_target == 1 else (repl_inv, repl)
+    w = tuple(w)
+    parts: list[Word] = []
+    start = 0
+    for k in [k for k, c in enumerate(w) if c == code or c == -code]:
+        parts.append(w[start:k])
+        parts.append(pos if w[k] > 0 else neg)
+        start = k + 1
+    parts.append(w[start:])
+    return concat(*parts)
 
 
 def word_str(w: Iterable[int]) -> str:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from handlecalc.complexes import complex_from_piece
 from handlecalc.factorization import (
     Factorization,
     build_W,
@@ -9,7 +10,6 @@ from handlecalc.factorization import (
     conjugate_factorization,
     factorization_json,
     hurwitz_move,
-    piece_handle_counts,
 )
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.surfaces import FiberSurface
@@ -52,23 +52,24 @@ def test_pieces_counts():
     x1, x2 = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
     # 8 cycles; the fiber boundary handle is added by the complex, total 9 = 4g+5.
     assert len(x1.factorization) == len(x2.factorization) == 8
-    assert piece_handle_counts(FiberSurface(1, 1)) == (1, 4, 9)
 
     x1, _ = build_pieces(StallingsKnot(2), 1)
     assert len(x1.factorization) == 12
-    assert piece_handle_counts(FiberSurface(2, 1)) == (1, 8, 13)
 
     x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 2)
     assert len(x1.factorization) == 16
-    assert piece_handle_counts(FiberSurface(1, 2)) == (1, 6, 17)
 
 
 def test_euler_consistency_identity():
     # 1 - (4g+2n-2) + (4g+8n-3) = 6n for every piece.
     for g in range(1, 6):
         for n in range(1, 6):
-            h0, h1, h2 = piece_handle_counts(FiberSurface(g, n))
-            assert h0 - h1 + h2 == 6 * n
+            x1, x2 = build_pieces(parse_knot_spec("twobridge:" + ",".join("+" * (2 * g))), n)
+            for piece in (x1, x2):
+                cx = complex_from_piece(piece)
+                assert cx.counts() == {"zero_handles": 1, "one_handles": 4 * g + 2 * n - 2,
+                                       "two_handles": 4 * g + 8 * n - 3}
+                assert cx.euler() == 6 * n
 
 
 def test_x2_is_x1_rotated():

@@ -4,7 +4,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from handlecalc.knots import (
     ConwayForm,
@@ -16,12 +15,8 @@ from handlecalc.knots import (
     continued_fraction,
     conway_to_d,
     d_to_conway,
-    equivalent,
-    genus_of,
     is_fibered,
-    isotopic_d,
     parse_knot_spec,
-    plat_braid_word,
 )
 
 
@@ -80,23 +75,9 @@ def test_is_fibered():
     assert not is_fibered(DForm((2, 1)))
 
 
-def test_equivalent():
-    assert equivalent(KnotFraction(5, 2), KnotFraction(5, 3))  # 2*3 = 6 = 1 mod 5
-    assert equivalent(KnotFraction(3, 1), KnotFraction(3, 1))
-    assert not equivalent(KnotFraction(5, 2), KnotFraction(7, 2))
-
-
-def test_isotopic_d():
-    assert isotopic_d(DForm((1, -1, 1, 1)), DForm((1, 1, -1, 1)))
-    assert isotopic_d(DForm((1, 1)), DForm((1, 1)))
-    assert not isotopic_d(DForm((1, 1)), DForm((1, -1)))
-    with pytest.raises(KnotSpecError):
-        isotopic_d(DForm((2, 1)), DForm((1, 1)))
-
-
 def test_genus():
-    assert genus_of(DForm((1, 1))) == 1
-    assert genus_of(DForm((1, -1, 1, 1))) == 2
+    assert TwoBridgeKnot.from_eps((1, 1)).genus == 1
+    assert TwoBridgeKnot.from_eps((1, -1, 1, 1)).genus == 2
     assert StallingsKnot(3).genus == 2
 
 
@@ -122,38 +103,17 @@ def test_fraction_matches_oracle_on_fibered_forms():
 
 
 def test_isotopic_implies_equivalent():
-    # Reversal isotopy gives equal fractions or mirror-mod-p partners.
+    # A reversed D-form is the same knot, so by Schubert's classification
+    # its fraction has the same p, and q' = q or q q' = 1 (mod p).
     for k in (1, 2, 3, 4):
         for eps in itertools.product((1, -1), repeat=2 * k):
-            rev = tuple(reversed(eps))
-            assert isotopic_d(DForm(eps), DForm(rev))
             try:
                 f1 = continued_fraction(d_to_conway(DForm(eps)))
-                f2 = continued_fraction(d_to_conway(DForm(rev)))
+                f2 = continued_fraction(d_to_conway(DForm(tuple(reversed(eps)))))
             except KnotSpecError:
                 continue
-            assert equivalent(f1, f2)
-
-
-@given(st.integers(1, 250), st.integers(-499, 499), st.integers(-499, 499))
-def test_equivalent_reflexive_symmetric(half_p, q1, q2):
-    from math import gcd
-
-    p = 2 * half_p + 1
-    if gcd(p, q1) != 1 or gcd(p, q2) != 1:
-        return
-    f1, f2 = KnotFraction(p, q1), KnotFraction(p, q2)
-    assert equivalent(f1, f1)
-    assert equivalent(f1, f2) == equivalent(f2, f1)
-
-
-def test_plat_braid_word():
-    # Odd k: sigma_2^{n1} sigma_1^{-n2} ... sigma_2^{nk}.
-    assert plat_braid_word(ConwayForm((3,))) == (2, 2, 2)
-    assert plat_braid_word(ConwayForm((2, -2, 1))) == (2, 2, 1, 1, 2)
-    # Even k carries the closing adjustment.
-    assert plat_braid_word(ConwayForm((2, 2)), closing_sign=1) == (2, 2, -1, 2)
-    assert plat_braid_word(ConwayForm((2, 2)), closing_sign=-1) == (2, 2, -1, -1, -1, -2)
+            assert f1.p == f2.p
+            assert (f1.q - f2.q) % f1.p == 0 or (f1.q * f2.q) % f1.p == 1 % f1.p
 
 
 def test_parse_knot_spec():

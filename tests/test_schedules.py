@@ -5,11 +5,20 @@ import json
 
 import pytest
 
-from handlecalc.complexes import MoveError
+from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter
+from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
-from handlecalc.trace import MoveTrace, ReplayError, complex_digest, replay
-from handlecalc.words import handle_letters, parse_word
+from handlecalc.trace import (
+    MoveTrace,
+    ReplayError,
+    complex_digest,
+    complex_state,
+    execute,
+    replay,
+    word_digest,
+)
+from handlecalc.words import handle_letters, parse_word, word_str
 
 
 def cancels(trace):
@@ -148,12 +157,53 @@ def test_trace_json_round_trip_and_replay():
         assert json.dumps(trace2.to_json(), sort_keys=True) == encoded
 
 
-@pytest.mark.parametrize("field", ["knot", "n", "piece", "initial", "moves", "final", "certificate"])
-def test_trace_missing_field_is_move_error(field):
+def _without(name):
+    return lambda doc: {k: v for k, v in doc.items() if k != name}
+
+
+def _edit_move(**changes):
+    """Set fields of the first move; a value of None deletes the field."""
+
+    def mutate(doc):
+        move = doc["moves"][0]
+        for name, value in changes.items():
+            if value is None:
+                del move[name]
+            else:
+                move[name] = value
+        return doc
+
+    return mutate
+
+
+def _set(name, value):
+    return lambda doc: {**doc, name: value}
+
+
+MALFORMED = [
+    pytest.param(_without(f), f"required field '{f}'", id=f)
+    for f in ("knot", "n", "piece", "initial", "moves", "final", "certificate")
+] + [
+    pytest.param(lambda doc: [doc], "trace must be an object", id="document-not-object"),
+    pytest.param(_set("moves", [7]), "move must be an object", id="move-not-object"),
+    pytest.param(_edit_move(kind=None), "required field 'kind'", id="move-lacks-kind"),
+    pytest.param(_edit_move(target=None), "required field 'target'", id="move-lacks-target"),
+    pytest.param(_edit_move(before=None), "required field 'before'", id="move-lacks-before"),
+    pytest.param(_edit_move(after=None), "required field 'after'", id="move-lacks-after"),
+    pytest.param(_edit_move(letter="1"), "'letter' must be int", id="letter-not-int"),
+    pytest.param(_edit_move(letter=True), "'letter' must be int", id="letter-bool"),
+    pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
+    pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
+    pytest.param(_edit_move(after=0), "'after' must be str", id="digest-not-string"),
+    pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED)
+def test_trace_missing_field_is_move_error(mutate, message):
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
-    doc = trace.to_json()
-    del doc[field]
-    with pytest.raises(MoveError, match=f"required field '{field}'"):
+    doc = mutate(trace.to_json())
+    with pytest.raises(MoveError, match=message):
         MoveTrace.from_json(doc)
 
 
@@ -164,6 +214,94 @@ def test_replay_detects_tampering():
     first_slide["after"] = "0" * 16
     with pytest.raises(ReplayError):
         replay(MoveTrace.from_json(tampered))
+
+
+def _trefoil_x1():
+    """The trefoil's X1 trace document and a fresh copy of its initial complex."""
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
+    return trace, trace.to_json(), complex_from_piece(x1)
+
+
+def _made_up_elimination():
+    # An eliminate on the untouched handle x1-02 through the made-up relator
+    # a1 a0 a0, before any cancellation freed a1, with a final state that
+    # the forged move list does reproduce.
+    trace, doc, cx = _trefoil_x1()
+    h = cx.handle("x1-02")
+    before = word_digest(h.word)
+    h.word = eliminate_letter(h.word, parse_word("a1 a0 a0"), 1)
+    doc["moves"].insert(0, {"kind": "eliminate", "target": "x1-02", "letter": 1, "relator": "a1 a0 a0",
+                            "before": before, "after": word_digest(h.word), "after_word": word_str(h.word)})
+    for m in trace.moves:
+        execute(cx, m.kind, m.target, m.over, m.letter)
+    doc["final"] = complex_state(cx)
+    return doc
+
+
+def _relabelled_knot():
+    _, doc, _ = _trefoil_x1()
+    doc["knot"] = "twobridge:-,-"
+    return doc
+
+
+def _tampered_after_word():
+    _, doc, _ = _trefoil_x1()
+    doc["moves"][0]["after_word"] = "a0"
+    return doc
+
+
+def _slide_over_opaque():
+    _, doc, _ = _trefoil_x1()
+    doc["moves"][0]["over"] = "x1-dF"
+    return doc
+
+
+def _slide_over_itself():
+    # The first slide is redone over its own target, which empties the word;
+    # the trace stops there with a matching final state.
+    _, doc, cx = _trefoil_x1()
+    slide = doc["moves"][0]
+    slide.update(over=slide["target"], after=word_digest(()), after_word="")
+    cx.handle(slide["target"]).word = ()
+    doc["moves"], doc["final"] = [slide], complex_state(cx)
+    return doc
+
+
+def _inflated_certificate():
+    _, doc, _ = _trefoil_x1()
+    doc["certificate"] = {"one_handles": 0, "two_handles": 99}
+    return doc
+
+
+def _no_final_state():
+    _, doc, _ = _trefoil_x1()
+    doc["final"] = None
+    return doc
+
+
+def _bad_knot_spec():
+    _, doc, _ = _trefoil_x1()
+    doc["knot"] = "twobridge:+,x"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        pytest.param(_made_up_elimination, "no freed relator", id="made-up-relator"),
+        pytest.param(_relabelled_knot, "initial state", id="relabelled-knot"),
+        pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
+        pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
+        pytest.param(_slide_over_itself, "over itself", id="slide-over-itself"),
+        pytest.param(_inflated_certificate, "certificate", id="inflated-certificate"),
+        pytest.param(_no_final_state, "final complex state", id="no-final-state"),
+        pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
+    ],
+)
+def test_replay_rejects_forged_trace(forge, message):
+    with pytest.raises(ReplayError, match=message):
+        replay(MoveTrace.from_json(forge()))
 
 
 def test_schedule_error_carries_word_and_trace():

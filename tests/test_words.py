@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 import handlecalc.words
 from handlecalc.words import (
-    Letter,
-    LetterKind,
     TILDE,
     alpha,
     concat,
     cyclic_reduce,
+    handle_index,
     handle_letters,
     handle_occurrences,
     invert,
@@ -117,11 +116,11 @@ def test_parse_rejects_bad_tokens():
 
 
 def test_letter_codes():
-    assert Letter(LetterKind.CONNECTOR, 0).code == 1
-    assert Letter(LetterKind.HANDLE, 3).code == 4
-    assert Letter(LetterKind.TILDE).code == TILDE
-    assert Letter.from_code(-4) == Letter(LetterKind.HANDLE, 3)
-    assert str(Letter.from_code(TILDE)) == "at"
+    assert alpha(0) == 1
+    assert alpha(3) == 4
+    assert tilde() == TILDE
+    assert handle_index(alpha(3, -1)) == 3
+    assert word_str((alpha(3, -1), tilde())) == "a3' at"
 
 
 @given(words_strategy)
