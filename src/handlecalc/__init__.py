@@ -7,7 +7,6 @@ decomposition with no 1- or 3-handles.
 """
 
 from .complexes import (
-    CancelPair,
     HandleComplex,
     MoveError,
     cancel,
@@ -24,7 +23,6 @@ from .factorization import (
     build_W,
     build_pieces,
     conjugate_factorization,
-    hurwitz_move,
 )
 from .knots import (
     ConwayForm,

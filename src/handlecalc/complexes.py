@@ -21,7 +21,7 @@ Moves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .factorization import LFPiece
 from .surfaces import BOUNDARY, CurveId, FiberSurface
@@ -63,15 +63,13 @@ class HandleComplex:
     """One piece's handle data; mutated in place by moves.
 
     A schedule run owns its complex exclusively; distinct runs are
-    independent.  Word values themselves stay immutable tuples.  `freed`
-    maps each cancelled letter to the relator its cancellation freed.
+    independent.  Word values themselves stay immutable tuples.
     """
 
     surface: FiberSurface
     one_handles: set[int]
     two_handles: list[TwoHandle]
     zero_handles: int = 1
-    freed: dict[int, Word] = field(default_factory=dict)
 
     def handle(self, hid: str) -> TwoHandle:
         for h in self.two_handles:
@@ -179,27 +177,20 @@ def is_isolated(w: Word, i: int) -> bool:
     return handle_occurrences(v, i) == 1 and handle_letters(v) == {i}
 
 
-@dataclass(frozen=True)
-class CancelPair:
-    one_handle: int
-    two_handle: str
-
-
 @dataclass
 class CancelResult:
     relator: Word
     rewrites: list[tuple[str, Word, Word]]  # (handle id, before, after)
 
 
-def cancel(complex_: HandleComplex, pair: CancelPair) -> CancelResult:
-    """Cancel the pair and rewrite the surviving words over the freed letter.
+def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
+    """Cancel alpha_i against the 2-handle `hid`; rewrite the survivors through the freed relator.
 
     Preconditions: the 2-handle word is known and crosses the 1-handle
     exactly once (cyclically).  Postcondition: no surviving word mentions
-    the cancelled letter, and `complex_.freed` holds its relator.
+    the cancelled letter.
     """
-    h = complex_.handle(pair.two_handle)
-    i = pair.one_handle
+    h = complex_.handle(hid)
     if i not in complex_.one_handles:
         raise MoveError(f"1-handle a{i} is not live")
     if h.word is None:
@@ -212,7 +203,6 @@ def cancel(complex_: HandleComplex, pair: CancelPair) -> CancelResult:
     relator = cyclic_reduce(h.word)
     complex_.one_handles.remove(i)
     complex_.two_handles.remove(h)
-    complex_.freed[i] = relator
     result = CancelResult(relator, [])
     for other in complex_.two_handles:
         if other.word is None or handle_occurrences(other.word, i) == 0:
@@ -233,7 +223,6 @@ __all__ = [
     "eliminate_letter",
     "is_cancelling",
     "is_isolated",
-    "CancelPair",
     "CancelResult",
     "cancel",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .knots import Knot, StallingsKnot, TwoBridgeKnot
 from .surfaces import CurveId, FiberSurface, b_word, beta_word, c_word, phi_b_word
 from .twists import CompiledMonodromy, MonodromySpec, StallingsImages, compile_monodromy, stallings_rules
-from .words import Word, concat, invert, word_str
+from .words import Word, word_str
 
 FRAMING = "fiber-1"
 
@@ -26,13 +26,9 @@ class VanishingCycle:
     word: Word | None
     phi_image: bool = False
     framing: str = FRAMING
-    conj: tuple[tuple[str, int], ...] = ()
 
     def label(self) -> str:
-        base = ("phi(" + str(self.curve) + ")") if self.phi_image else str(self.curve)
-        for name, sign in self.conj:
-            base = f"{base}^{name}" if sign > 0 else f"{base}^{name}'"
-        return base
+        return ("phi(" + str(self.curve) + ")") if self.phi_image else str(self.curve)
 
 
 @dataclass(frozen=True)
@@ -122,39 +118,6 @@ def conjugate_factorization(f: Factorization, phi: MonodromySpec, inverse: bool 
     return Factorization(cycles, f.fiber)
 
 
-def _cancel_conj(tags: tuple[tuple[str, int], ...], new: tuple[str, int]) -> tuple[tuple[str, int], ...]:
-    if tags and tags[-1] == (new[0], -new[1]):
-        return tags[:-1]
-    return tags + (new,)
-
-
-def hurwitz_move(f: Factorization, i: int, inverse: bool = False) -> Factorization:
-    """Elementary transposition at 1-based position i: (t_a, t_b) -> (t_b, t_{b^-1 a b}).
-
-    The conjugated word is computed when both words are known, otherwise
-    the conjugation is recorded symbolically on the cycle label.  The
-    inverse move at the same position undoes the forward move exactly.
-    """
-    if not 1 <= i < len(f.cycles):
-        raise ValueError(f"move position {i} out of range [1, {len(f.cycles) - 1}]")
-    cycles = list(f.cycles)
-    a, b = cycles[i - 1], cycles[i]
-    if not inverse:
-        if a.word is not None and b.word is not None:
-            conjugated = replace(a, word=concat(invert(b.word), a.word, b.word))
-        else:
-            # No word to conjugate through: record the move symbolically.
-            conjugated = replace(a, conj=_cancel_conj(a.conj, (b.label(), 1)))
-        cycles[i - 1], cycles[i] = b, conjugated
-    else:
-        if a.word is not None and b.word is not None:
-            conjugated = replace(b, word=concat(a.word, b.word, invert(a.word)))
-        else:
-            conjugated = replace(b, conj=_cancel_conj(b.conj, (a.label(), -1)))
-        cycles[i - 1], cycles[i] = conjugated, a
-    return Factorization(tuple(cycles), f.fiber)
-
-
 def factorization_json(f: Factorization) -> dict:
     """Stable JSON form: ordered cycles with curve, word text and framing."""
     return {
@@ -178,6 +141,5 @@ __all__ = [
     "build_W",
     "build_pieces",
     "conjugate_factorization",
-    "hurwitz_move",
     "factorization_json",
 ]

@@ -4,8 +4,7 @@ Three phases, executed per piece:
 
   Phase A (two-bridge): for i = 1..2g, slide the image handle phi(B_{i-1})
   over B_{i-1}; the shared closing arc cancels and the remainder crosses
-  alpha_i exactly once after the letters alpha_j (j < i) are rewritten
-  through the earlier relators.  Cancel (alpha_i*, H~_i).
+  alpha_i exactly once.  Cancel (alpha_i*, H~_i).
 
   Stallings script (replaces Phase A at g = 2): slide phi_m(B_i) over B_i
   (i = 0..4), form the double slides of H_1 and H_3 over H_2 along their
@@ -15,42 +14,31 @@ Three phases, executed per piece:
 
   Chain phase (n >= 2): the 2-handles of c_1, c_2, ..., c_{2n-2} cancel
   alpha_{4g+2n-3}, then the even letters downward and the odd letters
-  below, each after rewriting through the previously freed relator.
+  below.
 
-  Phase C: for i = 1..2g, the untouched B_{2g+1-i} handle, rewritten
-  through every available relator, crosses alpha_{2g+i} once; cancel.
+  Phase C: for i = 1..2g, the untouched B_{2g+1-i} handle crosses
+  alpha_{2g+i} once; cancel.
 
-Every cancellation rewrites all surviving words, so the "slide over the
-earlier helpers" steps of the later phases are normally no-ops that the
-schedule still sweeps for safety.  A failed single-crossing assertion
-aborts with the offending word recorded in the trace: that is the
-falsification channel for the underlying curve computations.
+Every cancellation rewrites all surviving words through the relator it
+frees (`complexes.cancel`), so afterwards no word mentions the cancelled
+letter: the "slide over the earlier helpers" steps of the later phases
+are done by the cancellations themselves and the trace records only the
+moves the schedule makes.  A failed move or single-crossing check aborts
+with the offending word recorded in the trace: that is the falsification
+channel for the underlying curve computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    HandleComplex,
-    TwoHandle,
-    complex_from_piece,
-    is_cancelling,
-    is_isolated,
-)
+from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, is_isolated
 from .factorization import build_pieces
 from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from .surfaces import eta_word
 from .trace import MoveTrace, complex_state, execute
 from .twists import ta3_power
-from .words import (
-    Word,
-    alpha,
-    concat,
-    cyclic_reduce,
-    handle_occurrences,
-    word_str,
-)
+from .words import Word, alpha, concat, cyclic_reduce, word_str
 
 
 class ScheduleError(RuntimeError):
@@ -63,7 +51,7 @@ class ScheduleError(RuntimeError):
 
 
 class _Run:
-    """Mutable schedule state: the complex (with its freed relators) and the move log."""
+    """Mutable schedule state: the complex and the move log."""
 
     def __init__(self, cx: HandleComplex, knot_spec: str, n: int, piece: str):
         self.cx = cx
@@ -84,34 +72,30 @@ class _Run:
         letter: int | None = None,
         shared_prefix: Word | None = None,
     ) -> None:
-        """Apply one move through the shared executor and log its record."""
-        self.trace.moves.append(
-            execute(self.cx, kind, target.id, None if over is None else over.id, letter, shared_prefix)
-        )
+        """Apply one move through the shared executor and log its record.
 
-    def sweep_relators(self, target: TwoHandle) -> None:
-        """Eliminate any residual freed letters (normally all no-ops)."""
-        for j in sorted(self.cx.freed):
-            if target.word is not None and handle_occurrences(target.word, j):
-                self.move("eliminate", target, letter=j)
+        A move the executor rejects fails the run with the target's word
+        as it was before the move.
+        """
+        word = target.word
+        try:
+            record = execute(self.cx, kind, target.id, None if over is None else over.id, letter, shared_prefix)
+        except MoveError as err:
+            raise self.fail(str(err), word) from err
+        self.trace.moves.append(record)
 
     def assert_and_cancel(self, i: int, target: TwoHandle) -> None:
-        """Check the single-crossing form, warn if not isolated, cancel the pair."""
-        if target.word is None:
-            raise self.fail(f"cannot cancel a{i} against opaque handle {target.id}", None)
-        w = cyclic_reduce(target.word)
-        if not is_cancelling(target.word, i):
-            raise self.fail(
-                f"{target.label()} (handle {target.id}) should cross a{i} exactly once "
-                f"but its word is {word_str(w)!r}",
-                w,
-            )
-        if not is_isolated(target.word, i):
+        """Cancel the pair, then warn if its word was not over alpha_0/alpha_i alone.
+
+        `complexes.cancel` checks the single crossing; a failure ends the run.
+        """
+        word = target.word
+        self.move("cancel", target, letter=i)
+        if not is_isolated(word, i):
             self.trace.warnings.append(
                 f"weak cancellation of a{i} against {target.id}: "
-                f"word {word_str(w)!r} is not over alpha_0/a{i} alone"
+                f"word {word_str(cyclic_reduce(word))!r} is not over alpha_0/a{i} alone"
             )
-        self.move("cancel", target, letter=i)
 
 
 def _phase_a(run: _Run) -> None:
@@ -120,9 +104,6 @@ def _phase_a(run: _Run) -> None:
         target = run.cx.find("B", i - 1, phi_image=True)
         over = run.cx.find("B", i - 1, phi_image=False)
         run.move("slide", target, over)
-        for j in range(1, i):
-            if handle_occurrences(target.word, j):
-                run.move("eliminate", target, letter=j)
         run.assert_and_cancel(i, target)
 
 
@@ -145,17 +126,14 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     run.assert_and_cancel(2, h1)
 
     # Sliding over the H_{3,2} double slide eliminates its single alpha_4
-    # crossing; the remaining alpha_2/alpha_3 letters go through the freed
-    # relators (mostly already rewritten by the cancellations).
+    # crossing; each cancellation has already rewritten the cancelled
+    # letters out of every surviving word.
     run.move("eliminate", h0, h3, letter=4)
-    run.sweep_relators(h0)
     run.assert_and_cancel(3, h0)
 
     run.move("eliminate", h2, h3, letter=4)
-    run.sweep_relators(h2)
     run.assert_and_cancel(1, h2)
 
-    run.sweep_relators(h3)
     run.assert_and_cancel(4, h3)
 
 
@@ -167,7 +145,6 @@ def _chain_phase(run: _Run) -> None:
     def step(c_index: int, letter: int) -> None:
         h = run.cx.find("c", c_index, phi_image=False, skip=used.get(c_index, 0))
         used[c_index] = used.get(c_index, 0) + 1
-        run.sweep_relators(h)
         run.assert_and_cancel(letter, h)
 
     step(1, 4 * g + 2 * n - 3)
@@ -181,7 +158,6 @@ def _phase_c(run: _Run) -> None:
     g = run.cx.surface.g
     for i in range(1, 2 * g + 1):
         target = run.cx.find("B", 2 * g + 1 - i, phi_image=False)
-        run.sweep_relators(target)
         run.assert_and_cancel(2 * g + i, target)
 
 
@@ -189,8 +165,9 @@ def run_schedule(knot: Knot | str, n: int = 1, piece: str = "X1") -> tuple[Handl
     """Run the full cancellation schedule for one piece.
 
     Returns the final complex (no 1-handles, 6n-1 two-handles) and the
-    replayable trace.  Raises ScheduleError, with the offending word in
-    the attached trace, if any single-crossing assertion fails.
+    replayable trace.  Raises ScheduleError, with the failure recorded in
+    the attached trace, if any move, single-crossing check or count check
+    fails.
     """
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
@@ -220,7 +197,10 @@ def run_schedule(knot: Knot | str, n: int = 1, piece: str = "X1") -> tuple[Handl
         raise run.fail(
             f"schedule left {len(cx.two_handles)} 2-handles, expected {expected}", None
         )
-    cx.check_live_letters()
+    try:
+        cx.check_live_letters()
+    except MoveError as err:
+        raise run.fail(str(err), None) from err
 
     run.trace.final = complex_state(cx)
     run.trace.certificate = {"one_handles": 0, "two_handles": expected}

@@ -8,11 +8,10 @@ form.
 `execute` applies one slide, eliminate or cancel to a complex and returns
 the move's full record; the schedules log moves only through it.  Replay
 rebuilds the initial complex from the knot spec, re-derives every move
-with `execute` from the live complex (an eliminate's relator comes from
-the live helper it names or from an earlier cancellation, never from the
-trace) and requires each recorded move to equal the re-derived one, field
-for field.  The final state and the certificate must match the replayed
-complex.
+with `execute` from the live complex (an eliminate's relator is the word
+of the live helper it names, never a word from the trace) and requires
+each recorded move to equal the re-derived one, field for field.  The
+final state and the certificate must match the replayed complex.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .complexes import (
-    CancelPair,
     HandleComplex,
     MoveError,
     cancel,
@@ -41,7 +39,8 @@ _MASK = (1 << 64) - 1
 
 #: Fields every trace document must carry, in the order they are read,
 #: with their JSON types.  `final` and `certificate` are null in the trace
-#: of a failed schedule, which replay rejects.
+#: of a failed schedule, which replay rejects.  The optional `warnings`
+#: must be a list of strings and `error` an object or null.
 _REQUIRED_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict,
                     "moves": list, "final": dict, "certificate": dict}
 _NULLABLE_FIELDS = ("final", "certificate")
@@ -180,7 +179,10 @@ class MoveTrace:
                 raise MoveError(f"trace lacks required field {name!r}")
             values[name] = _typed("trace", name, d[name], kind, name in _NULLABLE_FIELDS)
         values["moves"] = [Move.from_json(m) for m in values["moves"]]
-        return MoveTrace(**values, warnings=d.get("warnings", []), error=d.get("error"))
+        warnings = _typed("trace", "warnings", d.get("warnings", []), list, nullable=False)
+        if not all(isinstance(w, str) for w in warnings):
+            raise MoveError(f"trace field 'warnings' must be a list of str, got {warnings!r}")
+        return MoveTrace(**values, warnings=warnings, error=_typed("trace", "error", d.get("error"), dict))
 
     def final_digest(self) -> str:
         return fnv1a64(_canonical(self.final))
@@ -203,39 +205,35 @@ def execute(
     * slide: the target slides over the live handle `over`, along
       `shared_prefix` when one is given;
     * eliminate: every alpha_letter in the target is rewritten through the
-      word of the live helper `over` or, without a helper, through the
-      relator that cancelling alpha_letter freed;
+      word of the live helper `over`;
     * cancel: the target cancels the 1-handle alpha_letter.
 
-    Raises MoveError on an opaque target or helper, on a handle moved over
-    itself, and on an elimination with neither a helper nor a freed relator.
+    Raises MoveError on an opaque target or helper, on a slide or
+    eliminate that names no helper, and on a handle moved over itself.
     """
     h = cx.handle(target)
     before = word_digest(h.word)
     if kind == "cancel":
-        result = cancel(cx, CancelPair(letter, target))
+        result = cancel(cx, letter, target)
         return Move(kind, target, letter=letter, relator=word_str(result.relator),
                     before=before, after=fnv1a64(REMOVED_TEXT))
     if kind not in ("slide", "eliminate"):
         raise MoveError(f"unknown move kind {kind!r}")
-    helper = None if over is None else cx.handle(over)
+    if over is None:
+        raise MoveError(f"{kind} on {target} names no helper")
+    helper = cx.handle(over)
     if helper is h:
         raise MoveError(f"cannot {kind} handle {target} over itself")
-    if h.word is None or (helper is not None and helper.word is None):
+    if h.word is None or helper.word is None:
         raise MoveError(f"cannot {kind} with opaque handle {target if h.word is None else over}")
     if kind == "slide":
-        if helper is None:
-            raise MoveError(f"slide of {target} names no handle to slide over")
         h.word = slide_words(h.word, helper.word, shared_prefix)
         record = {"shared_prefix": None if shared_prefix is None else word_str(reduce_word(shared_prefix))}
     else:
         if letter is None:
             raise MoveError(f"eliminate on {target} names no letter")
-        relator = cx.freed.get(letter) if helper is None else helper.word
-        if relator is None:
-            raise MoveError(f"a{letter} has no freed relator to eliminate from {target}")
-        h.word = eliminate_letter(h.word, relator, letter)
-        record = {"letter": letter, "relator": word_str(relator)}
+        h.word = eliminate_letter(h.word, helper.word, letter)
+        record = {"letter": letter, "relator": word_str(helper.word)}
     after_word = word_str(h.word)
     return Move(kind, target, over, before=before, after=fnv1a64(after_word), after_word=after_word, **record)
 

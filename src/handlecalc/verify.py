@@ -52,7 +52,7 @@ class VerificationReport:
             "n": self.n,
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "expected": repr(c.expected), "actual": repr(c.actual), "pass": c.passed}
+                {"name": c.name, "expected": c.expected, "actual": c.actual, "pass": c.passed}
                 for c in self.checks
             ],
         }

@@ -3,7 +3,6 @@
 import pytest
 
 from handlecalc.complexes import (
-    CancelPair,
     HandleComplex,
     MoveError,
     TwoHandle,
@@ -96,7 +95,7 @@ def _tiny_complex():
 
 def test_cancel_minimal():
     cx = _tiny_complex()
-    result = cancel(cx, CancelPair(1, "t0"))
+    result = cancel(cx, 1, "t0")
     assert result.relator == parse_word("a0' a1")
     assert cx.one_handles == {2, 3, 4}
     assert [h.id for h in cx.two_handles] == ["t1", "t2"]
@@ -108,11 +107,11 @@ def test_cancel_minimal():
 def test_cancel_preconditions():
     cx = _tiny_complex()
     with pytest.raises(MoveError):
-        cancel(cx, CancelPair(2, "t0"))  # t0 does not cross a2
+        cancel(cx, 2, "t0")  # t0 does not cross a2
     with pytest.raises(MoveError):
-        cancel(cx, CancelPair(1, "t2"))  # opaque
+        cancel(cx, 1, "t2")  # opaque
     with pytest.raises(MoveError):
-        cancel(cx, CancelPair(9, "t0"))  # not a live 1-handle
+        cancel(cx, 9, "t0")  # not a live 1-handle
 
 
 def test_euler_characteristic_of_moves():
@@ -122,7 +121,7 @@ def test_euler_characteristic_of_moves():
     chi0 = cx.euler()
     cx.handle("t1").word = slide_words(cx.handle("t1").word, cx.handle("t0").word)
     assert cx.euler() == chi0
-    cancel(cx, CancelPair(1, "t0"))
+    cancel(cx, 1, "t0")
     assert cx.euler() == chi0
 
 

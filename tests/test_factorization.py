@@ -1,6 +1,4 @@
-"""Factorization builder: W, the two pieces, conjugation, Hurwitz moves."""
-
-import pytest
+"""Factorization builder: W, the two pieces, conjugation."""
 
 from handlecalc.complexes import complex_from_piece
 from handlecalc.factorization import (
@@ -9,7 +7,6 @@ from handlecalc.factorization import (
     build_pieces,
     conjugate_factorization,
     factorization_json,
-    hurwitz_move,
 )
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.surfaces import FiberSurface
@@ -135,53 +132,6 @@ def test_conjugating_x1_by_inverse_gives_w_phi_inverse_w():
     half = len(conj) // 2
     base = x1.factorization.cycles[half:]
     assert [vc.word for vc in conj.cycles[:half]] == [vc.word for vc in base]
-
-
-def test_hurwitz_round_trip():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
-    f = x1.factorization
-    for i in (1, 3, len(f) - 1):
-        moved = hurwitz_move(f, i)
-        assert hurwitz_move(moved, i, inverse=True) == f
-
-
-def test_hurwitz_position_effect():
-    from handlecalc.words import concat, invert
-
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
-    f = Factorization(x1.factorization.cycles[:2], x1.factorization.fiber)
-    a, b = f.cycles
-    moved = hurwitz_move(f, 1)
-    assert moved.cycles[0] == b
-    assert moved.cycles[1].curve == a.curve
-    assert moved.cycles[1].word == concat(invert(b.word), a.word, b.word)
-
-
-def test_hurwitz_symbolic_with_opaque_neighbor():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
-    f = x1.factorization
-    i = 4  # pair (phi(c1) opaque, B0): conjugation is recorded on the label
-    moved = hurwitz_move(f, i)
-    tagged = moved.cycles[i]
-    assert tagged.word == f.cycles[i - 1].word  # word kept, move symbolic
-    assert tagged.conj != ()
-    assert hurwitz_move(moved, i, inverse=True) == f
-
-
-def test_hurwitz_preserves_length():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,-"), 2)
-    f = x1.factorization
-    for i in range(1, len(f)):
-        f = hurwitz_move(f, i)
-    assert len(f) == len(x1.factorization)
-
-
-def test_hurwitz_bad_position():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
-    with pytest.raises(ValueError):
-        hurwitz_move(x1.factorization, 0)
-    with pytest.raises(ValueError):
-        hurwitz_move(x1.factorization, len(x1.factorization))
 
 
 def test_factorization_json_shape():

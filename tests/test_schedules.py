@@ -4,7 +4,9 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from handlecalc import schedules
 from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, parse_knot_spec
@@ -23,6 +25,10 @@ from handlecalc.words import handle_letters, parse_word, word_str
 
 def cancels(trace):
     return [m for m in trace.moves if m.kind == "cancel"]
+
+
+def _signs(eps):
+    return "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
 
 
 def test_trefoil_e1():
@@ -73,9 +79,8 @@ def test_phase_a_isolated_form():
     # After its eliminations, the i-th canceling handle's word is over
     # alpha_0 and alpha_i alone: the schedule records no weak-form warnings.
     for eps in itertools.product((1, -1), repeat=4):
-        spec = "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
         for piece in ("X1", "X2"):
-            _, trace = run_schedule(spec, 1, piece)
+            _, trace = run_schedule(_signs(eps), 1, piece)
             assert not trace.warnings
 
 
@@ -104,9 +109,8 @@ def test_schedule_completeness_sweep():
     # 6n-1 two-handles.
     for k in (1, 2, 3):
         for eps in itertools.product((1, -1), repeat=2 * k):
-            spec = "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
             for n in (1, 2):
-                cx, _ = run_schedule(spec, n, "X1")
+                cx, _ = run_schedule(_signs(eps), n, "X1")
                 assert not cx.one_handles
                 assert len(cx.two_handles) == 6 * n - 1
 
@@ -196,6 +200,9 @@ MALFORMED = [
     pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
     pytest.param(_edit_move(after=0), "'after' must be str", id="digest-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
+    pytest.param(_set("warnings", 5), "'warnings' must be list", id="warnings-not-list"),
+    pytest.param(_set("warnings", ["ok", 3]), "'warnings' must be a list of str", id="warnings-not-strings"),
+    pytest.param(_set("error", "boom"), "'error' must be dict", id="error-not-object"),
 ]
 
 
@@ -236,6 +243,24 @@ def _made_up_elimination():
     for m in trace.moves:
         execute(cx, m.kind, m.target, m.over, m.letter)
     doc["final"] = complex_state(cx)
+    return doc
+
+
+def _noop_freed_eliminate():
+    # Right after the cancel of a1, an eliminate of a1 from the next move's
+    # target with no helper, through the relator that cancel freed; the
+    # cancel already rewrote a1 away, so the digests do not change.
+    trace, doc, cx = _trefoil_x1()
+    k = next(k for k, m in enumerate(trace.moves) if m.kind == "cancel" and m.letter == 1)
+    for m in trace.moves[: k + 1]:
+        execute(cx, m.kind, m.target, m.over, m.letter)
+    target = trace.moves[k + 1].target
+    word = cx.handle(target).word
+    assert 1 not in handle_letters(word)
+    digest = word_digest(word)
+    doc["moves"].insert(k + 1, {"kind": "eliminate", "target": target, "letter": 1,
+                                "relator": trace.moves[k].relator, "before": digest,
+                                "after": digest, "after_word": word_str(word)})
     return doc
 
 
@@ -289,7 +314,8 @@ def _bad_knot_spec():
 @pytest.mark.parametrize(
     "forge, message",
     [
-        pytest.param(_made_up_elimination, "no freed relator", id="made-up-relator"),
+        pytest.param(_made_up_elimination, "names no helper", id="made-up-relator"),
+        pytest.param(_noop_freed_eliminate, "names no helper", id="noop-freed-eliminate"),
         pytest.param(_relabelled_knot, "initial state", id="relabelled-knot"),
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
         pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
@@ -320,3 +346,38 @@ def test_schedule_error_carries_word_and_trace():
         run.assert_and_cancel(1, target)
     assert err.value.word == parse_word("a1 a1")
     assert err.value.trace.error["word"] == "a1 a1"
+
+
+def test_failed_live_letter_check_is_schedule_error(monkeypatch):
+    def dead_letter(cx):
+        raise MoveError("handle x1-00 uses dead letters [1]")
+
+    monkeypatch.setattr(schedules.HandleComplex, "check_live_letters", dead_letter)
+    with pytest.raises(ScheduleError, match="dead letters") as err:
+        run_schedule("twobridge:+,+", 1, "X1")
+    assert err.value.trace.error == {"message": "handle x1-00 uses dead letters [1]", "word": None}
+
+
+_SPECS = st.one_of(
+    st.integers(1, 4).flatmap(lambda g: st.lists(st.sampled_from((1, -1)), min_size=2 * g, max_size=2 * g)).map(_signs),
+    st.integers(-40, 40).map(lambda m: f"stallings:m={m}"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPECS, st.integers(1, 3), st.sampled_from(("X1", "X2")))
+def test_no_live_word_mentions_a_cancelled_letter(spec, n, piece):
+    # The invariant that lets the schedule record only the moves it makes:
+    # after every move, every known word runs over live 1-handles only.
+    checked = []
+
+    def checked_execute(cx, *args):
+        move = execute(cx, *args)
+        cx.check_live_letters()
+        checked.append(move)
+        return move
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedules, "execute", checked_execute)
+        _, trace = run_schedule(spec, n, piece)
+    assert checked == trace.moves

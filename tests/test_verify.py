@@ -1,7 +1,14 @@
 """Verification reports: Euler characteristic, rule suites, full certificates."""
 
+import dataclasses
 import itertools
+import json
 
+import pytest
+
+from handlecalc import schedules
+from handlecalc.factorization import Factorization, LFPiece
+from handlecalc.schedules import ScheduleError, run_schedule
 from handlecalc.verify import (
     check_twist_image_closure,
     check_monodromy_invertible,
@@ -68,6 +75,40 @@ def test_report_json_shape():
     assert payload["schema"] == "handlecalc/1"
     assert payload["passed"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in payload["checks"])
+    # Values are JSON values, not their Python repr.
+    for n, payload in ((2, payload), (1, full_report("twobridge:+,+", 1).to_json())):
+        chi = next(c for c in json.loads(json.dumps(payload))["checks"] if c["name"] == "euler characteristic")
+        assert chi["expected"] == chi["actual"] == 12 * n
+
+
+def _opaque_b0(build):
+    """build_pieces, with the attaching word of X1's B0 handle made unknown."""
+
+    def patched(knot, n):
+        x1, x2 = build(knot, n)
+        cycles = tuple(
+            dataclasses.replace(vc, word=None) if vc.label() == "B0" else vc
+            for vc in x1.factorization.cycles
+        )
+        return LFPiece("X1", Factorization(cycles, x1.factorization.fiber)), x2
+
+    return patched
+
+
+def test_failing_slide_is_a_failed_check(monkeypatch):
+    # Phase A slides phi(B0) over B0; with B0 opaque the executor rejects
+    # the slide, and that reaches the caller as a ScheduleError.
+    monkeypatch.setattr(schedules, "build_pieces", _opaque_b0(schedules.build_pieces))
+    report = full_report("twobridge:+,+", 1)
+    assert not report.passed
+    check = next(c for c in report.checks if c.name == "schedule completes")
+    assert not check.passed
+    assert "cannot slide with opaque handle x1-04" in check.actual
+
+    with pytest.raises(ScheduleError) as err:
+        run_schedule("twobridge:+,+", 1, "X1")
+    assert err.value.trace.error["message"] == "cannot slide with opaque handle x1-04"
+    assert err.value.trace.error["word"] == err.value.trace.initial["two_handles"][0]["word"]
 
 
 def test_report_parity_guard():
