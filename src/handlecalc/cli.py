@@ -31,7 +31,9 @@ def _emit(obj: dict) -> None:
 
 
 def _knot_selection(args) -> list[Knot]:
-    if getattr(args, "all_fibered", False):
+    if args.max_k < 1:
+        raise ValueError("--max-k must be >= 1")
+    if args.all_fibered:
         if args.spec is not None:
             raise KnotSpecError("give either a knot spec or --all-fibered, not both")
         knots: list[Knot] = []

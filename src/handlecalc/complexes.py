@@ -79,9 +79,10 @@ class HandleComplex:
 
     def find(self, family: str, index: int, phi_image: bool, skip: int = 0) -> TwoHandle:
         """First 2-handle of the given origin, skipping `skip` earlier matches."""
+        origin = CurveId(family, index)
         seen = 0
         for h in self.two_handles:
-            if h.origin == CurveId(family, index) and h.phi_image == phi_image:
+            if h.origin == origin and h.phi_image == phi_image:
                 if seen == skip:
                     return h
                 seen += 1
@@ -115,6 +116,24 @@ def complex_from_piece(piece: LFPiece) -> HandleComplex:
         two.append(TwoHandle(f"{piece.which.lower()}-{k:02d}", vc.curve, vc.phi_image, vc.word, vc.framing))
     two.append(TwoHandle(f"{piece.which.lower()}-dF", BOUNDARY, False, None, "0"))
     return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
+
+
+def x2_id_map(x1: HandleComplex, x2: HandleComplex) -> dict[str, str]:
+    """Map each X1 handle id to the id of the same vanishing cycle's handle in X2.
+
+    Both complexes are start complexes (`complex_from_piece`).  X2's cycle
+    list is X1's rotated by |W|, so X2's handle k is X1's handle
+    (k + |W|) mod 2|W|; the fiber boundary handles, last in both lists,
+    correspond.  Handles are matched by list position, never by id text.
+    """
+    *cycles1, boundary1 = x1.two_handles
+    *cycles2, boundary2 = x2.two_handles
+    size = len(cycles2)
+    if len(cycles1) != size or size % 2:
+        raise MoveError(f"X1 has {len(cycles1)} cycle handles and X2 {size}; X2 is not X1 rotated by half")
+    ids = {cycles1[(k + size // 2) % size].id: h.id for k, h in enumerate(cycles2)}
+    ids[boundary1.id] = boundary2.id
+    return ids
 
 
 def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> Word:
@@ -218,6 +237,7 @@ __all__ = [
     "TwoHandle",
     "HandleComplex",
     "complex_from_piece",
+    "x2_id_map",
     "slide_words",
     "relator_solution",
     "eliminate_letter",

@@ -4,6 +4,12 @@ The hyperelliptic word W lists the base vanishing cycles; each piece is W
 together with its monodromy-image block, X1 in image-first order and X2
 rotated by |W|.  Attaching a cycle contributes a 2-handle framed one less
 than the fiber surface framing, so framing labels are symbolic.
+
+The rotation is load-bearing: a cyclic permutation of a positive
+factorization describes the same fibration, and `schedules.run_both`
+derives X2's schedule from X1's by renaming handle ids on the strength
+of it.  Its guard rejects any X2 whose start complex is not X1's rotated
+by |W|, so changing either order here breaks `run_both`.
 """
 
 from __future__ import annotations

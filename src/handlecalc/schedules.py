@@ -26,17 +26,28 @@ are done by the cancellations themselves and the trace records only the
 moves the schedule makes.  A failed move or single-crossing check aborts
 with the offending word recorded in the trace: that is the falsification
 channel for the underlying curve computations.
+
+X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
+and the schedule finds its handles by origin, not by position, so X2's
+run makes X1's moves on X1's words with only the handle ids changed.
+`run_both` therefore runs X1's schedule once and derives X2's complex and
+trace by renaming ids (`complexes.x2_id_map`).  A guard first requires
+the X1 run to be of the same knot, n and piece X1, and X1's recorded
+initial state, renamed and rotated, to equal X2's start complex; any
+mismatch raises ScheduleError.  `run_schedule(knot, n, "X2")` without
+`x1`, and `replay`, still run the full X2 schedule, which the tests use
+as the oracle for the derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, is_isolated
+from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, is_isolated, x2_id_map
 from .factorization import build_pieces
 from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, complex_state, execute
+from .trace import MoveTrace, _canonical, complex_state, execute
 from .twists import ta3_power
 from .words import Word, alpha, concat, cyclic_reduce, word_str
 
@@ -48,6 +59,9 @@ class ScheduleError(RuntimeError):
         super().__init__(message)
         self.word = word
         self.trace = trace
+
+
+_AGAINST = " against "  # what precedes the handle id in a weak-cancellation warning
 
 
 class _Run:
@@ -93,7 +107,7 @@ class _Run:
         self.move("cancel", target, letter=i)
         if not is_isolated(word, i):
             self.trace.warnings.append(
-                f"weak cancellation of a{i} against {target.id}: "
+                f"weak cancellation of a{i}{_AGAINST}{target.id}: "
                 f"word {word_str(cyclic_reduce(word))!r} is not over alpha_0/a{i} alone"
             )
 
@@ -161,25 +175,88 @@ def _phase_c(run: _Run) -> None:
         run.assert_and_cancel(2 * g + i, target)
 
 
-def run_schedule(knot: Knot | str, n: int = 1, piece: str = "X1") -> tuple[HandleComplex, MoveTrace]:
+def _rename_warning(text: str, ids: dict[str, str]) -> str:
+    head, _, rest = text.partition(_AGAINST)
+    hid, sep, tail = rest.partition(":")
+    return f"{head}{_AGAINST}{ids[hid]}{sep}{tail}"
+
+
+def _derive_x2(
+    spec: str, n: int, start1: HandleComplex, start2: HandleComplex, x1: tuple[HandleComplex, MoveTrace]
+) -> tuple[HandleComplex, MoveTrace]:
+    """X2's final complex and trace from X1's finished run, by renaming handle ids.
+
+    `start1` and `start2` are the start complexes of both pieces; `start2`
+    becomes the returned complex.  Raises ScheduleError if X1's run is not
+    of this knot, n and piece, or if X1's initial state, renamed and
+    rotated, is not X2's start state.
+    """
+    cx1, trace1 = x1
+
+    def mismatch(why: str) -> ScheduleError:
+        return ScheduleError(f"cannot derive X2 of {spec} at n={n} from X1: {why}")
+
+    if (trace1.knot, trace1.n, trace1.piece) != (spec, n, "X1"):
+        raise mismatch(f"the given run is {trace1.piece} of {trace1.knot} at n={trace1.n}")
+    survivors = [h.id for h in cx1.two_handles]
+    if trace1.final is None or survivors != [h["id"] for h in trace1.final["two_handles"]]:
+        raise mismatch("the given complex is not the final complex of its trace")
+    try:
+        ids = x2_id_map(start1, start2)
+        entries = [dict(h, id=ids[h["id"]]) for h in trace1.initial["two_handles"]]
+        moves = [replace(m, target=ids[m.target], over=None if m.over is None else ids[m.over])
+                 for m in trace1.moves]
+        warnings = [_rename_warning(w, ids) for w in trace1.warnings]
+        words = {ids[h.id]: h.word for h in cx1.two_handles}
+    except (KeyError, MoveError) as err:
+        raise mismatch(f"X1 names a handle X2 does not have ({err})") from err
+    initial = complex_state(start2)
+    half = (len(entries) - 1) // 2  # |W|; the boundary handle stays last
+    rotated = entries[half:-1] + entries[:half] + entries[-1:]
+    if _canonical({**trace1.initial, "two_handles": rotated}) != _canonical(initial):
+        raise mismatch("X1's initial state, renamed and rotated, is not X2's")
+
+    start2.one_handles = set(cx1.one_handles)
+    start2.two_handles = [h for h in start2.two_handles if h.id in words]
+    for h in start2.two_handles:
+        h.word = words[h.id]
+    trace = MoveTrace(spec, n, "X2", initial, moves, complex_state(start2), dict(trace1.certificate), warnings)
+    return start2, trace
+
+
+def run_schedule(
+    knot: Knot | str,
+    n: int = 1,
+    piece: str = "X1",
+    x1: tuple[HandleComplex, MoveTrace] | None = None,
+) -> tuple[HandleComplex, MoveTrace]:
     """Run the full cancellation schedule for one piece.
 
     Returns the final complex (no 1-handles, 6n-1 two-handles) and the
     replayable trace.  Raises ScheduleError, with the failure recorded in
     the attached trace, if any move, single-crossing check or count check
     fails.
+
+    With `x1`, X1's finished (complex, trace) of the same knot and n, the
+    X2 result is derived from it by renaming handle ids instead of
+    running X2's schedule (see the module docstring); the result is the
+    same, byte for byte.  A mismatched `x1` raises ScheduleError.
     """
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
     if piece not in ("X1", "X2"):
         raise ValueError(f"piece must be X1 or X2, got {piece!r}")
+    if x1 is not None and piece != "X2":
+        raise ValueError(f"only X2 is derived from X1, got piece {piece!r}")
     if n < 1:
         raise ValueError(f"elliptic index must be >= 1, got {n}")
     if isinstance(knot, TwoBridgeKnot) and not knot.is_fibered:
         raise KnotSpecError(f"{knot} is not fibered; the schedule needs a fibered knot")
 
-    x1, x2 = build_pieces(knot, n)
-    cx = complex_from_piece(x1 if piece == "X1" else x2)
+    piece1, piece2 = build_pieces(knot, n)
+    if x1 is not None:
+        return _derive_x2(knot.spec_str(), n, complex_from_piece(piece1), complex_from_piece(piece2), x1)
+    cx = complex_from_piece(piece1 if piece == "X1" else piece2)
     run = _Run(cx, knot.spec_str(), n, piece)
 
     if isinstance(knot, StallingsKnot):
@@ -208,8 +285,15 @@ def run_schedule(knot: Knot | str, n: int = 1, piece: str = "X1") -> tuple[Handl
 
 
 def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, MoveTrace]]:
-    """Run the schedule on both pieces."""
-    return {p: run_schedule(knot, n, p) for p in ("X1", "X2")}
+    """Run X1's schedule and derive X2's result from it by renaming handle ids.
+
+    The only caller that passes `x1` to `run_schedule`; each call still
+    builds both pieces twice, once per `run_schedule`.
+    """
+    if isinstance(knot, str):
+        knot = parse_knot_spec(knot)
+    x1 = run_schedule(knot, n, "X1")
+    return {"X1": x1, "X2": run_schedule(knot, n, "X2", x1=x1)}
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,14 @@ def execute(
     * cancel: the target cancels the 1-handle alpha_letter.
 
     Raises MoveError on an opaque target or helper, on a slide or
-    eliminate that names no helper, and on a handle moved over itself.
+    eliminate that names no helper, on a cancel or eliminate that names
+    no letter, and on a handle moved over itself.
     """
     h = cx.handle(target)
     before = word_digest(h.word)
     if kind == "cancel":
+        if letter is None:
+            raise MoveError(f"cancel on {target} names no letter")
         result = cancel(cx, letter, target)
         return Move(kind, target, letter=letter, relator=word_str(result.relator),
                     before=before, after=fnv1a64(REMOVED_TEXT))

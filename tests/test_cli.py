@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from handlecalc.cli import main
 from handlecalc.trace import MoveTrace, complex_digest, replay
 
@@ -116,6 +118,16 @@ def test_cancel_batch(capsys):
     code, out, _ = run_cli(capsys, "cancel", "--all-fibered", "--max-k", "1", "--n", "2")
     assert code == 0
     assert out.count("2-handles: 11") == 8  # 4 knots x 2 pieces
+
+
+@pytest.mark.parametrize("command", ["cancel", "verify"])
+@pytest.mark.parametrize("max_k", ["0", "-3"])
+def test_max_k_below_one_is_usage_error(capsys, command, max_k):
+    # An empty sweep is not a success.
+    code, out, err = run_cli(capsys, command, "--all-fibered", "--max-k", max_k)
+    assert code == 1
+    assert out == ""
+    assert "error: --max-k must be >= 1" in err
 
 
 def test_batch_and_spec_conflict(capsys):

@@ -1,0 +1,19 @@
+"""The `>>>` examples in the package's docstrings."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import handlecalc
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(handlecalc.__path__, "handlecalc."))
+WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples_pass(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0, f"{result.failed} of {result.attempted} examples failed in {name}"
+    assert result.attempted > 0 or name not in WITH_EXAMPLES

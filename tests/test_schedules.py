@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,71 @@ def test_x2_matches_x1_counts():
         for piece in ("X1", "X2"):
             assert res[piece][0].counts()["one_handles"] == 0
             assert res[piece][0].counts()["two_handles"] == 6 * n - 1
+
+
+def _final_bytes(result):
+    cx, trace = result
+    return json.dumps(trace.to_json(), sort_keys=True), json.dumps(complex_state(cx), sort_keys=True)
+
+
+_ORACLE_SPECS = [_signs(eps) for k in (1, 2) for eps in itertools.product((1, -1), repeat=2 * k)] + [
+    f"stallings:m={m}" for m in range(-3, 4)
+]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS)
+def test_derived_x2_equals_the_full_x2_run(spec):
+    # run_both renames X1's result; the full X2 schedule is the oracle.
+    for n in (1, 2, 3):
+        res = run_both(spec, n)
+        assert _final_bytes(res["X2"]) == _final_bytes(run_schedule(spec, n, "X2"))
+        x1_handles = {id(h) for h in res["X1"][0].two_handles}
+        assert not any(id(h) in x1_handles for h in res["X2"][0].two_handles)
+
+
+def test_derived_x2_renames_warning_ids(monkeypatch):
+    # Every cancel warns, so each warning's handle id must be renamed too.
+    monkeypatch.setattr(schedules, "is_isolated", lambda word, i: False)
+    for spec, n in (("twobridge:+,-,+,+", 2), ("stallings:m=-2", 3)):
+        res = run_both(spec, n)
+        warnings = res["X2"][1].warnings
+        assert len(warnings) == len(cancels(res["X2"][1])) > 0
+        assert all(" against x2-" in w for w in warnings)
+        assert _final_bytes(res["X2"]) == _final_bytes(run_schedule(spec, n, "X2"))
+
+
+def test_derivation_rejects_an_x2_that_is_not_x1_rotated(monkeypatch):
+    def swapped_pieces(knot, n):
+        x1, x2 = build_pieces(knot, n)
+        cycles = x2.factorization.cycles
+        f = replace(x2.factorization, cycles=(cycles[1], cycles[0]) + cycles[2:])
+        return x1, replace(x2, factorization=f)
+
+    monkeypatch.setattr(schedules, "build_pieces", swapped_pieces)
+    with pytest.raises(ScheduleError, match="renamed and rotated"):
+        run_both("twobridge:+,+", 1)
+
+
+@pytest.mark.parametrize(
+    "spec, n, relabel, message",
+    [
+        pytest.param("twobridge:+,-", 1, None, "is X1 of twobridge:[+],- at n=1", id="other-knot"),
+        pytest.param("twobridge:+,+", 2, None, "is X1 of twobridge:[+],[+] at n=2", id="other-n"),
+        # Relabelled, it passes the spec check; its initial state still differs.
+        pytest.param("twobridge:+,-", 1, "twobridge:+,+", "renamed and rotated", id="other-knot-relabelled"),
+    ],
+)
+def test_derivation_rejects_x1_of_another_run(spec, n, relabel, message):
+    cx, trace = run_schedule(spec, n, "X1")
+    if relabel is not None:
+        trace.knot = relabel
+    with pytest.raises(ScheduleError, match=message):
+        run_schedule("twobridge:+,+", 1, "X2", x1=(cx, trace))
+
+
+def test_only_x2_is_derived():
+    with pytest.raises(ValueError, match="only X2"):
+        run_schedule("twobridge:+,+", 1, "X1", x1=run_schedule("twobridge:+,+", 1, "X1"))
 
 
 def test_schedule_completeness_sweep():
@@ -305,6 +371,12 @@ def _no_final_state():
     return doc
 
 
+def _cancel_without_letter():
+    _, doc, _ = _trefoil_x1()
+    del next(m for m in doc["moves"] if m["kind"] == "cancel")["letter"]
+    return doc
+
+
 def _bad_knot_spec():
     _, doc, _ = _trefoil_x1()
     doc["knot"] = "twobridge:+,x"
@@ -323,6 +395,7 @@ def _bad_knot_spec():
         pytest.param(_inflated_certificate, "certificate", id="inflated-certificate"),
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
+        pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
     ],
 )
 def test_replay_rejects_forged_trace(forge, message):
