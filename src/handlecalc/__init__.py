@@ -52,7 +52,6 @@ from .twists import (
     apply_monodromy,
     apply_twist,
     chain_twist_rule,
-    mirror,
     piece_monodromy,
     stallings_monodromy,
     stallings_rules,

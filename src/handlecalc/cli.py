@@ -135,9 +135,13 @@ def _cmd_cancel(args) -> int:
             "n": args.n,
             "traces": [t.to_json() for t in traces],
         }
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                json.dump(body, fh, indent=2)
+                fh.write("\n")
+        except OSError as err:
+            print(f"error: cannot write trace {args.trace}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_USAGE
         if not args.json:
             print(f"trace written to {args.trace}")
     return EXIT_OK

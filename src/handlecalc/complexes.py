@@ -15,13 +15,24 @@ Moves:
                    relator containing alpha_j exactly once (the word-level
                    form of sliding over an isolating 2-handle).
   * cancel      -- remove a (1-handle, 2-handle) pair whose cyclically
-                   reduced word crosses the 1-handle exactly once, then
-                   rewrite every remaining word through the freed relator.
+                   reduced word crosses the 1-handle exactly once, and
+                   compose the freed relator into the complex's
+                   elimination table.
+
+A cancellation is a Tietze elimination of alpha_i (Lyndon-Schupp,
+Combinatorial Group Theory II.2).  The complex composes its eliminations
+into one substitution table (`Eliminations`) from each cancelled letter to
+a word over live letters; a cancel rewrites only the images that mention
+alpha_i and adds alpha_i's own.  A 2-handle's word is brought up to date
+where it is read: one substitution through the table, one free
+reduction, written back.  Free reduction commutes with a substitution
+homomorphism, so every word read equals, letter for letter, the word
+that rewriting every survivor at each cancellation would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .factorization import LFPiece
 from .surfaces import BOUNDARY, CurveId, FiberSurface
@@ -39,16 +50,89 @@ from .words import (
 
 
 class MoveError(ValueError):
-    """A move's precondition failed (bad pair, opaque word, missing letter)."""
+    """A move's precondition failed (bad pair, opaque word, missing letter).
+
+    `word`, when given, is the offending word.
+    """
+
+    def __init__(self, message: str, word: Word | None = None):
+        super().__init__(message)
+        self.word = word
 
 
-@dataclass
+class Eliminations:
+    """The composed eliminations of a complex's cancellations.
+
+    `images` maps the signed code of every cancelled letter to a reduced
+    word over live letters; `users` maps a letter code to the cancelled
+    codes whose images have mentioned it; `version` counts the
+    cancellations.
+    """
+
+    __slots__ = ("images", "users", "version")
+
+    def __init__(self) -> None:
+        self.images: dict[int, Word] = {}
+        self.users: dict[int, set[int]] = {}
+        self.version = 0
+
+    def apply(self, w: Word) -> Word:
+        """w with every cancelled letter replaced by its image, reduced."""
+        images = self.images
+        if images.keys().isdisjoint(w):
+            return w
+        return concat(*[images.get(c, (c,)) for c in w])
+
+    def add(self, i: int, sign: int, repl: Word) -> None:
+        """Compose the elimination alpha_i^sign = repl into the table."""
+        code = i + 1
+        pos = repl if sign == 1 else invert(repl)
+        step = {code: pos, -code: invert(pos)}
+        for user in self.users.pop(code, ()):
+            self._set(user, concat(*[step.get(c, (c,)) for c in self.images[user]]))
+        self._set(code, pos)
+        self.version += 1
+
+    def _set(self, code: int, image: Word) -> None:
+        self.images[code], self.images[-code] = image, invert(image)
+        for c in image:
+            self.users.setdefault(abs(c), set()).add(code)
+
+
 class TwoHandle:
-    id: str
-    origin: CurveId
-    phi_image: bool
-    word: Word | None
-    framing: str
+    """A 2-handle; handles compare by identity.
+
+    The stored word is read through the elimination table of the complex
+    the handle belongs to: the first read after a cancellation applies
+    the table and writes the result back.  A removed handle keeps its
+    word as it was at removal.
+    """
+
+    __slots__ = ("id", "origin", "phi_image", "framing", "_word", "_table", "_version")
+
+    def __init__(self, id: str, origin: CurveId, phi_image: bool, word: Word | None, framing: str):
+        self.id = id
+        self.origin = origin
+        self.phi_image = phi_image
+        self.framing = framing
+        self._word = word
+        self._table: Eliminations | None = None
+        self._version = 0
+
+    @property
+    def word(self) -> Word | None:
+        table = self._table
+        if table is not None and self._version != table.version:
+            self._version = table.version
+            if self._word is not None:
+                self._word = table.apply(self._word)
+        return self._word
+
+    @word.setter
+    def word(self, w: Word | None) -> None:  # w must run over the complex's live letters
+        self._word = w
+        if self._table is not None:
+            self._version = self._table.version
 
     @property
     def opaque(self) -> bool:
@@ -63,30 +147,46 @@ class HandleComplex:
     """One piece's handle data; mutated in place by moves.
 
     A schedule run owns its complex exclusively; distinct runs are
-    independent.  Word values themselves stay immutable tuples.
+    independent.  Word values themselves stay immutable tuples.  The
+    complex binds its 2-handles to its elimination table and indexes them
+    by id and by (origin, phi_image) at construction; remove handles only
+    through `remove`, which keeps the index.
     """
 
     surface: FiberSurface
     one_handles: set[int]
     two_handles: list[TwoHandle]
     zero_handles: int = 1
+    eliminations: Eliminations = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.eliminations = Eliminations()
+        self._by_id: dict[str, TwoHandle] = {}
+        self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] = {}
+        for h in self.two_handles:
+            h._table, h._version = self.eliminations, 0
+            self._by_id[h.id] = h
+            self._by_origin.setdefault((h.origin, h.phi_image), []).append(h)
 
     def handle(self, hid: str) -> TwoHandle:
-        for h in self.two_handles:
-            if h.id == hid:
-                return h
-        raise MoveError(f"no 2-handle with id {hid!r}")
+        h = self._by_id.get(hid)
+        if h is None:
+            raise MoveError(f"no 2-handle with id {hid!r}")
+        return h
 
     def find(self, family: str, index: int, phi_image: bool, skip: int = 0) -> TwoHandle:
         """First 2-handle of the given origin, skipping `skip` earlier matches."""
-        origin = CurveId(family, index)
-        seen = 0
-        for h in self.two_handles:
-            if h.origin == origin and h.phi_image == phi_image:
-                if seen == skip:
-                    return h
-                seen += 1
-        raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image}, skip={skip})")
+        matches = self._by_origin.get((CurveId(family, index), phi_image), [])
+        if not 0 <= skip < len(matches):
+            raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image}, skip={skip})")
+        return matches[skip]
+
+    def remove(self, h: TwoHandle) -> None:
+        """Drop a 2-handle from the complex; its word stays as it reads now."""
+        self.two_handles.remove(h)
+        del self._by_id[h.id]
+        self._by_origin[(h.origin, h.phi_image)].remove(h)
+        h._word, h._table = h.word, None
 
     def counts(self) -> dict[str, int]:
         return {
@@ -101,11 +201,12 @@ class HandleComplex:
     def check_live_letters(self) -> None:
         """Every non-opaque word runs only over live 1-handles."""
         for h in self.two_handles:
-            if h.word is None:
+            word = h.word
+            if word is None:
                 continue
-            dead = handle_letters(h.word) - self.one_handles
+            dead = handle_letters(word) - self.one_handles
             if dead:
-                raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {sorted(dead)}")
+                raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {sorted(dead)}", word)
 
 
 def complex_from_piece(piece: LFPiece) -> HandleComplex:
@@ -199,41 +300,37 @@ def is_isolated(w: Word, i: int) -> bool:
 @dataclass
 class CancelResult:
     relator: Word
-    rewrites: list[tuple[str, Word, Word]]  # (handle id, before, after)
+    rewrites: list = field(default_factory=list)  # always empty: no survivor is rewritten at a cancel
 
 
 def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
-    """Cancel alpha_i against the 2-handle `hid`; rewrite the survivors through the freed relator.
+    """Cancel alpha_i against the 2-handle `hid`; compose the freed relator into the table.
 
     Preconditions: the 2-handle word is known and crosses the 1-handle
-    exactly once (cyclically).  Postcondition: no surviving word mentions
-    the cancelled letter.
+    exactly once (cyclically).  Postcondition: no surviving word, as
+    read, mentions the cancelled letter.
     """
     h = complex_.handle(hid)
     if i not in complex_.one_handles:
         raise MoveError(f"1-handle a{i} is not live")
-    if h.word is None:
+    word = h.word
+    if word is None:
         raise MoveError(f"opaque 2-handle {h.id} cannot cancel a 1-handle")
-    if not is_cancelling(h.word, i):
+    if not is_cancelling(word, i):
         raise MoveError(
-            f"2-handle {h.id} ({h.label()}) word {word_str(h.word)!r} "
+            f"2-handle {h.id} ({h.label()}) word {word_str(word)!r} "
             f"does not cross a{i} exactly once"
         )
-    relator = cyclic_reduce(h.word)
+    relator = cyclic_reduce(word)
     complex_.one_handles.remove(i)
-    complex_.two_handles.remove(h)
-    result = CancelResult(relator, [])
-    for other in complex_.two_handles:
-        if other.word is None or handle_occurrences(other.word, i) == 0:
-            continue
-        before = other.word
-        other.word = eliminate_letter(other.word, relator, i)
-        result.rewrites.append((other.id, before, other.word))
-    return result
+    complex_.remove(h)
+    complex_.eliminations.add(i, *relator_solution(relator, i))
+    return CancelResult(relator)
 
 
 __all__ = [
     "MoveError",
+    "Eliminations",
     "TwoHandle",
     "HandleComplex",
     "complex_from_piece",

@@ -19,13 +19,15 @@ Three phases, executed per piece:
   Phase C: for i = 1..2g, the untouched B_{2g+1-i} handle crosses
   alpha_{2g+i} once; cancel.
 
-Every cancellation rewrites all surviving words through the relator it
-frees (`complexes.cancel`), so afterwards no word mentions the cancelled
-letter: the "slide over the earlier helpers" steps of the later phases
-are done by the cancellations themselves and the trace records only the
-moves the schedule makes.  A failed move or single-crossing check aborts
-with the offending word recorded in the trace: that is the falsification
-channel for the underlying curve computations.
+Every cancellation composes the relator it frees into the complex's
+elimination table (`complexes.cancel`), and a word is brought up to date
+through that table where it is read, so no word as read mentions a
+cancelled letter: the "slide over the earlier helpers" steps of the
+later phases are done by the cancellations themselves and the trace
+records only the moves the schedule makes.  A failed move or
+single-crossing check aborts with the offending word recorded in the
+trace: that is the falsification channel for the underlying curve
+computations.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
 and the schedule finds its handles by origin, not by position, so X2's
@@ -217,7 +219,8 @@ def _derive_x2(
         raise mismatch("X1's initial state, renamed and rotated, is not X2's")
 
     start2.one_handles = set(cx1.one_handles)
-    start2.two_handles = [h for h in start2.two_handles if h.id in words]
+    for h in [h for h in start2.two_handles if h.id not in words]:
+        start2.remove(h)
     for h in start2.two_handles:
         h.word = words[h.id]
     trace = MoveTrace(spec, n, "X2", initial, moves, complex_state(start2), dict(trace1.certificate), warnings)
@@ -277,7 +280,7 @@ def run_schedule(
     try:
         cx.check_live_letters()
     except MoveError as err:
-        raise run.fail(str(err), None) from err
+        raise run.fail(str(err), err.word) from err
 
     run.trace.final = complex_state(cx)
     run.trace.certificate = {"one_handles": 0, "two_handles": expected}

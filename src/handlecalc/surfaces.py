@@ -40,10 +40,6 @@ class FiberSurface:
         """Number of 1-handles, 4g + 2n - 2."""
         return 4 * self.g + 2 * self.n - 2
 
-    @property
-    def fiber_genus(self) -> int:
-        return 2 * self.g + self.n - 1
-
 
 @dataclass(frozen=True)
 class CurveId:

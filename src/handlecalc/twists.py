@@ -185,11 +185,6 @@ def apply_monodromy(phi: MonodromySpec, w: Word, s: FiberSurface) -> Word:
     return compile_monodromy(phi, s).apply(w)
 
 
-def mirror(eps: Sequence[int]) -> tuple[int, ...]:
-    """Sign sequence of the mirror knot: negate every entry."""
-    return tuple(-e for e in eps)
-
-
 def _check_eps(eps: Sequence[int]) -> tuple[int, ...]:
     eps = tuple(eps)
     if not eps or len(eps) % 2:
@@ -303,7 +298,6 @@ __all__ = [
     "CompiledMonodromy",
     "compile_monodromy",
     "apply_monodromy",
-    "mirror",
     "two_bridge_monodromy",
     "piece_monodromy",
     "stallings_monodromy",

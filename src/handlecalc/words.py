@@ -26,8 +26,6 @@ Word = Tuple[int, ...]
 #: Reserved letter code for the boundary arc (only meaningful when n = 1).
 TILDE = 1 << 20
 
-EMPTY: Word = ()
-
 
 def alpha(i: int, sign: int = 1) -> int:
     """Signed letter for alpha_i.  alpha(1, -1) is the inverse of alpha_1."""
@@ -44,10 +42,6 @@ def tilde(sign: int = 1) -> int:
 
 def is_tilde(c: int) -> bool:
     return abs(c) == TILDE
-
-
-def is_connector(c: int) -> bool:
-    return abs(c) == 1
 
 
 def is_handle(c: int) -> bool:

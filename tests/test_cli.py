@@ -87,6 +87,15 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
         assert complex_digest(replay(trace)) == trace.final_digest()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_cancel_unwritable_trace_is_usage_error(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, _, err = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1", "--trace", str(path))
+    assert code == 1
+    assert err.startswith(f"error: cannot write trace {path}: ")
+    assert "Traceback" not in err
+
+
 def test_cancel_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1", "--json")
     assert code == 0

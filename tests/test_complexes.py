@@ -17,7 +17,7 @@ from handlecalc.complexes import (
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
 from handlecalc.surfaces import CurveId, FiberSurface
-from handlecalc.words import alpha, parse_word
+from handlecalc.words import alpha, parse_word, substitute
 
 
 def test_slide_phi_b0_over_b0_both_signs():
@@ -101,7 +101,29 @@ def test_cancel_minimal():
     assert [h.id for h in cx.two_handles] == ["t1", "t2"]
     # the survivor was rewritten through alpha_1 = alpha_0
     assert cx.handle("t1").word == parse_word("a0 a2 a0")
-    assert result.rewrites[0][0] == "t1"
+    assert cx.handle("t2").word is None  # opaque words are carried through untouched
+    assert cx.eliminations.images == {alpha(1): (alpha(0),), alpha(1, -1): (alpha(0, -1),)}
+
+
+def test_cancels_compose_into_one_table():
+    s = FiberSurface(1, 1)
+    u = TwoHandle("u", CurveId("B", 1), False, parse_word("a1 a2'"), "fiber-1")  # a1 = a2
+    v = TwoHandle("v", CurveId("B", 2), False, parse_word("a2 a0'"), "fiber-1")  # a2 = a0
+    w = TwoHandle("w", CurveId("B", 3), False, parse_word("a1 a3 a2'"), "fiber-1")
+    cx = HandleComplex(s, {1, 2, 3, 4}, [u, v, w])
+    cancel(cx, 1, "u")
+    cancel(cx, 2, "v")
+    # a1's image mentioned a2, so the second cancel rewrote it
+    assert cx.eliminations.images[alpha(1)] == cx.eliminations.images[alpha(2)] == (alpha(0),)
+    assert w.word == parse_word("a0 a3 a0'")
+    assert w.word == substitute(substitute(parse_word("a1 a3 a2'"), 1, 1, (alpha(2),)), 2, 1, (alpha(0),))
+    # removed handles keep their word as it was at removal, and leave the index
+    assert (u.word, v.word) == (parse_word("a1 a2'"), parse_word("a2 a0'"))
+    with pytest.raises(MoveError):
+        cx.handle("u")
+    with pytest.raises(MoveError):
+        cx.find("B", 2, phi_image=False)
+    assert cx.find("B", 3, phi_image=False) is w
 
 
 def test_cancel_preconditions():

@@ -1,5 +1,6 @@
 """End-to-end cancellation schedules and trace replay."""
 
+import copy
 import itertools
 import json
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handlecalc import schedules
-from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter
+from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter, relator_solution, slide_words
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
@@ -21,7 +22,7 @@ from handlecalc.trace import (
     replay,
     word_digest,
 )
-from handlecalc.words import handle_letters, parse_word, word_str
+from handlecalc.words import handle_letters, parse_word, substitute, word_str
 
 
 def cancels(trace):
@@ -431,6 +432,22 @@ def test_failed_live_letter_check_is_schedule_error(monkeypatch):
     assert err.value.trace.error == {"message": "handle x1-00 uses dead letters [1]", "word": None}
 
 
+def test_dead_letter_in_a_final_word_is_recorded(monkeypatch):
+    # A survivor that still crosses a cancelled 1-handle fails the final
+    # live-letter check, and the trace records its word.
+    phase_c = schedules._phase_c
+
+    def phase_c_then_revive_a1(run):
+        phase_c(run)
+        run.cx.find("B", 0, phi_image=False).word = parse_word("a0' a1")
+
+    monkeypatch.setattr(schedules, "_phase_c", phase_c_then_revive_a1)
+    with pytest.raises(ScheduleError, match=r"uses dead letters \[1\]") as err:
+        run_schedule("twobridge:+,+", 1, "X1")
+    assert err.value.word == parse_word("a0' a1")
+    assert err.value.trace.error["word"] == "a0' a1"
+
+
 _SPECS = st.one_of(
     st.integers(1, 4).flatmap(lambda g: st.lists(st.sampled_from((1, -1)), min_size=2 * g, max_size=2 * g)).map(_signs),
     st.integers(-40, 40).map(lambda m: f"stallings:m={m}"),
@@ -454,3 +471,41 @@ def test_no_live_word_mentions_a_cancelled_letter(spec, n, piece):
         mp.setattr(schedules, "execute", checked_execute)
         _, trace = run_schedule(spec, n, piece)
     assert checked == trace.moves
+
+
+def _eager(ref, kind, target, over, letter, shared_prefix):
+    """Apply one move to the reference words, rewriting every survivor at a cancel."""
+    if kind == "slide":
+        ref[target] = slide_words(ref[target], ref[over], shared_prefix)
+    elif kind == "eliminate":
+        ref[target] = eliminate_letter(ref[target], ref[over], letter)
+    else:
+        sign, repl = relator_solution(ref.pop(target), letter)
+        for hid, word in ref.items():
+            if word is not None:
+                ref[hid] = substitute(word, letter, sign, repl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPECS, st.integers(1, 3), st.sampled_from(("X1", "X2")))
+def test_lazy_words_equal_eager_rewrites(spec, n, piece):
+    # Words are read through the complex's composed elimination table; after
+    # every move each one must equal the word that substituting every
+    # survivor through each freed relator at once gives.  The words are
+    # read from a copy, so the run itself reads only what the schedule reads.
+    ref = {}
+
+    def checked_execute(cx, kind, target, over=None, letter=None, shared_prefix=None):
+        if not ref:
+            ref.update((h.id, h.word) for h in copy.deepcopy(cx).two_handles)
+        move = execute(cx, kind, target, over, letter, shared_prefix)
+        _eager(ref, kind, target, over, letter, shared_prefix)
+        assert {h.id: h.word for h in copy.deepcopy(cx).two_handles} == ref
+        return move
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedules, "execute", checked_execute)
+        _, trace = run_schedule(spec, n, piece)
+    assert [h["word"] for h in trace.final["two_handles"]] == [
+        None if w is None else word_str(w) for w in ref.values()
+    ]

@@ -19,7 +19,6 @@ from handlecalc.words import alpha, concat, handle_letters, handle_occurrences, 
 def test_surface_parameters():
     s = FiberSurface(2, 3)
     assert s.num_handles == 4 * 2 + 2 * 3 - 2 == 12
-    assert s.fiber_genus == 2 * 2 + 3 - 1 == 6
     with pytest.raises(ValueError):
         FiberSurface(0, 1)
     with pytest.raises(ValueError):

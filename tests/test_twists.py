@@ -14,7 +14,6 @@ from handlecalc.twists import (
     apply_twist,
     chain_twist_rule,
     compile_monodromy,
-    mirror,
     piece_monodromy,
     stallings_monodromy,
     stallings_rules,
@@ -198,13 +197,6 @@ def test_monodromy_orders():
         two_bridge_monodromy((1, -1, 1))
     with pytest.raises(ValueError):
         two_bridge_monodromy((2, 1))
-
-
-def test_mirror():
-    assert mirror((1, 1)) == (-1, -1)
-    assert mirror((1, -1)) == (-1, 1)
-    eps = (1, -1, 1, 1)
-    assert mirror(mirror(eps)) == eps
 
 
 def test_stallings_monodromy_serialization():
