@@ -22,7 +22,6 @@ from .factorization import (
     VanishingCycle,
     build_W,
     build_pieces,
-    conjugate_factorization,
 )
 from .knots import (
     ConwayForm,

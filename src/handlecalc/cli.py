@@ -9,6 +9,7 @@ writing a trace file), verify (full certificate).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import product
@@ -17,8 +18,9 @@ from .complexes import MoveError
 from .factorization import build_pieces, factorization_json
 from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from .schedules import ScheduleError, assemble, run_both
-from .trace import SCHEMA
+from .trace import OPAQUE_TEXT, SCHEMA
 from .verify import full_report
+from .words import word_str
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,56 +96,55 @@ def _cmd_factorize(args) -> int:
     if args.json:
         _emit(payload)
     else:
-        from .words import word_str
-
         for piece in (x1, x2):
             print(f"{piece.which}: {len(piece.factorization)} vanishing cycles")
             for vc in piece.factorization.cycles:
-                word = "<opaque>" if vc.word is None else word_str(vc.word)
+                word = OPAQUE_TEXT if vc.word is None else word_str(vc.word)
                 print(f"  {vc.label():>12}  [{vc.framing}]  {word}")
     return EXIT_OK
 
 
 def _cmd_cancel(args) -> int:
     knots = _knot_selection(args)
-    traces = []
-    for knot in knots:
-        results = run_both(knot, args.n)
-        line = []
-        for piece in ("X1", "X2"):
-            cx, trace = results[piece]
-            traces.append(trace)
-            line.append(f"{piece}: 1-handles: {len(cx.one_handles)}, 2-handles: {len(cx.two_handles)}")
-        counts = assemble(results["X1"][0], results["X2"][0], args.n)
-        if args.json:
-            _emit(
-                {
-                    "schema": SCHEMA,
-                    "knot": knot.spec_str(),
-                    "n": args.n,
-                    "pieces": {
-                        p: results[p][0].counts() for p in ("X1", "X2")
-                    },
-                    "assembled": counts.as_dict(),
-                }
-            )
-        else:
-            print(f"{knot.spec_str()} (n={args.n})  " + "; ".join(line))
-    if args.trace:
-        body = {
-            "schema": SCHEMA,
-            "n": args.n,
-            "traces": [t.to_json() for t in traces],
-        }
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, indent=2)
-                fh.write("\n")
-        except OSError as err:
-            print(f"error: cannot write trace {args.trace}: {err.strerror or err}", file=sys.stderr)
-            return EXIT_USAGE
-        if not args.json:
-            print(f"trace written to {args.trace}")
+    try:  # before any schedule runs, so an unwritable path prints no result
+        trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext()
+    except OSError as err:
+        print(f"error: cannot write trace {args.trace}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_USAGE
+    with trace_file:
+        traces = []
+        for knot in knots:
+            results = run_both(knot, args.n)
+            line = []
+            for piece in ("X1", "X2"):
+                cx, trace = results[piece]
+                traces.append(trace)
+                line.append(f"{piece}: 1-handles: {len(cx.one_handles)}, 2-handles: {len(cx.two_handles)}")
+            counts = assemble(results["X1"][0], results["X2"][0], args.n)
+            if args.json:
+                _emit(
+                    {
+                        "schema": SCHEMA,
+                        "knot": knot.spec_str(),
+                        "n": args.n,
+                        "pieces": {
+                            p: results[p][0].counts() for p in ("X1", "X2")
+                        },
+                        "assembled": counts.as_dict(),
+                    }
+                )
+            else:
+                print(f"{knot.spec_str()} (n={args.n})  " + "; ".join(line))
+        if args.trace:
+            body = {
+                "schema": SCHEMA,
+                "n": args.n,
+                "traces": [t.to_json() for t in traces],
+            }
+            json.dump(body, trace_file, indent=2)
+            trace_file.write("\n")
+            if not args.json:
+                print(f"trace written to {args.trace}")
     return EXIT_OK
 
 
@@ -211,15 +212,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ScheduleError as err:
+    except (ScheduleError, MoveError) as err:  # both carry the offending word, if any
         print(f"schedule failure: {err}", file=sys.stderr)
         if err.word is not None:
-            from .words import word_str
-
             print(f"offending word: {word_str(err.word)}", file=sys.stderr)
-        return EXIT_SCHEDULE
-    except MoveError as err:
-        print(f"schedule failure: {err}", file=sys.stderr)
         return EXIT_SCHEDULE
     except (KnotSpecError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

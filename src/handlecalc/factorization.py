@@ -10,15 +10,20 @@ factorization describes the same fibration, and `schedules.run_both`
 derives X2's schedule from X1's by renaming handle ids on the strength
 of it.  Its guard rejects any X2 whose start complex is not X1's rotated
 by |W|, so changing either order here breaks `run_both`.
+
+Every B-image is spelled one way, for both knot families and every n:
+`phi_b_word(i, head, s)` with `head` the image of beta_i (from the
+compiled table, or the Stallings heads).  The twists fix the closing arcs,
+so this is the image of the whole curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .knots import Knot, StallingsKnot, TwoBridgeKnot
+from .knots import Knot, StallingsKnot
 from .surfaces import CurveId, FiberSurface, b_word, beta_word, c_word, phi_b_word
-from .twists import CompiledMonodromy, MonodromySpec, StallingsImages, compile_monodromy, stallings_rules
+from .twists import CompiledMonodromy, StallingsImages, compile_monodromy, stallings_rules
 from .words import Word, word_str
 
 FRAMING = "fiber-1"
@@ -79,18 +84,15 @@ def build_W(s: FiberSurface) -> Factorization:
 def _phi_cycle(
     vc: VanishingCycle, phi: CompiledMonodromy | StallingsImages, s: FiberSurface
 ) -> VanishingCycle:
-    if isinstance(phi, StallingsImages):
-        # No letterwise rules for t_{b2}; c-images stay opaque.
-        word = phi.phi_b_word(vc.curve.index, s) if vc.curve.family == "B" else None
-        return replace(vc, word=word, phi_image=True)
-    if vc.word is None:
-        return replace(vc, phi_image=True)
-    if vc.curve.family == "B" and s.n >= 2:
-        # The stored B_i spelling is basepoint-rotated, so the image is
-        # assembled from the image of the beta part; applying the letter
-        # rules to the rotated spelling would not be the twist action.
-        head = phi.apply(beta_word(vc.curve.index, s))
-        return replace(vc, word=phi_b_word(vc.curve.index, head, s), phi_image=True)
+    if vc.curve.family == "B":
+        # At n >= 2 the stored spelling is basepoint-rotated, so the letter
+        # rules would not be the twist action on it; map the beta part only.
+        i = vc.curve.index
+        head = phi.heads[i] if isinstance(phi, StallingsImages) else phi.apply(beta_word(i, s))
+        return replace(vc, word=phi_b_word(i, head, s), phi_image=True)
+    if vc.word is None or isinstance(phi, StallingsImages):
+        # No letterwise rules for t_{b2}; Stallings c-images stay opaque.
+        return replace(vc, word=None, phi_image=True)
     return replace(vc, word=phi.apply(vc.word), phi_image=True)
 
 
@@ -99,9 +101,9 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
 
     The monodromy images are computed once per call, as a compiled table
     (two-bridge) or the Stallings image table, and shared by every cycle.
+    A non-fibered knot (`TwoBridgeKnot.genus`) and n < 1 (`FiberSurface`)
+    raise ValueError.
     """
-    if isinstance(knot, TwoBridgeKnot) and not knot.is_fibered:
-        raise ValueError(f"{knot} is not fibered; no Lefschetz piece exists")
     s = FiberSurface(knot.genus, n)
     base = build_W(s)
     if isinstance(knot, StallingsKnot):
@@ -112,16 +114,6 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     x1 = Factorization(phi_block + base.cycles, s)
     x2 = Factorization(base.cycles + phi_block, s)
     return LFPiece("X1", x1), LFPiece("X2", x2)
-
-
-def conjugate_factorization(f: Factorization, phi: MonodromySpec, inverse: bool = False) -> Factorization:
-    """Simultaneous conjugation: replace every word by its (inverse-)image."""
-    table = compile_monodromy(phi.inverse() if inverse else phi, f.fiber)
-    cycles = tuple(
-        vc if vc.word is None else replace(vc, word=table.apply(vc.word))
-        for vc in f.cycles
-    )
-    return Factorization(cycles, f.fiber)
 
 
 def factorization_json(f: Factorization) -> dict:
@@ -146,6 +138,5 @@ __all__ = [
     "LFPiece",
     "build_W",
     "build_pieces",
-    "conjugate_factorization",
     "factorization_json",
 ]

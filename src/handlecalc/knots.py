@@ -136,24 +136,24 @@ class TwoBridgeKnot:
     def is_fibered(self) -> bool:
         return self.eps is not None
 
-    @property
-    def genus(self) -> int:
+    def _fibered_eps(self) -> tuple[int, ...]:
+        """The D-form signs; the one place a non-fibered knot is rejected."""
         if self.eps is None:
             raise KnotSpecError(f"{self.conway} has no fibered D-form presentation")
-        return len(self.eps) // 2
+        return self.eps
+
+    @property
+    def genus(self) -> int:
+        return len(self._fibered_eps()) // 2
 
     def fraction(self) -> KnotFraction:
         return continued_fraction(self.conway)
 
     def monodromy(self) -> MonodromySpec:
-        if self.eps is None:
-            raise KnotSpecError(f"{self.conway} has no fibered D-form presentation")
-        return two_bridge_monodromy(self.eps)
+        return two_bridge_monodromy(self._fibered_eps())
 
     def piece_monodromy(self) -> MonodromySpec:
-        if self.eps is None:
-            raise KnotSpecError(f"{self.conway} has no fibered D-form presentation")
-        return piece_monodromy(self.eps)
+        return piece_monodromy(self._fibered_eps())
 
     def spec_str(self) -> str:
         if self.eps is not None:

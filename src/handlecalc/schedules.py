@@ -27,16 +27,19 @@ later phases are done by the cancellations themselves and the trace
 records only the moves the schedule makes.  A failed move or
 single-crossing check aborts with the offending word recorded in the
 trace: that is the falsification channel for the underlying curve
-computations.
+computations.  A cancel whose relator crosses other 1-handles besides
+its letter is legal but earns a warning; the warnings are derived from
+the recorded moves (`trace.weak_cancellations`), never kept on the side.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
 and the schedule finds its handles by origin, not by position, so X2's
 run makes X1's moves on X1's words with only the handle ids changed.
 `run_both` therefore runs X1's schedule once and derives X2's complex and
-trace by renaming ids (`complexes.x2_id_map`).  A guard first requires
-the X1 run to be of the same knot, n and piece X1, and X1's recorded
-initial state, renamed and rotated, to equal X2's start complex; any
-mismatch raises ScheduleError.  `run_schedule(knot, n, "X2")` without
+trace by renaming ids (`complexes.x2_id_map`, the one place the rotation
+is stated).  A guard first requires the X1 run to be of the same knot, n
+and piece X1, and X1's recorded initial state, renamed and put in X2's
+handle order, to equal X2's start complex; any mismatch raises
+ScheduleError.  `run_schedule(knot, n, "X2")` without
 `x1`, and `replay`, still run the full X2 schedule, which the tests use
 as the oracle for the derivation.
 """
@@ -45,13 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, is_isolated, x2_id_map
+from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, x2_id_map
 from .factorization import build_pieces
-from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
+from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, _canonical, complex_state, execute
+from .trace import MoveTrace, _canonical, complex_state, execute, weak_cancellations
 from .twists import ta3_power
-from .words import Word, alpha, concat, cyclic_reduce, word_str
+from .words import Word, alpha, concat, word_str
 
 
 class ScheduleError(RuntimeError):
@@ -61,9 +64,6 @@ class ScheduleError(RuntimeError):
         super().__init__(message)
         self.word = word
         self.trace = trace
-
-
-_AGAINST = " against "  # what precedes the handle id in a weak-cancellation warning
 
 
 class _Run:
@@ -78,6 +78,7 @@ class _Run:
             "message": message,
             "word": None if word is None else word_str(word),
         }
+        self.trace.warnings = weak_cancellations(self.trace.moves)
         return ScheduleError(message, word=word, trace=self.trace)
 
     def move(
@@ -100,19 +101,6 @@ class _Run:
             raise self.fail(str(err), word) from err
         self.trace.moves.append(record)
 
-    def assert_and_cancel(self, i: int, target: TwoHandle) -> None:
-        """Cancel the pair, then warn if its word was not over alpha_0/alpha_i alone.
-
-        `complexes.cancel` checks the single crossing; a failure ends the run.
-        """
-        word = target.word
-        self.move("cancel", target, letter=i)
-        if not is_isolated(word, i):
-            self.trace.warnings.append(
-                f"weak cancellation of a{i}{_AGAINST}{target.id}: "
-                f"word {word_str(cyclic_reduce(word))!r} is not over alpha_0/a{i} alone"
-            )
-
 
 def _phase_a(run: _Run) -> None:
     g = run.cx.surface.g
@@ -120,7 +108,7 @@ def _phase_a(run: _Run) -> None:
         target = run.cx.find("B", i - 1, phi_image=True)
         over = run.cx.find("B", i - 1, phi_image=False)
         run.move("slide", target, over)
-        run.assert_and_cancel(i, target)
+        run.move("cancel", target, letter=i)
 
 
 def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
@@ -139,18 +127,18 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     run.move("slide", h1, h2, shared_prefix=prefix)  # the H_{1,2} double slide
     run.move("slide", h3, h2, shared_prefix=prefix)  # the H_{3,2} double slide
 
-    run.assert_and_cancel(2, h1)
+    run.move("cancel", h1, letter=2)
 
     # Sliding over the H_{3,2} double slide eliminates its single alpha_4
     # crossing; each cancellation has already rewritten the cancelled
     # letters out of every surviving word.
     run.move("eliminate", h0, h3, letter=4)
-    run.assert_and_cancel(3, h0)
+    run.move("cancel", h0, letter=3)
 
     run.move("eliminate", h2, h3, letter=4)
-    run.assert_and_cancel(1, h2)
+    run.move("cancel", h2, letter=1)
 
-    run.assert_and_cancel(4, h3)
+    run.move("cancel", h3, letter=4)
 
 
 def _chain_phase(run: _Run) -> None:
@@ -161,7 +149,7 @@ def _chain_phase(run: _Run) -> None:
     def step(c_index: int, letter: int) -> None:
         h = run.cx.find("c", c_index, phi_image=False, skip=used.get(c_index, 0))
         used[c_index] = used.get(c_index, 0) + 1
-        run.assert_and_cancel(letter, h)
+        run.move("cancel", h, letter=letter)
 
     step(1, 4 * g + 2 * n - 3)
     for i in range(1, n):
@@ -174,13 +162,7 @@ def _phase_c(run: _Run) -> None:
     g = run.cx.surface.g
     for i in range(1, 2 * g + 1):
         target = run.cx.find("B", 2 * g + 1 - i, phi_image=False)
-        run.assert_and_cancel(2 * g + i, target)
-
-
-def _rename_warning(text: str, ids: dict[str, str]) -> str:
-    head, _, rest = text.partition(_AGAINST)
-    hid, sep, tail = rest.partition(":")
-    return f"{head}{_AGAINST}{ids[hid]}{sep}{tail}"
+        run.move("cancel", target, letter=2 * g + i)
 
 
 def _derive_x2(
@@ -208,14 +190,13 @@ def _derive_x2(
         entries = [dict(h, id=ids[h["id"]]) for h in trace1.initial["two_handles"]]
         moves = [replace(m, target=ids[m.target], over=None if m.over is None else ids[m.over])
                  for m in trace1.moves]
-        warnings = [_rename_warning(w, ids) for w in trace1.warnings]
         words = {ids[h.id]: h.word for h in cx1.two_handles}
     except (KeyError, MoveError) as err:
         raise mismatch(f"X1 names a handle X2 does not have ({err})") from err
     initial = complex_state(start2)
-    half = (len(entries) - 1) // 2  # |W|; the boundary handle stays last
-    rotated = entries[half:-1] + entries[:half] + entries[-1:]
-    if _canonical({**trace1.initial, "two_handles": rotated}) != _canonical(initial):
+    position = {h.id: k for k, h in enumerate(start2.two_handles)}
+    entries.sort(key=lambda h: position[h["id"]])
+    if _canonical({**trace1.initial, "two_handles": entries}) != _canonical(initial):
         raise mismatch("X1's initial state, renamed and rotated, is not X2's")
 
     start2.one_handles = set(cx1.one_handles)
@@ -223,6 +204,8 @@ def _derive_x2(
         start2.remove(h)
     for h in start2.two_handles:
         h.word = words[h.id]
+    # Renaming keeps each cancel's letter and relator, so X2 warns where X1 does.
+    warnings = weak_cancellations(moves) if trace1.warnings else []
     trace = MoveTrace(spec, n, "X2", initial, moves, complex_state(start2), dict(trace1.certificate), warnings)
     return start2, trace
 
@@ -243,7 +226,9 @@ def run_schedule(
     With `x1`, X1's finished (complex, trace) of the same knot and n, the
     X2 result is derived from it by renaming handle ids instead of
     running X2's schedule (see the module docstring); the result is the
-    same, byte for byte.  A mismatched `x1` raises ScheduleError.
+    same, byte for byte.  A mismatched `x1` raises ScheduleError.  An
+    unknown piece, n < 1 and a non-fibered knot raise ValueError, the last
+    two from `build_pieces`.
     """
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
@@ -251,10 +236,6 @@ def run_schedule(
         raise ValueError(f"piece must be X1 or X2, got {piece!r}")
     if x1 is not None and piece != "X2":
         raise ValueError(f"only X2 is derived from X1, got piece {piece!r}")
-    if n < 1:
-        raise ValueError(f"elliptic index must be >= 1, got {n}")
-    if isinstance(knot, TwoBridgeKnot) and not knot.is_fibered:
-        raise KnotSpecError(f"{knot} is not fibered; the schedule needs a fibered knot")
 
     piece1, piece2 = build_pieces(knot, n)
     if x1 is not None:
@@ -282,6 +263,7 @@ def run_schedule(
     except MoveError as err:
         raise run.fail(str(err), err.word) from err
 
+    run.trace.warnings = weak_cancellations(run.trace.moves)
     run.trace.final = complex_state(cx)
     run.trace.certificate = {"one_handles": 0, "two_handles": expected}
     return cx, run.trace

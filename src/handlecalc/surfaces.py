@@ -110,6 +110,23 @@ def middle_detour_word(s: FiberSurface) -> Word:
     return (alpha(0), alpha(4 * s.g + 1, -1))
 
 
+def phi_b_word(i: int, head: Word, s: FiberSurface) -> Word:
+    """Word of the curve B_i whose beta part is spelled `head`, 0 <= i <= 2g.
+
+    The closing arc is alpha_{4g+1-i}, or the tilde-type descent for
+    i = 0.  n = 1: head * closing.  n >= 2: the rotated form
+    alpha_0 * head * detour * closing * alpha_0^-1.  The twists fix every
+    closing arc, so with `head` the image of beta_i this is the monodromy
+    image of B_i, in the convention of b_word(i, s).
+    """
+    if not 0 <= i <= 2 * s.g:
+        raise ValueError(f"B index {i} out of range [0, {2 * s.g}]")
+    closing = _tilde_type(s) if i == 0 else (alpha(4 * s.g + 1 - i),)
+    if s.n == 1:
+        return concat(head, closing)
+    return concat((alpha(0),), head, middle_detour_word(s), closing, (alpha(0, -1),))
+
+
 def b_word(i: int, s: FiberSurface) -> Word:
     """Vanishing-cycle curve B_i as a word, 0 <= i <= 2g.
 
@@ -122,27 +139,7 @@ def b_word(i: int, s: FiberSurface) -> Word:
     >>> word_str(b_word(1, FiberSurface(1, 2)))
     "a1 a5' a4 a0'"
     """
-    if not 0 <= i <= 2 * s.g:
-        raise ValueError(f"B index {i} out of range [0, {2 * s.g}]")
-    closing = _tilde_type(s) if i == 0 else (alpha(4 * s.g + 1 - i),)
-    if s.n == 1:
-        return concat(beta_word(i, s), closing)
-    return concat((alpha(0),), beta_word(i, s), middle_detour_word(s), closing, (alpha(0, -1),))
-
-
-def phi_b_word(i: int, phi_beta: Word, s: FiberSurface) -> Word:
-    """Word of the monodromy image of B_i given the image of its beta part.
-
-    The twist curves are disjoint from the closing arcs, so the image of
-    B_i is the image of beta_i composed with the untouched remainder; this
-    assembles it in the convention matching b_word(i, s).
-    """
-    if not 0 <= i <= 2 * s.g:
-        raise ValueError(f"B index {i} out of range [0, {2 * s.g}]")
-    closing = _tilde_type(s) if i == 0 else (alpha(4 * s.g + 1 - i),)
-    if s.n == 1:
-        return concat(phi_beta, closing)
-    return concat((alpha(0),), phi_beta, middle_detour_word(s), closing, (alpha(0, -1),))
+    return phi_b_word(i, beta_word(i, s), s)
 
 
 def c_word(i: int, s: FiberSurface) -> Word:

@@ -11,7 +11,9 @@ rebuilds the initial complex from the knot spec, re-derives every move
 with `execute` from the live complex (an eliminate's relator is the word
 of the live helper it names, never a word from the trace) and requires
 each recorded move to equal the re-derived one, field for field.  The
-final state and the certificate must match the replayed complex.
+final state and the certificate must match the replayed complex, the
+warnings must be `weak_cancellations` of the moves, and the error must be
+null, so every field a trace prints is checked.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .complexes import (
     cancel,
     complex_from_piece,
     eliminate_letter,
+    is_isolated,
     slide_words,
 )
 from .factorization import build_pieces
@@ -114,18 +117,8 @@ class Move:
     after_word: str | None = None
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind, "target": self.target, "before": self.before, "after": self.after}
-        if self.over is not None:
-            d["over"] = self.over
-        if self.letter is not None:
-            d["letter"] = self.letter
-        if self.relator is not None:
-            d["relator"] = self.relator
-        if self.shared_prefix is not None:
-            d["shared_prefix"] = self.shared_prefix
-        if self.after_word is not None:
-            d["after_word"] = self.after_word
-        return d
+        """The fields in `_MOVE_FIELDS` order; unset optional fields are left out."""
+        return {name: getattr(self, name) for name in _MOVE_FIELDS if getattr(self, name) is not None}
 
     @staticmethod
     def from_json(d: dict) -> "Move":
@@ -151,16 +144,8 @@ class MoveTrace:
     error: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "knot": self.knot,
-            "n": self.n,
-            "piece": self.piece,
-            "initial": self.initial,
-            "moves": [m.to_json() for m in self.moves],
-            "final": self.final,
-            "certificate": self.certificate,
-        }
+        out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _REQUIRED_FIELDS}}
+        out["moves"] = [m.to_json() for m in self.moves]
         if self.warnings:
             out["warnings"] = self.warnings
         if self.error is not None:
@@ -186,6 +171,20 @@ class MoveTrace:
 
     def final_digest(self) -> str:
         return fnv1a64(_canonical(self.final))
+
+
+def weak_cancellations(moves: list[Move]) -> list[str]:
+    """One warning per cancel whose relator crosses 1-handles besides its letter.
+
+    Read from each cancel's letter, target and relator only, so the
+    schedules, the X2 derivation and replay derive the same list.
+    """
+    return [
+        f"weak cancellation of a{m.letter} against {m.target}: "
+        f"word {m.relator!r} is not over alpha_0/a{m.letter} alone"
+        for m in moves
+        if m.kind == "cancel" and not is_isolated(parse_word(m.relator), m.letter)
+    ]
 
 
 class ReplayError(MoveError):
@@ -247,11 +246,15 @@ def replay(trace: MoveTrace) -> HandleComplex:
     The rebuilt complex must match the recorded initial state; each
     recorded move must equal, field for field, the move `execute` derives
     from the live complex; the final state and the certificate must match
-    the replayed complex, and the Euler characteristic must never move.
-    Any mismatch, or a move the executor rejects, raises ReplayError.
+    the replayed complex, and the Euler characteristic must never move;
+    the warnings must be those the moves derive, and no error may be
+    recorded.  Any mismatch, or a move the executor rejects, raises
+    ReplayError.
     """
     if trace.piece not in ("X1", "X2"):
         raise ReplayError(f"unknown piece {trace.piece!r}")
+    if trace.error is not None:
+        raise ReplayError(f"trace records a failed schedule: {trace.error}")
     try:
         x1, x2 = build_pieces(parse_knot_spec(trace.knot), trace.n)
     except ValueError as err:  # KnotSpecError, a non-fibered knot, n < 1
@@ -276,6 +279,8 @@ def replay(trace: MoveTrace) -> HandleComplex:
     certificate = {"one_handles": len(cx.one_handles), "two_handles": len(cx.two_handles)}
     if _canonical(trace.certificate) != _canonical(certificate):
         raise ReplayError(f"certificate {trace.certificate} does not match the replayed complex {certificate}")
+    if trace.warnings != weak_cancellations(trace.moves):
+        raise ReplayError("warnings do not match the weak cancellations of the moves")
     return cx
 
 
@@ -289,5 +294,6 @@ __all__ = [
     "MoveTrace",
     "ReplayError",
     "execute",
+    "weak_cancellations",
     "replay",
 ]

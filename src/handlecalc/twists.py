@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .surfaces import CurveId, FiberSurface, beta_word, eta_word, phi_b_word, validate_word
+from .surfaces import CurveId, FiberSurface, beta_word, eta_word, validate_word
 from .words import Word, alpha, concat, invert
 
 
@@ -258,18 +258,13 @@ class StallingsImages:
 
     heads[i] is the image of the beta part of B_i; the closing arcs are
     untouched by the twists and are appended per surface convention by
-    phi_b_word.  At m = 0 these are the five eta-decompositions of the
+    `surfaces.phi_b_word`.  At m = 0 these are the five eta-decompositions of the
     untwisted monodromy image; the t_{a3}^m factor only rewrites the
     alpha_2/alpha_3 letters.
     """
 
     m: int
     heads: tuple[Word, ...]
-
-    def phi_b_word(self, i: int, s: FiberSurface) -> Word:
-        if s.g != 2:
-            raise ValueError("Stallings images live on the genus-2 fiber")
-        return phi_b_word(i, self.heads[i], s)
 
 
 def stallings_rules(m: int) -> StallingsImages:

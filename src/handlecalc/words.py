@@ -134,18 +134,9 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     if sign_target not in (1, -1):
         raise ValueError(f"sign must be +-1, got {sign_target}")
     code = i + 1
-    repl = tuple(replacement)
-    repl_inv = invert(repl)
-    pos, neg = (repl, repl_inv) if sign_target == 1 else (repl_inv, repl)
-    w = tuple(w)
-    parts: list[Word] = []
-    start = 0
-    for k in [k for k, c in enumerate(w) if c == code or c == -code]:
-        parts.append(w[start:k])
-        parts.append(pos if w[k] > 0 else neg)
-        start = k + 1
-    parts.append(w[start:])
-    return concat(*parts)
+    pos = tuple(replacement) if sign_target == 1 else invert(replacement)
+    images = {code: pos, -code: invert(pos)}
+    return concat(*[images.get(c, (c,)) for c in w])
 
 
 def word_str(w: Iterable[int]) -> str:

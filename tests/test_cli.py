@@ -90,8 +90,9 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_cancel_unwritable_trace_is_usage_error(tmp_path, capsys, where):
     path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
-    code, _, err = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1", "--trace", str(path))
+    code, out, err = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1", "--trace", str(path))
     assert code == 1
+    assert out == ""  # the path is opened before any schedule runs
     assert err.startswith(f"error: cannot write trace {path}: ")
     assert "Traceback" not in err
 

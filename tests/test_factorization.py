@@ -1,15 +1,15 @@
-"""Factorization builder: W, the two pieces, conjugation."""
+"""Factorization builder: W and the two pieces."""
 
 from handlecalc.complexes import complex_from_piece
 from handlecalc.factorization import (
     Factorization,
     build_W,
     build_pieces,
-    conjugate_factorization,
     factorization_json,
 )
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.surfaces import FiberSurface
+from handlecalc.twists import apply_monodromy
 from handlecalc.words import parse_word
 
 
@@ -106,32 +106,17 @@ def test_stallings_piece_opacity():
     )
 
 
-def test_conjugate_by_identity():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,-"), 1)
-    from handlecalc.twists import MonodromySpec
-
-    assert conjugate_factorization(x1.factorization, MonodromySpec(())) == x1.factorization
-
-
-def test_conjugation_inverse_round_trip():
-    for spec, n in (("twobridge:+,+", 1), ("twobridge:+,-,+,+", 2)):
-        x1, _ = build_pieces(parse_knot_spec(spec), n)
-        phi = parse_knot_spec(spec).piece_monodromy()
-        once = conjugate_factorization(x1.factorization, phi)
-        back = conjugate_factorization(once, phi, inverse=True)
-        assert back == x1.factorization
-
-
 def test_conjugating_x1_by_inverse_gives_w_phi_inverse_w():
     # At n = 1 the image block conjugated by the inverse recovers the base
     # block, so phi(W).W becomes W.phi^-1(W) wordwise.
     knot = parse_knot_spec("twobridge:+,+")
     x1, _ = build_pieces(knot, 1)
-    phi = knot.piece_monodromy()
-    conj = conjugate_factorization(x1.factorization, phi, inverse=True)
-    half = len(conj) // 2
-    base = x1.factorization.cycles[half:]
-    assert [vc.word for vc in conj.cycles[:half]] == [vc.word for vc in base]
+    phi_inverse = knot.piece_monodromy().inverse()
+    cycles = x1.factorization.cycles
+    half = len(cycles) // 2
+    s = x1.factorization.fiber
+    conj = [None if vc.word is None else apply_monodromy(phi_inverse, vc.word, s) for vc in cycles[:half]]
+    assert conj == [vc.word for vc in cycles[half:]]
 
 
 def test_factorization_json_shape():

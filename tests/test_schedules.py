@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlecalc import schedules
+from handlecalc import schedules, trace as trace_module
 from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter, relator_solution, slide_words
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, parse_knot_spec
@@ -128,7 +128,7 @@ def test_derived_x2_equals_the_full_x2_run(spec):
 
 def test_derived_x2_renames_warning_ids(monkeypatch):
     # Every cancel warns, so each warning's handle id must be renamed too.
-    monkeypatch.setattr(schedules, "is_isolated", lambda word, i: False)
+    monkeypatch.setattr(trace_module, "is_isolated", lambda word, i: False)
     for spec, n in (("twobridge:+,-,+,+", 2), ("stallings:m=-2", 3)):
         res = run_both(spec, n)
         warnings = res["X2"][1].warnings
@@ -378,6 +378,18 @@ def _cancel_without_letter():
     return doc
 
 
+def _forged_warning():
+    _, doc, _ = _trefoil_x1()
+    doc["warnings"] = ["weak cancellation of a1 against x1-00: word 'a0 a1 a2' is not over alpha_0/a1 alone"]
+    return doc
+
+
+def _forged_error():
+    _, doc, _ = _trefoil_x1()
+    doc["error"] = {"message": "no failure happened", "word": None}
+    return doc
+
+
 def _bad_knot_spec():
     _, doc, _ = _trefoil_x1()
     doc["knot"] = "twobridge:+,x"
@@ -397,11 +409,25 @@ def _bad_knot_spec():
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
+        pytest.param(_forged_warning, "warnings do not match", id="forged-warning"),
+        pytest.param(_forged_error, "failed schedule", id="forged-error"),
     ],
 )
 def test_replay_rejects_forged_trace(forge, message):
     with pytest.raises(ReplayError, match=message):
         replay(MoveTrace.from_json(forge()))
+
+
+def test_replay_checks_recorded_warnings(monkeypatch):
+    # Every cancel warns: the recorded list replays, a shortened one does not.
+    monkeypatch.setattr(trace_module, "is_isolated", lambda word, i: False)
+    _, trace = run_schedule("twobridge:+,-", 2, "X1")
+    doc = trace.to_json()
+    assert len(doc["warnings"]) == len(cancels(trace))
+    replay(MoveTrace.from_json(doc))
+    doc["warnings"].pop()
+    with pytest.raises(ReplayError, match="warnings do not match"):
+        replay(MoveTrace.from_json(doc))
 
 
 def test_schedule_error_carries_word_and_trace():
@@ -417,7 +443,7 @@ def test_schedule_error_carries_word_and_trace():
     target = cx.find("B", 0, phi_image=True)
     target.word = parse_word("a1 a1")  # two crossings: not a cancelling word
     with pytest.raises(ScheduleError) as err:
-        run.assert_and_cancel(1, target)
+        run.move("cancel", target, letter=1)
     assert err.value.word == parse_word("a1 a1")
     assert err.value.trace.error["word"] == "a1 a1"
 

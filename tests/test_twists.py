@@ -4,9 +4,9 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from handlecalc.surfaces import CurveId, FiberSurface, beta_word, eta_word
+from handlecalc.surfaces import CurveId, FiberSurface, beta_word, eta_word, phi_b_word, tilde_alpha_word
 from handlecalc.twists import (
     MonodromySpec,
     UnsupportedTwistError,
@@ -266,11 +266,31 @@ def test_ta3_fixes_a3_a2inv():
         assert ta3_power(w, m) == w
 
 
+@settings(deadline=None)
+@given(eps_strategy, st.integers(1, 3))
+def test_piece_tables_fix_every_closing_arc(eps, n):
+    # factorization maps only the beta part of B_i and appends the closing
+    # arc as it is: alpha_{4g+1-i} for i >= 1, the tilde-type descent for B_0.
+    g = len(eps) // 2
+    s = FiberSurface(g, n)
+    table = compile_monodromy(piece_monodromy(eps), s)
+    for i in range(1, 2 * g + 1):
+        assert table.apply((alpha(4 * g + 1 - i),)) == (alpha(4 * g + 1 - i),)
+    descent = tilde_alpha_word(FiberSurface(g, 1))
+    assert table.apply(descent) == descent
+
+
+@given(st.integers(-40, 40), st.integers(1, 3))
+def test_ta3_power_fixes_the_genus2_descent(m, n):
+    descent = tilde_alpha_word(S21)
+    assert ta3_power(descent, m, FiberSurface(2, n)) == descent
+
+
 def test_stallings_phi0_b4():
     table = stallings_rules(0)
     b4, b3 = beta_word(4, S21), beta_word(3, S21)
     expected = concat(b4, invert(b3), b4, (alpha(5),))
-    assert table.phi_b_word(4, S21) == expected
+    assert phi_b_word(4, table.heads[4], S21) == expected
 
 
 def test_stallings_phi_m_heads_match_displayed_decompositions():
@@ -280,12 +300,12 @@ def test_stallings_phi_m_heads_match_displayed_decompositions():
     table = stallings_rules(m)
     eta = eta_word()
     t = ta3_power((alpha(3),), m)
-    assert table.phi_b_word(0, S21) == concat(
+    assert phi_b_word(0, table.heads[0], S21) == concat(
         eta, t, ta3_power((alpha(2, -1),), m), tilde_alpha_word(S21)
     )
-    assert table.phi_b_word(1, S21) == concat(eta, t, beta_word(0, S21), (alpha(8),))
-    assert table.phi_b_word(2, S21) == concat(eta, t, beta_word(1, S21), (alpha(7),))
-    assert table.phi_b_word(3, S21) == concat(eta, t, beta_word(4, S21), (alpha(6),))
+    assert phi_b_word(1, table.heads[1], S21) == concat(eta, t, beta_word(0, S21), (alpha(8),))
+    assert phi_b_word(2, table.heads[2], S21) == concat(eta, t, beta_word(1, S21), (alpha(7),))
+    assert phi_b_word(3, table.heads[3], S21) == concat(eta, t, beta_word(4, S21), (alpha(6),))
 
 
 def test_image_closure_exhaustive_small():
