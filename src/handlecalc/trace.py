@@ -118,7 +118,7 @@ class Move:
 
     def to_json(self) -> dict:
         """The fields in `_MOVE_FIELDS` order; unset optional fields are left out."""
-        return {name: getattr(self, name) for name in _MOVE_FIELDS if getattr(self, name) is not None}
+        return {name: value for name in _MOVE_FIELDS if (value := getattr(self, name)) is not None}
 
     @staticmethod
     def from_json(d: dict) -> "Move":
