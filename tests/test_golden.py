@@ -7,6 +7,10 @@ X1 and X2 results and of the full `run_schedule(spec, n, "X2")`, then
 `full_report(spec, n).to_json()` for the two-bridge knots.  A refactor
 that changes any trace, final state or report byte changes the digest.
 A deliberate output change must update GOLDEN in the same change.
+
+LONG_WORDS is the same recipe over two items whose words run to hundreds
+of letters: one fixed two-bridge knot of genus 8 at n = 3 and K_-90 at
+n = 2.
 """
 
 import hashlib
@@ -26,6 +30,9 @@ TWO_BRIDGE = [
 ]
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
+LONG_WORDS_GOLDEN = "dc707cf6287a6762c1ec69201ed3423cc5be5273bfc6466b26d5303cfca0553f"
+LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
+
 
 def _documents(spec, n):
     res = run_both(spec, n)
@@ -33,7 +40,7 @@ def _documents(spec, n):
     yield [res["X2"][1].to_json(), complex_state(res["X2"][0])]
     cx, trace = run_schedule(spec, n, "X2")
     yield [trace.to_json(), complex_state(cx)]
-    if spec in TWO_BRIDGE:
+    if spec.startswith("twobridge:"):
         yield full_report(spec, n).to_json()
 
 
@@ -44,3 +51,11 @@ def test_output_bytes_match_the_golden_digest():
             for doc in _documents(spec, n):
                 digest.update(json.dumps(doc).encode())
     assert digest.hexdigest() == GOLDEN
+
+
+def test_long_word_output_bytes_match_their_golden_digest():
+    digest = hashlib.sha256()
+    for spec, n in LONG_WORDS:
+        for doc in _documents(spec, n):
+            digest.update(json.dumps(doc).encode())
+    assert digest.hexdigest() == LONG_WORDS_GOLDEN
