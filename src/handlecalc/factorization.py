@@ -19,7 +19,7 @@ so this is the image of the whole curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .knots import Knot, StallingsKnot
 from .surfaces import CurveId, FiberSurface, b_word, beta_word, c_word, phi_b_word
@@ -89,11 +89,11 @@ def _phi_cycle(
         # rules would not be the twist action on it; map the beta part only.
         i = vc.curve.index
         head = phi.heads[i] if isinstance(phi, StallingsImages) else phi.apply(beta_word(i, s))
-        return replace(vc, word=phi_b_word(i, head, s), phi_image=True)
+        return VanishingCycle(vc.curve, phi_b_word(i, head, s), True, vc.framing)
     if vc.word is None or isinstance(phi, StallingsImages):
         # No letterwise rules for t_{b2}; Stallings c-images stay opaque.
-        return replace(vc, word=None, phi_image=True)
-    return replace(vc, word=phi.apply(vc.word), phi_image=True)
+        return VanishingCycle(vc.curve, None, True, vc.framing)
+    return VanishingCycle(vc.curve, phi.apply(vc.word), True, vc.framing)
 
 
 def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:

@@ -46,13 +46,13 @@ as the oracle for the derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, x2_id_map
 from .factorization import build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, _canonical, complex_state, execute, weak_cancellations
+from .trace import Move, MoveTrace, _canonical, complex_state, execute, weak_cancellations
 from .twists import ta3_power
 from .words import Word, alpha, concat, word_str
 
@@ -188,7 +188,8 @@ def _derive_x2(
     try:
         ids = x2_id_map(start1, start2)
         entries = [dict(h, id=ids[h["id"]]) for h in trace1.initial["two_handles"]]
-        moves = [replace(m, target=ids[m.target], over=None if m.over is None else ids[m.over])
+        moves = [Move(m.kind, ids[m.target], None if m.over is None else ids[m.over], m.letter, m.relator,
+                      m.shared_prefix, m.before, m.after, m.after_word)
                  for m in trace1.moves]
         words = {ids[h.id]: h.word for h in cx1.two_handles}
     except (KeyError, MoveError) as err:

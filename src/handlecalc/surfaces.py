@@ -16,8 +16,9 @@ cyclic_reduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .words import Word, alpha, concat
+from .words import TILDE, Word, alpha, concat, handle_index, is_handle, is_tilde
 
 CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
 
@@ -40,6 +41,12 @@ class FiberSurface:
         """Number of 1-handles, 4g + 2n - 2."""
         return 4 * self.g + 2 * self.n - 2
 
+    @cached_property
+    def alphabet(self) -> frozenset[int]:
+        """Every legal letter code: alpha_0..alpha_N and, when n = 1, the tilde, both signs."""
+        codes = [*range(1, self.num_handles + 2), *((TILDE,) if self.n == 1 else ())]
+        return frozenset(codes + [-c for c in codes])
+
 
 @dataclass(frozen=True)
 class CurveId:
@@ -61,11 +68,6 @@ class CurveId:
 BOUNDARY = CurveId("boundary")
 
 
-def _beta_sign(j: int) -> int:
-    # alpha_j enters beta words with sign (-1)^(j+1): positive for odd j.
-    return 1 if j % 2 == 1 else -1
-
-
 def beta_word(i: int, s: FiberSurface) -> Word:
     """Path beta_i: alpha_0^-1 a1 ... a_{i-1}^± a_i^∓ a_{i-1}^± ... a1 alpha_0^-1.
 
@@ -78,16 +80,17 @@ def beta_word(i: int, s: FiberSurface) -> Word:
     if not 0 <= i <= 4 * s.g:
         raise ValueError(f"beta index {i} out of range [0, {4 * s.g}]")
     if i == 0:
-        return (alpha(0, -1),)
-    up = [alpha(j, _beta_sign(j)) for j in range(1, i + 1)]
-    down = [alpha(j, _beta_sign(j)) for j in range(i - 1, 0, -1)]
-    return tuple([alpha(0, -1)] + up + down + [alpha(0, -1)])
+        return (-1,)
+    # alpha_j is the code j+1 and enters with sign (-1)^(j+1): even codes positive.
+    up = [c if c % 2 == 0 else -c for c in range(2, i + 2)]
+    return (-1, *up, *reversed(up[:-1]), -1)
 
 
 def _tilde_type(s: FiberSurface) -> Word:
     # The alternating descent a_{4g} a_{4g-1}' ... a1' a0; the spelling of the
     # boundary arc for n = 1 and of its analogue closing B_0 for n >= 2.
-    return tuple(alpha(j, 1 if j % 2 == 0 else -1) for j in range(4 * s.g, -1, -1))
+    # alpha_j is the code j+1 and enters with sign (-1)^j: odd codes positive.
+    return tuple(c if c % 2 else -c for c in range(4 * s.g + 1, 0, -1))
 
 
 def tilde_alpha_word(s: FiberSurface) -> Word:
@@ -180,18 +183,18 @@ def validate_word(w: Word, s: FiberSurface) -> None:
     """Reject letters outside this surface's alphabet.
 
     Handle indices must lie in [1, 4g+2n-2]; the tilde letter is only
-    legal when n = 1.
+    legal when n = 1; 0 and codes beyond the tilde's are no letters.
     """
-    from . import words as W
-
-    for c in w:
-        if W.is_tilde(c):
-            if s.n != 1:
-                raise ValueError("tilde letter is only legal when n = 1")
-        elif W.is_handle(c) and not 1 <= W.handle_index(c) <= s.num_handles:
-            raise ValueError(
-                f"letter a{W.handle_index(c)} outside alphabet of {s.num_handles} handles"
-            )
+    if s.alphabet.issuperset(w):
+        return
+    for c in w:  # name the first letter outside the alphabet
+        if c in s.alphabet:
+            continue
+        if is_tilde(c):
+            raise ValueError("tilde letter is only legal when n = 1")
+        if is_handle(c):
+            raise ValueError(f"letter a{handle_index(c)} outside alphabet of {s.num_handles} handles")
+        raise ValueError(f"{c!r} is not a letter code")
 
 
 __all__ = [

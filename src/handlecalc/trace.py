@@ -62,6 +62,10 @@ def fnv1a64(text: str) -> str:
     return f"{h:016x}"
 
 
+#: The `after` digest of every cancel: its target is removed.
+_REMOVED_DIGEST = fnv1a64(REMOVED_TEXT)
+
+
 def word_digest(w: Word | None) -> str:
     return fnv1a64(OPAQUE_TEXT if w is None else word_str(w))
 
@@ -218,7 +222,7 @@ def execute(
             raise MoveError(f"cancel on {target} names no letter")
         result = cancel(cx, letter, target)
         return Move(kind, target, letter=letter, relator=word_str(result.relator),
-                    before=before, after=fnv1a64(REMOVED_TEXT))
+                    before=before, after=_REMOVED_DIGEST)
     if kind not in ("slide", "eliminate"):
         raise MoveError(f"unknown move kind {kind!r}")
     if over is None:

@@ -19,6 +19,7 @@ conjugation-invariant form is needed (e.g. cancellation tests).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Tuple
 
 Word = Tuple[int, ...]
@@ -139,31 +140,69 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     return concat(*[images.get(c, (c,)) for c in w])
 
 
+def _token(c: int) -> str:
+    """The text of one letter code, the reference spelling of word_str."""
+    name = "at" if is_tilde(c) else f"a{abs(c) - 1}"
+    return name + "'" if c < 0 else name
+
+
+def _parse_token(tok: str) -> int:
+    """The code whose text is `tok`; ValueError unless `tok` is that code's canonical text."""
+    body, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
+    if body == "at":
+        code = sign * TILDE
+    elif body.startswith("a") and body[1:].isdigit():
+        code = sign * (int(body[1:]) + 1)
+    else:
+        raise ValueError(f"bad word token: {tok!r}")
+    # isdigit and int accept "01" and non-ASCII digits, and a1048575 would be
+    # the tilde code; only the text word_str prints for the code is a token.
+    if _token(code) != tok:
+        raise ValueError(f"bad word token: {tok!r} (the letter is spelled {_token(code)!r})")
+    return code
+
+
+class _Tokens(dict):
+    """code -> token; a code outside the table is spelled by `_token`, not stored."""
+
+    def __missing__(self, c: int) -> str:
+        return _token(c)
+
+
+class _Codes(dict):
+    """token -> code; a token outside the table goes through `_parse_token`, not stored."""
+
+    def __missing__(self, tok: str) -> int:
+        return _parse_token(tok)
+
+
+#: The letters alpha_0..alpha_{_TABLED - 1} and the tilde, in both signs,
+#: are looked up in the token tables; other codes take the per-letter path.
+_TABLED = 1 << 10
+
+
+@functools.cache
+def _token_tables() -> tuple[_Tokens, _Codes]:
+    """The code -> token and token -> code tables, built on first use."""
+    codes = [sign * c for c in (*range(1, _TABLED + 1), TILDE) for sign in (1, -1)]
+    tokens = _Tokens((c, _token(c)) for c in codes)
+    return tokens, _Codes((t, c) for c, t in tokens.items())
+
+
 def word_str(w: Iterable[int]) -> str:
     """Compact text form: `a0' a1 at` with ' marking inverses; empty word is ''."""
-    parts = []
-    for c in w:
-        name = "at" if is_tilde(c) else f"a{abs(c) - 1}"
-        parts.append(name + ("'" if c < 0 else ""))
-    return " ".join(parts)
+    return " ".join(map(_token_tables()[0].__getitem__, w))
 
 
 def parse_word(text: str) -> Word:
-    """Parse the text form produced by word_str.
+    """Parse the text form produced by word_str; its exact inverse.
 
-    Tokens are whitespace-separated, each ("a" digits | "at") with an
-    optional trailing ' for the inverse.
+    Tokens are whitespace-separated, each ("a" index | "at") with an
+    optional trailing ' for the inverse.  A token is accepted only if it
+    is the text word_str prints for its code: "a01", "a00" and "a1048575"
+    (the tilde's code) are rejected.
 
     >>> parse_word("a0' at'")
     (-1, -1048576)
     """
-    out = []
-    for tok in text.split():
-        body, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
-        if body == "at":
-            out.append(sign * TILDE)
-        elif body.startswith("a") and body[1:].isdigit():
-            out.append(sign * (int(body[1:]) + 1))
-        else:
-            raise ValueError(f"bad word token: {tok!r}")
-    return tuple(out)
+    return tuple(map(_token_tables()[1].__getitem__, text.split()))

@@ -1,6 +1,7 @@
 """Surface model: reference paths and curve words."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from handlecalc.surfaces import (
     CurveId,
@@ -13,7 +14,7 @@ from handlecalc.surfaces import (
     tilde_alpha_word,
     validate_word,
 )
-from handlecalc.words import alpha, concat, handle_letters, handle_occurrences, parse_word, tilde
+from handlecalc.words import TILDE, alpha, concat, handle_letters, handle_occurrences, parse_word, tilde
 
 
 def test_surface_parameters():
@@ -158,7 +159,43 @@ def test_eta_and_stallings_table():
 
 def test_validate_word():
     validate_word(parse_word("a0 a4' at"), S11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter a5 outside alphabet of 4 handles"):
         validate_word(parse_word("a5"), S11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tilde letter is only legal when n = 1"):
         validate_word((tilde(),), S12)
+    for code in (0, TILDE + 1, -TILDE - 5):
+        with pytest.raises(ValueError, match=f"^{code} is not a letter code$"):
+            validate_word((alpha(1), code), S11)
+
+
+def _first_error(w, s):
+    """The per-letter reference check: the message for w's first illegal letter, or None."""
+    for c in w:
+        if abs(c) == TILDE:
+            if s.n != 1:
+                return "tilde letter is only legal when n = 1"
+        elif 1 < abs(c) < TILDE:
+            if abs(c) - 1 > s.num_handles:
+                return f"letter a{abs(c) - 1} outside alphabet of {s.num_handles} handles"
+        elif abs(c) != 1:
+            return f"{c} is not a letter code"
+    return None
+
+
+_CODES = st.one_of(
+    st.integers(-12, 12),
+    st.sampled_from([TILDE, -TILDE, TILDE - 1, TILDE + 1, -TILDE - 1]),
+    st.integers(-2 * TILDE, 2 * TILDE),
+)
+
+
+@given(st.integers(1, 2), st.integers(1, 3), st.lists(_CODES, max_size=8))
+def test_validate_word_raises_exactly_on_letters_outside_the_alphabet(g, n, w):
+    s = FiberSurface(g, n)
+    expected = _first_error(w, s)
+    if expected is None:
+        validate_word(tuple(w), s)
+    else:
+        with pytest.raises(ValueError) as err:
+            validate_word(tuple(w), s)
+        assert str(err.value) == expected

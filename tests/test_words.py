@@ -107,7 +107,9 @@ def test_word_text_round_trip():
 
 
 def test_parse_rejects_bad_tokens():
-    for bad in ("b1", "a", "a1''", "a-1", "atx"):
+    # Only a code's canonical text parses: no leading zeros, no non-ASCII
+    # digits, and the tilde is spelled "at", never by its code's index.
+    for bad in ("b1", "a", "a1''", "a-1", "atx", "a01", "a\u0661", "a00", "a1048575"):
         try:
             parse_word(bad)
         except ValueError:
@@ -121,6 +123,21 @@ def test_letter_codes():
     assert tilde() == TILDE
     assert handle_index(alpha(3, -1)) == 3
     assert word_str((alpha(3, -1), tilde())) == "a3' at"
+
+
+def _reference_text(w):
+    return " ".join(("at" if abs(c) == TILDE else f"a{abs(c) - 1}") + ("'" if c < 0 else "") for c in w)
+
+
+# alpha_0, handles in and beyond the token table, and the tilde, in both signs.
+_TEXT_CODES = st.one_of(st.integers(1, 2100), st.integers(1, 4 * TILDE), st.just(TILDE))
+
+
+@given(st.lists(st.tuples(_TEXT_CODES, st.sampled_from((1, -1))).map(lambda cs: cs[0] * cs[1])).map(tuple))
+def test_word_text_round_trips_exactly(w):
+    text = word_str(w)
+    assert text == _reference_text(w)
+    assert parse_word(text) == w
 
 
 @given(words_strategy)
