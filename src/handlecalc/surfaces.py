@@ -184,6 +184,7 @@ def validate_word(w: Word, s: FiberSurface) -> None:
 
     Handle indices must lie in [1, 4g+2n-2]; the tilde letter is only
     legal when n = 1; 0 and codes beyond the tilde's are no letters.
+    `w` must be a sequence: a second pass names the first illegal letter.
     """
     if s.alphabet.issuperset(w):
         return
