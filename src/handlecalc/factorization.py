@@ -12,9 +12,15 @@ of it.  Its guard rejects any X2 whose start complex is not X1's rotated
 by |W|, so changing either order here breaks `run_both`.
 
 Every B-image is spelled one way, for both knot families and every n:
-`phi_b_word(i, head, s)` with `head` the image of beta_i (from the
-compiled table, or the Stallings heads).  The twists fix the closing arcs,
-so this is the image of the whole curve.
+`phi_b_word(i, head, s)` with `head` the image of beta_i.  The twists fix
+the closing arcs, so this is the image of the whole curve.  The heads are
+computed once per build: the Stallings heads for K_m, and
+`twists.beta_images` of the compiled table for a two-bridge knot.  Every
+image in that table is a palindrome, so the table commutes with reversing
+a word; as beta_i is alpha_0^-1 U_i rho(U_{i-1}) alpha_0^-1 with U_i a
+prefix of one alternating word, all 2g + 1 heads come from one running
+prefix product instead of one substitution of each beta_i.  The c-images
+still go through `CompiledMonodromy.apply`.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .knots import Knot, StallingsKnot
-from .surfaces import CurveId, FiberSurface, b_word, beta_word, c_word, phi_b_word
-from .twists import CompiledMonodromy, StallingsImages, compile_monodromy, stallings_rules
+from .surfaces import CurveId, FiberSurface, b_word, c_word, phi_b_word
+from .twists import CompiledMonodromy, beta_images, compile_monodromy, stallings_rules
 from .words import Word, word_str
 
 FRAMING = "fiber-1"
@@ -82,15 +88,14 @@ def build_W(s: FiberSurface) -> Factorization:
 
 
 def _phi_cycle(
-    vc: VanishingCycle, phi: CompiledMonodromy | StallingsImages, s: FiberSurface
+    vc: VanishingCycle, phi: CompiledMonodromy | None, heads: tuple[Word, ...], s: FiberSurface
 ) -> VanishingCycle:
     if vc.curve.family == "B":
         # At n >= 2 the stored spelling is basepoint-rotated, so the letter
         # rules would not be the twist action on it; map the beta part only.
         i = vc.curve.index
-        head = phi.heads[i] if isinstance(phi, StallingsImages) else phi.apply(beta_word(i, s))
-        return VanishingCycle(vc.curve, phi_b_word(i, head, s), True, vc.framing)
-    if vc.word is None or isinstance(phi, StallingsImages):
+        return VanishingCycle(vc.curve, phi_b_word(i, heads[i], s), True, vc.framing)
+    if vc.word is None or phi is None:
         # No letterwise rules for t_{b2}; Stallings c-images stay opaque.
         return VanishingCycle(vc.curve, None, True, vc.framing)
     return VanishingCycle(vc.curve, phi.apply(vc.word), True, vc.framing)
@@ -99,18 +104,21 @@ def _phi_cycle(
 def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     """Factorizations of both pieces for the given knot and elliptic index.
 
-    The monodromy images are computed once per call, as a compiled table
-    (two-bridge) or the Stallings image table, and shared by every cycle.
+    The monodromy images are computed once per call and shared by every
+    cycle: the images of beta_0..beta_{2g} (the Stallings heads, or
+    `beta_images` of the compiled two-bridge table) and, for a two-bridge
+    knot, the compiled table that maps the c-curves.
     A non-fibered knot (`TwoBridgeKnot.genus`) and n < 1 (`FiberSurface`)
     raise ValueError.
     """
     s = FiberSurface(knot.genus, n)
     base = build_W(s)
     if isinstance(knot, StallingsKnot):
-        phi = stallings_rules(knot.m)
+        phi, heads = None, stallings_rules(knot.m).heads
     else:
         phi = compile_monodromy(knot.piece_monodromy(), s)
-    phi_block = tuple(_phi_cycle(vc, phi, s) for vc in base.cycles)
+        heads = beta_images(phi)
+    phi_block = tuple(_phi_cycle(vc, phi, heads, s) for vc in base.cycles)
     x1 = Factorization(phi_block + base.cycles, s)
     x2 = Factorization(base.cycles + phi_block, s)
     return LFPiece("X1", x1), LFPiece("X2", x2)

@@ -16,6 +16,14 @@ intermediate words cannot leave the alphabet because every image lies
 inside it.  apply_twist stays the single-twist primitive and the
 reference the table is tested against.
 
+Every image in a compiled table is a palindrome, and the pipeline relies
+on it: a chain-twist image (lo hi^-1 lo, lo, hi, hi lo^-1 hi) is one, and
+substituting palindromes into a palindrome, inverting and freely reducing
+keep one.  So a table commutes with reversing a word, and beta_images
+builds the images of all the beta_i from one running prefix product, in
+O(g^2) letters instead of one substitution per beta_i.  It checks the
+palindromes first and raises ValueError on a table without them.
+
 The power t_{a3}^m has a closed form (ta3_power), so its table costs
 O(|m|) letters.  The Stallings monodromy t_{a3}^m t_{a4} t_{b2} t_{a2}^-1
 t_{a1}^-1 cannot be applied letterwise (there is no letter rule for
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .surfaces import CurveId, FiberSurface, beta_word, eta_word, validate_word
-from .words import Word, alpha, concat, invert
+from .words import Word, alpha, concat, invert, word_str
 
 
 class UnsupportedTwistError(ValueError):
@@ -55,23 +63,32 @@ def _check_chain_index(j: int, s: FiberSurface) -> None:
         raise ValueError(f"chain twist index {j} out of range [1, {2 * s.g}]")
 
 
-def chain_twist_rule(j: int, sign: int, s: FiberSurface) -> TwistRule:
-    """Rule table for t_{a_j}^sign, 1 <= j <= 2g.
+def _chain_images(j: int, sign: int) -> tuple[tuple[int, Word], tuple[int, Word]]:
+    """The two letters t_{a_j}^sign moves, each with its image, as (code, image) pairs.
 
     t_{a_j}(alpha_{j-1}) = alpha_{j-1} alpha_j^-1 alpha_{j-1}
     t_{a_j}(alpha_j)     = alpha_{j-1}
-    and the mutually inverse pair for sign = -1.  Twists outside the
-    stated range are rejected rather than guessed.
+    and the mutually inverse pair for sign = -1.  Every image is a palindrome.
     """
+    lo, hi = alpha(j - 1), alpha(j)
+    if sign == 1:
+        return (lo, (lo, -hi, lo)), (hi, (lo,))
+    return (lo, (hi,)), (hi, (hi, -lo, hi))
+
+
+def _check_chain_twist(j: int, sign: int, s: FiberSurface) -> None:
     _check_chain_index(j, s)
     if sign not in (1, -1):
         raise ValueError(f"twist sign must be +-1, got {sign}")
-    lo, hi = alpha(j - 1), alpha(j)
-    if sign == 1:
-        images = {abs(lo): (lo, -hi, lo), abs(hi): (lo,)}
-    else:
-        images = {abs(lo): (hi,), abs(hi): (hi, -lo, hi)}
-    return TwistRule(CurveId("a", j), sign, images, s)
+
+
+def chain_twist_rule(j: int, sign: int, s: FiberSurface) -> TwistRule:
+    """Rule table for t_{a_j}^sign, 1 <= j <= 2g (images as in `_chain_images`).
+
+    Twists outside the stated range are rejected rather than guessed.
+    """
+    _check_chain_twist(j, sign, s)
+    return TwistRule(CurveId("a", j), sign, dict(_chain_images(j, sign)), s)
 
 
 def apply_twist(rule: TwistRule, w: Word) -> Word:
@@ -156,24 +173,71 @@ def compile_monodromy(phi: MonodromySpec, s: FiberSurface) -> CompiledMonodromy:
 
     The twists are checked in application order.  The table is then built
     from the outermost twist inwards, R_j = R_{j+1} ∘ t_j with R_N = id:
-    t_j moves only two letters, so each step rewrites two entries, each as
-    one concat of at most three images of R_{j+1}.
+    t_j moves only two letters, so each step rewrites two entries (both
+    signs of each): one is a copy of an entry of R_{j+1}, the other one
+    concat of three of them.
     """
-    rules = []
+    steps: list[tuple[int, int]] = []
     for curve, sign in phi.twists:
         if curve.family != "a":
             raise UnsupportedTwistError(
                 f"twist t_{curve} has no letterwise rule; use its precomputed images"
             )
-        rules.append(chain_twist_rule(curve.index, sign, s))
+        _check_chain_twist(curve.index, sign, s)
+        steps.append((curve.index, sign))
     images: dict[int, Word] = {}
-    for rule in reversed(rules):
-        step = {code: concat(*[images.get(c, (c,)) for c in img])
-                for code, img in rule.images.items()}
-        for code, img in step.items():
-            images[code] = img
-            images[-code] = invert(img)
+    get = images.get
+    for j, sign in reversed(steps):
+        step = []
+        for code, img in _chain_images(j, sign):
+            if len(img) == 1:
+                # The image is one letter: copy both signs of that letter's entry.
+                c = img[0]
+                step.append((code, get(c, img), get(-c, (-c,))))
+            else:
+                new = concat(*[get(c, (c,)) for c in img])
+                step.append((code, new, invert(new)))
+        for code, pos, neg in step:
+            images[code], images[-code] = pos, neg
     return CompiledMonodromy(images, s)
+
+
+def beta_images(table: CompiledMonodromy) -> tuple[Word, ...]:
+    """The images of beta_0 .. beta_{2g} under `table`, g the genus of its surface.
+
+    Equal to `table.apply(beta_word(i, s))` for each i, at the cost of one
+    running product.  Every image in a compiled table is a palindrome: the
+    chain-twist images are, and substituting palindromes into a palindrome,
+    inverting and freely reducing all keep one.  So the table commutes with
+    the reversal rho of a word (rho does not invert letters).  With
+    u_j = alpha_j^((-1)^(j+1)) and U_i = u_1 ... u_i, beta_word spells
+    beta_i = alpha_0^-1 U_i rho(U_{i-1}) alpha_0^-1, hence
+
+        phi(beta_i) = A L_i rho(L_{i-1}) A,  A = phi(alpha_0^-1),
+
+    with L_i = L_{i-1} phi(u_i) reduced.  A need not be alpha_0^-1:
+    t_{a_1} moves alpha_0.  ValueError if an image of `table` is not a
+    palindrome, since the identity then fails.
+
+    >>> table = compile_monodromy(piece_monodromy((1, 1)), FiberSurface(1, 1))
+    >>> [word_str(w) for w in beta_images(table)]
+    ["a0' a1 a0'", "a0' a1 a2' a1 a0'", "a0' a1 a2' a0 a2' a1 a0'"]
+    """
+    images = table.images
+    for code, img in images.items():
+        if img != img[::-1]:
+            raise ValueError(
+                f"image {word_str(img)!r} of {word_str((code,))} is not a palindrome; "
+                "the beta images need one"
+            )
+    a = images.get(-1, (-1,))
+    heads = [a]
+    prefix = before = ()
+    for j in range(1, 2 * table.surface.g + 1):
+        u = alpha(j, 1 if j % 2 else -1)
+        before, prefix = prefix, concat(prefix, images.get(u, (u,)))
+        heads.append(concat(a, prefix, before[::-1], a))
+    return tuple(heads)
 
 
 def apply_monodromy(phi: MonodromySpec, w: Word, s: FiberSurface) -> Word:
@@ -292,6 +356,7 @@ __all__ = [
     "apply_twist",
     "CompiledMonodromy",
     "compile_monodromy",
+    "beta_images",
     "apply_monodromy",
     "two_bridge_monodromy",
     "piece_monodromy",

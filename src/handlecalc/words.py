@@ -141,7 +141,9 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
 
 
 def _token(c: int) -> str:
-    """The text of one letter code, the reference spelling of word_str."""
+    """The text of one letter code, the reference spelling of word_str; ValueError for 0."""
+    if c == 0:
+        raise ValueError("0 is not a letter code")
     name = "at" if is_tilde(c) else f"a{abs(c) - 1}"
     return name + "'" if c < 0 else name
 

@@ -9,7 +9,7 @@ import pytest
 import handlecalc
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(handlecalc.__path__, "handlecalc."))
-WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces"}
+WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces", "handlecalc.twists"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from handlecalc.surfaces import CurveId, FiberSurface, beta_word, eta_word, phi_b_word, tilde_alpha_word
 from handlecalc.twists import (
+    CompiledMonodromy,
     MonodromySpec,
     UnsupportedTwistError,
     apply_monodromy,
     apply_twist,
+    beta_images,
     chain_twist_rule,
     compile_monodromy,
     piece_monodromy,
@@ -58,8 +60,9 @@ def alphabet(s):
 
 
 @st.composite
-def monodromy_and_word(draw):
-    g = draw(st.integers(1, 4))
+def chain_monodromy(draw, max_g):
+    """A surface and a piece, fibration, inverse or random chain-twist monodromy on it."""
+    g = draw(st.integers(1, max_g))
     s = FiberSurface(g, draw(st.integers(1, 3)))
     eps = draw(st.tuples(*[st.sampled_from((1, -1))] * (2 * g)))
     kind = draw(st.sampled_from(("piece", "fibration", "inverse", "chain")))
@@ -72,8 +75,14 @@ def monodromy_and_word(draw):
     else:
         pairs = draw(st.lists(st.tuples(st.integers(1, 2 * g), st.sampled_from((1, -1))), max_size=12))
         twists = tuple((CurveId("a", j), e) for j, e in pairs)
+    return s, MonodromySpec(twists)
+
+
+@st.composite
+def monodromy_and_word(draw):
+    s, phi = draw(chain_monodromy(4))
     letters = draw(st.lists(st.tuples(st.sampled_from(alphabet(s)), st.sampled_from((1, -1))), max_size=16))
-    return s, MonodromySpec(twists), tuple(c * e for c, e in letters)
+    return s, phi, tuple(c * e for c, e in letters)
 
 
 def test_twist_rule_basic_cases():
@@ -156,6 +165,37 @@ def test_compiled_table_matches_sequential_twists(case):
             assert table.apply((c,)) == sequential(phi.twists, (c,), s)
 
 
+@settings(deadline=None)
+@given(chain_monodromy(5))
+def test_every_compiled_image_is_a_palindrome(case):
+    # beta_images rests on this: the table then commutes with reversing a word.
+    s, phi = case
+    for code, img in compile_monodromy(phi, s).images.items():
+        assert img == img[::-1], (code, img)
+
+
+@settings(deadline=None)
+@given(chain_monodromy(8))
+def test_beta_images_match_the_substituted_beta_words(case):
+    s, phi = case
+    table = compile_monodromy(phi, s)
+    heads = beta_images(table)
+    assert len(heads) == 2 * s.g + 1
+    for i, head in enumerate(heads):
+        assert head == table.apply(beta_word(i, s))
+
+
+def test_beta_images_reject_a_table_that_is_not_palindromic():
+    # A hand-built table whose image of alpha_1 is not a palindrome does not
+    # commute with reversal, so its heads cannot come from the prefix product.
+    table = compile_monodromy(piece_monodromy((1, 1)), S11)
+    images = dict(table.images)
+    images[alpha(1)] = (alpha(1), alpha(2))
+    images[alpha(1, -1)] = (alpha(2, -1), alpha(1, -1))
+    with pytest.raises(ValueError, match="of a1'? is not a palindrome"):
+        beta_images(CompiledMonodromy(images, S11))
+
+
 def test_word_validated_without_twists():
     # No twist to apply, but the word is still checked against the alphabet.
     with pytest.raises(ValueError, match="outside alphabet"):
@@ -172,6 +212,8 @@ def test_monodromy_error_kinds():
         apply_monodromy(MonodromySpec(((CurveId("b2"), 1),)), bad_word, S21)
     with pytest.raises(ValueError, match="chain twist index 5 out of range"):
         apply_monodromy(MonodromySpec(((CurveId("a", 5), 1),)), bad_word, S21)
+    with pytest.raises(ValueError, match="twist sign must be \\+-1, got 2"):
+        apply_monodromy(MonodromySpec(((CurveId("a", 1), 1), (CurveId("a", 2), 2))), bad_word, S21)
     with pytest.raises(ValueError, match="outside alphabet"):
         apply_monodromy(piece_monodromy((1, -1, 1, 1)), bad_word, S21)
     # A bad twist anywhere in the spec is reported before a bad letter.

@@ -2,6 +2,7 @@
 
 import doctest
 
+import pytest
 from hypothesis import given, strategies as st
 
 import handlecalc.words
@@ -115,6 +116,13 @@ def test_parse_rejects_bad_tokens():
         except ValueError:
             continue
         raise AssertionError(f"{bad!r} should not parse")
+
+
+def test_word_str_rejects_code_zero():
+    # 0 is no letter; its text would not parse back.
+    for w in ((0,), (alpha(1), 0, alpha(2))):
+        with pytest.raises(ValueError, match="0 is not a letter code"):
+            word_str(w)
 
 
 def test_letter_codes():
