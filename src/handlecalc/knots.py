@@ -16,6 +16,12 @@ from typing import Sequence
 from .twists import MonodromySpec, piece_monodromy, stallings_monodromy, two_bridge_monodromy
 
 
+#: The largest |m| of a Stallings knot K_m, so that a knot spec or a trace
+#: cannot make the engine build words of unbounded length.  On a 2-vCPU
+#: Xeon, `run_both` of K_10000 takes 0.3 s at n = 1 or 2, and 1 s at n = 1000.
+MAX_TWISTS = 10000
+
+
 class KnotSpecError(ValueError):
     """Malformed knot specification string or non-knot input."""
 
@@ -170,6 +176,10 @@ class StallingsKnot:
 
     m: int
 
+    def __post_init__(self):
+        if abs(self.m) > MAX_TWISTS:
+            raise KnotSpecError(f"Stallings twist count m={self.m} is above the limit |m| <= {MAX_TWISTS}")
+
     @property
     def genus(self) -> int:
         return 2
@@ -223,13 +233,15 @@ def parse_knot_spec(text: str) -> Knot:
         if not body.startswith("m="):
             raise KnotSpecError(f"stallings spec needs m=<int>, got {body!r}")
         try:
-            return StallingsKnot(int(body[2:]))
+            m = int(body[2:])
         except ValueError:
             raise KnotSpecError(f"bad stallings twist count {body[2:]!r}") from None
+        return StallingsKnot(m)
     raise KnotSpecError(f"unknown knot spec kind {kind!r} (use twobridge/conway/stallings)")
 
 
 __all__ = [
+    "MAX_TWISTS",
     "ConwayForm",
     "KnotFraction",
     "DForm",

@@ -173,7 +173,8 @@ def _derive_x2(
     `start1` and `start2` are the start complexes of both pieces; `start2`
     becomes the returned complex.  Raises ScheduleError if X1's run is not
     of this knot, n and piece, or if X1's initial state, renamed and
-    rotated, is not X2's start state.
+    rotated, is not X2's start state, or if X1's trace was read from a
+    file, which records only a summary of the initial state.
     """
     cx1, trace1 = x1
 
@@ -182,6 +183,9 @@ def _derive_x2(
 
     if (trace1.knot, trace1.n, trace1.piece) != (spec, n, "X1"):
         raise mismatch(f"the given run is {trace1.piece} of {trace1.knot} at n={trace1.n}")
+    if trace1.summarised:
+        raise mismatch("its trace records only a summary of the initial state (a trace read from a file); "
+                       "run X2's schedule instead")
     survivors = [h.id for h in cx1.two_handles]
     if trace1.final is None or survivors != [h["id"] for h in trace1.final["two_handles"]]:
         raise mismatch("the given complex is not the final complex of its trace")
@@ -189,7 +193,7 @@ def _derive_x2(
         ids = x2_id_map(start1, start2)
         entries = [dict(h, id=ids[h["id"]]) for h in trace1.initial["two_handles"]]
         moves = [Move(m.kind, ids[m.target], None if m.over is None else ids[m.over], m.letter, m.relator,
-                      m.shared_prefix, m.before, m.after, m.after_word)
+                      m.shared_prefix, m.before, m.after_word)
                  for m in trace1.moves]
         words = {ids[h.id]: h.word for h in cx1.two_handles}
     except (KeyError, MoveError) as err:

@@ -22,6 +22,15 @@ from .words import TILDE, Word, alpha, concat, handle_index, is_handle, is_tilde
 
 CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
 
+#: The largest knot genus g (a two-bridge sign sequence of 2g signs) and
+#: elliptic index n a surface admits, so that a knot spec or a trace cannot
+#: make the engine build words of unbounded length.  On a 2-vCPU Xeon,
+#: `run_both` takes about 1 s at g = 256 (n = 1), 0.7 s at n = 1000
+#: (g = 1) and 2 s at both, where writing and replaying one trace adds
+#: 1.5 s.  Every letter code, at most 4g + 2n - 1, stays far below TILDE.
+MAX_GENUS = 256
+MAX_INDEX = 1000
+
 
 @dataclass(frozen=True)
 class FiberSurface:
@@ -35,6 +44,10 @@ class FiberSurface:
             raise ValueError(f"knot genus must be >= 1, got {self.g}")
         if self.n < 1:
             raise ValueError(f"elliptic index must be >= 1, got {self.n}")
+        if self.g > MAX_GENUS:
+            raise ValueError(f"knot genus {self.g} is above the limit {MAX_GENUS} (at most {2 * MAX_GENUS} signs)")
+        if self.n > MAX_INDEX:
+            raise ValueError(f"elliptic index {self.n} is above the limit {MAX_INDEX}")
 
     @property
     def num_handles(self) -> int:
@@ -199,6 +212,8 @@ def validate_word(w: Word, s: FiberSurface) -> None:
 
 
 __all__ = [
+    "MAX_GENUS",
+    "MAX_INDEX",
     "FiberSurface",
     "CurveId",
     "BOUNDARY",

@@ -1,9 +1,14 @@
 """Replayable move traces with stable digests, and the one move executor.
 
-Schema "handlecalc/1": a trace holds the knot spec, the index n, the
-piece, the initial complex state, the move list, the final state and the
-certificate counts.  Word digests are 64-bit FNV-1a over the word text
-form.
+Schema "handlecalc/2": a trace file holds the knot spec, the index n,
+the piece, a summary of the initial complex (the SHA-256 of its
+canonical JSON and its handle counts), the move list, the final state
+and the certificate counts.  Nothing else is written that replay
+re-derives: the initial complex is rebuilt from the knot spec, and a
+move's `after` digest follows from its `after_word` (a cancel's is that
+of `<removed>`).  Word digests are 64-bit FNV-1a over the word text
+form.  A trace a schedule returns keeps the full initial state in
+memory; a trace read from a file holds only the summary.
 
 `execute` applies one slide, eliminate or cancel to a complex and returns
 the move's full record; the schedules log moves only through it.  Replay
@@ -18,6 +23,7 @@ null, so every field a trace prints is checked.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, fields
 
@@ -34,7 +40,7 @@ from .factorization import build_pieces
 from .knots import parse_knot_spec
 from .words import Word, parse_word, reduce_word, word_str
 
-SCHEMA = "handlecalc/1"
+SCHEMA = "handlecalc/2"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -48,8 +54,11 @@ _REQUIRED_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict,
                     "moves": list, "final": dict, "certificate": dict}
 _NULLABLE_FIELDS = ("final", "certificate")
 
-#: Move fields: the first four are required; all but `letter` are strings.
-_MOVE_FIELDS = ("kind", "target", "before", "after", "over", "letter", "relator", "shared_prefix", "after_word")
+#: The `initial` summary a trace file records, in order: a string digest, then counts.
+_SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
+
+#: Move fields: the first three are required; all but `letter` are strings.
+_MOVE_FIELDS = ("kind", "target", "before", "over", "letter", "relator", "shared_prefix", "after_word")
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
@@ -97,6 +106,13 @@ def complex_digest(cx: HandleComplex) -> str:
     return fnv1a64(_canonical(complex_state(cx)))
 
 
+def state_summary(state: dict) -> dict:
+    """A complex state as a trace file records its initial one: SHA-256 digest and counts."""
+    digest = hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
+    return {"digest": f"sha256:{digest}", "zero_handles": state["zero_handles"],
+            "one_handles": len(state["one_handles"]), "two_handles": len(state["two_handles"])}
+
+
 def _typed(where: str, name: str, value, kind: type, nullable: bool = True):
     """A field's value, if it has the given JSON type (or is an allowed null)."""
     if value is None and nullable:
@@ -117,8 +133,16 @@ class Move:
     relator: str | None = None
     shared_prefix: str | None = None
     before: str = ""
-    after: str = ""
     after_word: str | None = None
+
+    @property
+    def after(self) -> str:
+        """The digest of the target's word after the move, derived rather than stored.
+
+        A slide or eliminate: that of its `after_word`; a cancel, which
+        has none: that of `<removed>`.
+        """
+        return _REMOVED_DIGEST if self.after_word is None else fnv1a64(self.after_word)
 
     def to_json(self) -> dict:
         """The fields in `_MOVE_FIELDS` order; unset optional fields are left out."""
@@ -128,7 +152,7 @@ class Move:
     def from_json(d: dict) -> "Move":
         if not isinstance(d, dict):
             raise MoveError(f"a move must be an object, got {type(d).__name__}")
-        for name in _MOVE_FIELDS[:4]:
+        for name in _MOVE_FIELDS[:3]:
             if d.get(name) is None:
                 raise MoveError(f"move lacks required field {name!r}")
         return Move(**{name: _typed("move", name, d.get(name), int if name == "letter" else str)
@@ -137,6 +161,9 @@ class Move:
 
 @dataclass
 class MoveTrace:
+    """A piece's move trace.  `initial` is the full initial state in a trace a
+    schedule returns, and its `state_summary` in one read from a file."""
+
     knot: str
     n: int
     piece: str
@@ -149,6 +176,7 @@ class MoveTrace:
 
     def to_json(self) -> dict:
         out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _REQUIRED_FIELDS}}
+        out["initial"] = self.initial_summary()
         out["moves"] = [m.to_json() for m in self.moves]
         if self.warnings:
             out["warnings"] = self.warnings
@@ -161,17 +189,31 @@ class MoveTrace:
         if not isinstance(d, dict):
             raise MoveError(f"a trace must be an object, got {type(d).__name__}")
         if d.get("schema") != SCHEMA:
-            raise MoveError(f"unsupported trace schema {d.get('schema')!r}")
+            raise MoveError(f"unsupported trace schema {d.get('schema')!r}: this version reads {SCHEMA!r} only; "
+                            "re-run `handlecalc cancel --trace` to write one")
         values = {}
         for name, kind in _REQUIRED_FIELDS.items():
             if name not in d:
                 raise MoveError(f"trace lacks required field {name!r}")
             values[name] = _typed("trace", name, d[name], kind, name in _NULLABLE_FIELDS)
+        if set(values["initial"]) != set(_SUMMARY_FIELDS):
+            raise MoveError(f"trace field 'initial' must hold {', '.join(_SUMMARY_FIELDS)}, got {list(values['initial'])}")
+        for name in _SUMMARY_FIELDS:
+            _typed("initial", name, values["initial"][name], str if name == "digest" else int, nullable=False)
         values["moves"] = [Move.from_json(m) for m in values["moves"]]
         warnings = _typed("trace", "warnings", d.get("warnings", []), list, nullable=False)
         if not all(isinstance(w, str) for w in warnings):
             raise MoveError(f"trace field 'warnings' must be a list of str, got {warnings!r}")
         return MoveTrace(**values, warnings=warnings, error=_typed("trace", "error", d.get("error"), dict))
+
+    @property
+    def summarised(self) -> bool:
+        """Whether `initial` holds only the summary, as in a trace read from a file."""
+        return "digest" in self.initial
+
+    def initial_summary(self) -> dict:
+        """The `initial` field as the file records it."""
+        return self.initial if self.summarised else state_summary(self.initial)
 
     def final_digest(self) -> str:
         return fnv1a64(_canonical(self.final))
@@ -221,8 +263,7 @@ def execute(
         if letter is None:
             raise MoveError(f"cancel on {target} names no letter")
         result = cancel(cx, letter, target)
-        return Move(kind, target, letter=letter, relator=word_str(result.relator),
-                    before=before, after=_REMOVED_DIGEST)
+        return Move(kind, target, letter=letter, relator=word_str(result.relator), before=before)
     if kind not in ("slide", "eliminate"):
         raise MoveError(f"unknown move kind {kind!r}")
     if over is None:
@@ -240,16 +281,17 @@ def execute(
             raise MoveError(f"eliminate on {target} names no letter")
         h.word = eliminate_letter(h.word, helper.word, letter)
         record = {"letter": letter, "relator": word_str(helper.word)}
-    after_word = word_str(h.word)
-    return Move(kind, target, over, before=before, after=fnv1a64(after_word), after_word=after_word, **record)
+    return Move(kind, target, over, before=before, after_word=word_str(h.word), **record)
 
 
 def replay(trace: MoveTrace) -> HandleComplex:
     """Rebuild the trace's piece from its knot spec and re-derive every move.
 
-    The rebuilt complex must match the recorded initial state; each
-    recorded move must equal, field for field, the move `execute` derives
-    from the live complex; the final state and the certificate must match
+    The knot spec must be written as the engine writes it, and the rebuilt
+    complex must match the recorded initial state (its summary, for a
+    trace read from a file); each recorded move must equal, field for
+    field, the move `execute` derives from the live complex (its `after`
+    follows from `after_word`); the final state and the certificate must match
     the replayed complex, and the Euler characteristic must never move;
     the warnings must be those the moves derive, and no error may be
     recorded.  Any mismatch, or a move the executor rejects, raises
@@ -260,11 +302,14 @@ def replay(trace: MoveTrace) -> HandleComplex:
     if trace.error is not None:
         raise ReplayError(f"trace records a failed schedule: {trace.error}")
     try:
-        x1, x2 = build_pieces(parse_knot_spec(trace.knot), trace.n)
-    except ValueError as err:  # KnotSpecError, a non-fibered knot, n < 1
+        knot = parse_knot_spec(trace.knot)
+        x1, x2 = build_pieces(knot, trace.n)
+    except ValueError as err:  # KnotSpecError, a non-fibered knot, n out of range, an input above the limits
         raise ReplayError(f"cannot rebuild {trace.piece} of {trace.knot!r} at n={trace.n}: {err}") from err
+    if knot.spec_str() != trace.knot:
+        raise ReplayError(f"knot spec {trace.knot!r} is not written as the engine writes it, {knot.spec_str()!r}")
     cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
-    if _canonical(complex_state(cx)) != _canonical(trace.initial):
+    if _canonical(state_summary(complex_state(cx))) != _canonical(trace.initial_summary()):
         raise ReplayError(f"initial state is not that of {trace.piece} of {trace.knot} at n={trace.n}")
     chi = cx.euler()
     for k, move in enumerate(trace.moves):
@@ -294,6 +339,7 @@ __all__ = [
     "word_digest",
     "complex_state",
     "complex_digest",
+    "state_summary",
     "Move",
     "MoveTrace",
     "ReplayError",

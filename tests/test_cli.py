@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from handlecalc import factorization
 from handlecalc.cli import main
+from handlecalc.knots import MAX_TWISTS
+from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
 from handlecalc.trace import MoveTrace, complex_digest, replay
 
 
@@ -80,11 +83,28 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "cancel", "twobridge:+,-", "--n", "2", "--trace", str(path))
     assert code == 0
     body = json.loads(path.read_text())
-    assert body["schema"] == "handlecalc/1"
+    assert body["schema"] == "handlecalc/2"
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
         assert complex_digest(replay(trace)) == trace.final_digest()
+
+
+@pytest.mark.parametrize(
+    "spec, n, message",
+    [
+        pytest.param("twobridge:" + ",".join("+-" * (MAX_GENUS + 1)), 1, f"genus {MAX_GENUS + 1} is above the limit",
+                     id="genus"),
+        pytest.param("twobridge:+,+", MAX_INDEX + 1, f"index {MAX_INDEX + 1} is above the limit", id="n"),
+        pytest.param(f"stallings:m={MAX_TWISTS + 1}", 1, f"m={MAX_TWISTS + 1} is above the limit", id="m"),
+    ],
+)
+@pytest.mark.parametrize("command", ["cancel", "verify"])
+def test_inputs_above_the_limits_are_usage_errors(capsys, monkeypatch, command, spec, n, message):
+    monkeypatch.setattr(factorization, "build_W", lambda s: pytest.fail("a word was built"))
+    code, out, err = run_cli(capsys, command, spec, "--n", str(n))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])

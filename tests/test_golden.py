@@ -21,7 +21,7 @@ from handlecalc.schedules import run_both, run_schedule
 from handlecalc.trace import complex_state
 from handlecalc.verify import full_report
 
-GOLDEN = "6d9b60e2d593fd748ed3e3a6794e858418e4c7ac16e1ee70662f577e0b711b45"
+GOLDEN = "a280c148955b949eba06a98b76561ec42b595b041c6016a9d5c4d489be8f8b44"
 
 TWO_BRIDGE = [
     "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
@@ -30,7 +30,7 @@ TWO_BRIDGE = [
 ]
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
-LONG_WORDS_GOLDEN = "dc707cf6287a6762c1ec69201ed3423cc5be5273bfc6466b26d5303cfca0553f"
+LONG_WORDS_GOLDEN = "534f05ea2c79716197c12709fd0751a0f58ff493fe7dc6be3ee8592254574e1b"
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 
 

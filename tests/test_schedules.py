@@ -8,10 +8,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlecalc import schedules, trace as trace_module
+from handlecalc import factorization, schedules, trace as trace_module
 from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter, relator_solution, slide_words
 from handlecalc.factorization import build_pieces
-from handlecalc.knots import StallingsKnot, parse_knot_spec
+from handlecalc.knots import MAX_TWISTS, StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
 from handlecalc.trace import (
     MoveTrace,
@@ -22,6 +22,7 @@ from handlecalc.trace import (
     replay,
     word_digest,
 )
+from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
 from handlecalc.words import handle_letters, parse_word, substitute, word_str
 
 
@@ -247,6 +248,20 @@ def _edit_move(**changes):
     return mutate
 
 
+def _edit_initial(**changes):
+    """Set fields of the initial summary; a value of None deletes the field."""
+
+    def mutate(doc):
+        for name, value in changes.items():
+            if value is None:
+                del doc["initial"][name]
+            else:
+                doc["initial"][name] = value
+        return doc
+
+    return mutate
+
+
 def _set(name, value):
     return lambda doc: {**doc, name: value}
 
@@ -260,12 +275,12 @@ MALFORMED = [
     pytest.param(_edit_move(kind=None), "required field 'kind'", id="move-lacks-kind"),
     pytest.param(_edit_move(target=None), "required field 'target'", id="move-lacks-target"),
     pytest.param(_edit_move(before=None), "required field 'before'", id="move-lacks-before"),
-    pytest.param(_edit_move(after=None), "required field 'after'", id="move-lacks-after"),
+    pytest.param(_edit_initial(digest=None), "'initial' must hold digest", id="initial-lacks-digest"),
     pytest.param(_edit_move(letter="1"), "'letter' must be int", id="letter-not-int"),
     pytest.param(_edit_move(letter=True), "'letter' must be int", id="letter-bool"),
     pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
     pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
-    pytest.param(_edit_move(after=0), "'after' must be str", id="digest-not-string"),
+    pytest.param(_edit_move(before=0), "'before' must be str", id="digest-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
     pytest.param(_set("warnings", 5), "'warnings' must be list", id="warnings-not-list"),
     pytest.param(_set("warnings", ["ok", 3]), "'warnings' must be a list of str", id="warnings-not-strings"),
@@ -285,8 +300,8 @@ def test_replay_detects_tampering():
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     tampered = trace.to_json()
     first_slide = next(m for m in tampered["moves"] if m["kind"] == "slide")
-    first_slide["after"] = "0" * 16
-    with pytest.raises(ReplayError):
+    first_slide["before"] = "0" * 16
+    with pytest.raises(ReplayError, match="before"):
         replay(MoveTrace.from_json(tampered))
 
 
@@ -334,6 +349,13 @@ def _noop_freed_eliminate():
 def _relabelled_knot():
     _, doc, _ = _trefoil_x1()
     doc["knot"] = "twobridge:-,-"
+    return doc
+
+
+def _respelled_knot():
+    # The same knot, spelled otherwise than the engine writes it.
+    _, doc, _ = _trefoil_x1()
+    doc["knot"] = "twobridge:+1, +"
     return doc
 
 
@@ -402,6 +424,7 @@ def _bad_knot_spec():
         pytest.param(_made_up_elimination, "names no helper", id="made-up-relator"),
         pytest.param(_noop_freed_eliminate, "names no helper", id="noop-freed-eliminate"),
         pytest.param(_relabelled_knot, "initial state", id="relabelled-knot"),
+        pytest.param(_respelled_knot, "not written as the engine writes it", id="respelled-knot"),
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
         pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
         pytest.param(_slide_over_itself, "over itself", id="slide-over-itself"),
@@ -535,3 +558,146 @@ def test_lazy_words_equal_eager_rewrites(spec, n, piece):
     assert [h["word"] for h in trace.final["two_handles"]] == [
         None if w is None else word_str(w) for w in ref.values()
     ]
+
+
+def test_a_handlecalc_1_document_is_refused():
+    # The old format: the initial complex in full and an `after` digest per move.
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    doc = {**trace.to_json(), "schema": "handlecalc/1", "initial": trace.initial}
+    doc["moves"] = [{**m.to_json(), "after": m.after} for m in trace.moves]
+    with pytest.raises(MoveError, match=r"unsupported trace schema 'handlecalc/1': this version reads 'handlecalc/2'"):
+        MoveTrace.from_json(doc)
+
+
+def test_the_file_summarises_the_initial_state_and_leaves_out_after():
+    _, trace = run_schedule("stallings:m=-2", 2, "X1")
+    doc = trace.to_json()
+    assert doc["initial"] == trace_module.state_summary(trace.initial)
+    assert doc["initial"]["two_handles"] == len(trace.initial["two_handles"]) == 4 * 2 + 8 * 2 - 3
+    assert doc["initial"]["digest"].startswith("sha256:")
+    assert not any("after" in m for m in doc["moves"])
+    parsed = MoveTrace.from_json(json.loads(json.dumps(doc)))
+    assert parsed.initial == doc["initial"] and parsed.moves == trace.moves
+    assert [m.after for m in parsed.moves] == [m.after for m in trace.moves]
+    assert parsed.to_json() == doc
+
+
+def test_derivation_refuses_an_x1_trace_read_from_a_file():
+    # A trace read back holds only a summary of X1's initial state, which the
+    # derivation cannot rename; it must say so rather than fail on a lookup.
+    cx, trace = run_schedule("twobridge:+,-", 2, "X1")
+    parsed = MoveTrace.from_json(json.loads(json.dumps(trace.to_json())))
+    for x1 in ((cx, parsed), (replay(parsed), parsed)):
+        with pytest.raises(ScheduleError, match="only a summary of the initial state"):
+            run_schedule("twobridge:+,-", 2, "X2", x1=x1)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a word was built for an input above the limits")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("knot", "twobridge:" + ",".join("+" * (2 * MAX_GENUS + 2)), f"genus {MAX_GENUS + 1} is above",
+                     id="genus"),
+        pytest.param("n", MAX_INDEX + 1, f"index {MAX_INDEX + 1} is above", id="n"),
+        pytest.param("knot", f"stallings:m={MAX_TWISTS + 1}", f"m={MAX_TWISTS + 1} is above", id="m"),
+        pytest.param("knot", f"stallings:m={-MAX_TWISTS - 1}", f"m={-MAX_TWISTS - 1} is above", id="minus-m"),
+    ],
+)
+def test_replay_refuses_inputs_above_the_limits(monkeypatch, field, value, message):
+    # The limits hold before any word of the piece is built.
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    doc = {**trace.to_json(), field: value}
+    monkeypatch.setattr(factorization, "build_W", _unreachable)
+    monkeypatch.setattr(factorization, "stallings_rules", _unreachable)
+    with pytest.raises(ReplayError, match=f"cannot rebuild X1 .*{message}"):
+        replay(MoveTrace.from_json(doc))
+
+
+def _json_paths(node, path=()):
+    """The path to every value below `node`, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _variants(value, data):
+    """Values near `value`, of its JSON type or another, each different from it.
+
+    A list loses, repeats or swaps elements; an object loses a key.
+    """
+    if isinstance(value, list):
+        i, j = (data.draw(st.integers(0, len(value) - 1)) for _ in range(2)) if value else (0, 0)
+        swapped = list(value)
+        if value:
+            swapped[i], swapped[j] = value[j], value[i]
+        out = [value[:i] + value[i + 1:], value[:i + 1] + value[i:], swapped, value + ["x"], {}]
+    elif isinstance(value, dict):
+        out = [{k: v for k, v in value.items() if k != key} for key in value] + [[]]
+    elif isinstance(value, str):
+        out = [value + "0", value[:-1], value[::-1], value.upper(), "a1", 0, None]
+    elif isinstance(value, int):
+        out = [value + 1, value - 1, -value, str(value), None]
+    else:
+        out = ["a1", 0, {}]
+    return [v for v in out if json.dumps(v) != json.dumps(value)]
+
+
+def _eagerly_certified(doc):
+    """Whether the document's moves, made on eagerly rewritten words, give its words.
+
+    An oracle independent of the complex's elimination table: every
+    `before` digest and `after_word` and the final words must be those of
+    the eager words, and every 1-handle must be cancelled.
+    """
+    x1, x2 = build_pieces(parse_knot_spec(doc["knot"]), doc["n"])
+    cx = complex_from_piece(x1 if doc["piece"] == "X1" else x2)
+    ref, live = {h.id: h.word for h in cx.two_handles}, set(cx.one_handles)
+    for m in doc["moves"]:
+        if word_digest(ref[m["target"]]) != m["before"]:
+            return False
+        prefix = parse_word(m["shared_prefix"]) if "shared_prefix" in m else None
+        _eager(ref, m["kind"], m["target"], m.get("over"), m.get("letter"), prefix)
+        if m["kind"] == "cancel":
+            live.remove(m["letter"])
+        elif word_str(ref[m["target"]]) != m["after_word"]:
+            return False
+    final = [(h["id"], h["word"]) for h in doc["final"]["two_handles"]]
+    return not live and final == [(hid, None if w is None else word_str(w)) for hid, w in ref.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPECS, st.integers(1, 3), st.sampled_from(("X1", "X2")), st.data())
+def test_every_single_field_forgery_is_refused(spec, n, piece, data):
+    # Any one value of a trace file changed (any field of the document, of
+    # its initial summary, final state or certificate, of any move; a list
+    # losing, repeating or swapping an element; an object losing a key), or
+    # a warning or an error added, ends in ReplayError or MoveError.
+    _, trace = run_schedule(spec, n, piece)
+    doc = trace.to_json()
+    paths = list(_json_paths(doc))
+    # Half the draws go to the move list as a whole and to the optional fields.
+    path = data.draw(st.sampled_from(paths) | st.sampled_from([("moves",), ("warnings",), ("error",)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path in paths:
+        original = copy.deepcopy(parent[path[-1]])
+        value = data.draw(st.sampled_from(_variants(original, data)))
+    else:  # absent: the trace records no warning and no error
+        original = None
+        value = data.draw(st.sampled_from([["weak cancellation"], [""], {}, {"message": "x", "word": None}]))
+    parent[path[-1]] = value
+    try:
+        replay(MoveTrace.from_json(doc))
+    except (ReplayError, MoveError):
+        return
+    # Accepted: only a move list that lost or reordered moves and is still a
+    # certificate, such as two cancels of disjoint handles swapped, or a
+    # slide whose effect later cancellations erase left out.  The eager
+    # oracle must confirm it; anything else is a forgery that got through.
+    assert path == ("moves",) and len(value) <= len(original)
+    assert _eagerly_certified(doc)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from handlecalc.surfaces import (
+    MAX_GENUS,
+    MAX_INDEX,
     CurveId,
     FiberSurface,
     b_word,
@@ -14,7 +16,7 @@ from handlecalc.surfaces import (
     tilde_alpha_word,
     validate_word,
 )
-from handlecalc.words import TILDE, alpha, concat, handle_letters, handle_occurrences, parse_word, tilde
+from handlecalc.words import TILDE, alpha, concat, handle_letters, handle_occurrences, is_handle, parse_word, tilde
 
 
 def test_surface_parameters():
@@ -24,6 +26,25 @@ def test_surface_parameters():
         FiberSurface(0, 1)
     with pytest.raises(ValueError):
         FiberSurface(1, 0)
+
+
+@pytest.mark.parametrize("g, n", [(MAX_GENUS, 1), (1, MAX_INDEX), (MAX_GENUS, MAX_INDEX)])
+def test_every_admitted_surface_codes_its_letters_below_the_tilde(g, n):
+    s = FiberSurface(g, n)
+    assert s.num_handles + 1 < TILDE and is_handle(alpha(s.num_handles))
+    assert max(abs(c) for c in s.alphabet) == (TILDE if n == 1 else s.num_handles + 1)
+
+
+@pytest.mark.parametrize(
+    "g, n, message",
+    [(MAX_GENUS + 1, 1, f"genus {MAX_GENUS + 1} is above the limit"),
+     (1, MAX_INDEX + 1, f"index {MAX_INDEX + 1} is above the limit"),
+     # Before the limits, one handle letter of this surface had the tilde's code.
+     (1, TILDE // 2, f"index {TILDE // 2} is above the limit")],
+)
+def test_surfaces_above_the_limits_are_refused(g, n, message):
+    with pytest.raises(ValueError, match=message):
+        FiberSurface(g, n)
 
 
 def test_curve_id():
