@@ -4,13 +4,16 @@ One SHA-256 covers, for every two-bridge knot with k <= 2 and the
 Stallings knots K_m, m in {-3..3, -60, 120}, at n = 1..3 (knot outer, n
 inner): `json.dumps([trace.to_json(), complex_state(cx)])` of `run_both`'s
 X1 and X2 results and of the full `run_schedule(spec, n, "X2")`, then
-`full_report(spec, n).to_json()` for the two-bridge knots.  A refactor
-that changes any trace, final state or report byte changes the digest.
-A deliberate output change must update GOLDEN in the same change.
+`full_report(spec, n).to_json()` for the two-bridge knots.  The
+two-bridge knots and the Stallings knots each have their own digest, so
+a change to one family's bytes leaves the other's digest standing.  A
+refactor that changes any trace, final state or report byte changes a
+digest.  A deliberate output change must update GOLDEN in the same
+change.
 
 LONG_WORDS is the same recipe over two items whose words run to hundreds
 of letters: one fixed two-bridge knot of genus 8 at n = 3 and K_-90 at
-n = 2.
+n = 2, again one digest per family.
 """
 
 import hashlib
@@ -21,7 +24,10 @@ from handlecalc.schedules import run_both, run_schedule
 from handlecalc.trace import complex_state
 from handlecalc.verify import full_report
 
-GOLDEN = "a280c148955b949eba06a98b76561ec42b595b041c6016a9d5c4d489be8f8b44"
+GOLDEN = {
+    "twobridge": "b6bdfa1f5460b5426a5d0431c32de6877b2bab95d736e7ebaa68c169dc82f88c",
+    "stallings": "c80cd8baebc6a2efe3cdb15d5ed8832630ab216fa57147a5f0537a14ec2981f4",
+}
 
 TWO_BRIDGE = [
     "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
@@ -30,7 +36,10 @@ TWO_BRIDGE = [
 ]
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
-LONG_WORDS_GOLDEN = "534f05ea2c79716197c12709fd0751a0f58ff493fe7dc6be3ee8592254574e1b"
+LONG_WORDS_GOLDEN = {
+    "twobridge": "870c8a793edee987e0f93da68241eaea2638fe0fce9f37eb8b24e97ec588384c",
+    "stallings": "50bf4bdef0754689ebbb420823fa78c6150886e24ce817c5c982c0cb565393dd",
+}
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 
 
@@ -44,18 +53,18 @@ def _documents(spec, n):
         yield full_report(spec, n).to_json()
 
 
+def _digests(items) -> dict[str, str]:
+    """One SHA-256 per knot family over the documents of the (spec, n) items, in order."""
+    digests = {"twobridge": hashlib.sha256(), "stallings": hashlib.sha256()}
+    for spec, n in items:
+        for doc in _documents(spec, n):
+            digests[spec.split(":", 1)[0]].update(json.dumps(doc).encode())
+    return {family: d.hexdigest() for family, d in digests.items()}
+
+
 def test_output_bytes_match_the_golden_digest():
-    digest = hashlib.sha256()
-    for spec in TWO_BRIDGE + STALLINGS:
-        for n in (1, 2, 3):
-            for doc in _documents(spec, n):
-                digest.update(json.dumps(doc).encode())
-    assert digest.hexdigest() == GOLDEN
+    assert _digests((spec, n) for spec in TWO_BRIDGE + STALLINGS for n in (1, 2, 3)) == GOLDEN
 
 
 def test_long_word_output_bytes_match_their_golden_digest():
-    digest = hashlib.sha256()
-    for spec, n in LONG_WORDS:
-        for doc in _documents(spec, n):
-            digest.update(json.dumps(doc).encode())
-    assert digest.hexdigest() == LONG_WORDS_GOLDEN
+    assert _digests(LONG_WORDS) == LONG_WORDS_GOLDEN
