@@ -12,7 +12,6 @@ from .complexes import (
     cancel,
     complex_from_piece,
     eliminate_letter,
-    is_cancelling,
     is_isolated,
     slide_words,
 )

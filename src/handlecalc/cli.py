@@ -16,7 +16,7 @@ from itertools import product
 
 from .complexes import MoveError
 from .factorization import build_pieces, factorization_json
-from .knots import Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
+from .knots import MAX_SWEEP_K, Knot, KnotSpecError, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from .schedules import ScheduleError, assemble, run_both
 from .trace import OPAQUE_TEXT, SCHEMA
 from .verify import full_report
@@ -35,6 +35,9 @@ def _emit(obj: dict) -> None:
 def _knot_selection(args) -> list[Knot]:
     if args.max_k < 1:
         raise ValueError("--max-k must be >= 1")
+    if args.max_k > MAX_SWEEP_K:
+        raise ValueError(f"--max-k {args.max_k} is above the limit {MAX_SWEEP_K} "
+                         f"(a sweep to k builds 4 + 16 + ... + 4^k knots)")
     if args.all_fibered:
         if args.spec is not None:
             raise KnotSpecError("give either a knot spec or --all-fibered, not both")

@@ -174,12 +174,12 @@ class HandleComplex:
             raise MoveError(f"no 2-handle with id {hid!r}")
         return h
 
-    def find(self, family: str, index: int, phi_image: bool, skip: int = 0) -> TwoHandle:
-        """First 2-handle of the given origin, skipping `skip` earlier matches."""
-        matches = self._by_origin.get((CurveId(family, index), phi_image), [])
-        if not 0 <= skip < len(matches):
-            raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image}, skip={skip})")
-        return matches[skip]
+    def find(self, family: str, index: int, phi_image: bool) -> TwoHandle:
+        """First live 2-handle of the given origin."""
+        matches = self._by_origin.get((CurveId(family, index), phi_image))
+        if not matches:
+            raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image})")
+        return matches[0]
 
     def remove(self, h: TwoHandle) -> None:
         """Drop a 2-handle from the complex; its word stays as it reads now."""
@@ -257,6 +257,14 @@ def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> 
     return concat(target[k:], invert(over[k:]))
 
 
+def _solve(relator: Word, j: int) -> tuple[int, Word]:
+    """(e, u^-1 v^-1) for a relator u alpha_j^e v that crosses alpha_j exactly once."""
+    code = j + 1
+    pos = relator.index(code) if code in relator else relator.index(-code)
+    sign = 1 if relator[pos] > 0 else -1
+    return sign, concat(invert(relator[:pos]), invert(relator[pos + 1 :]))
+
+
 def relator_solution(helper: Word, j: int) -> tuple[int, Word]:
     """Solve a single-occurrence relator for alpha_j.
 
@@ -264,16 +272,10 @@ def relator_solution(helper: Word, j: int) -> tuple[int, Word]:
     solution is alpha_j^e = u^-1 v^-1; returns (e, that word).
     """
     helper = cyclic_reduce(helper)
-    if handle_occurrences(helper, j) != 1:
-        raise MoveError(
-            f"helper {word_str(helper)!r} does not cross a{j} exactly once "
-            f"({handle_occurrences(helper, j)} crossings)"
-        )
-    code = j + 1
-    pos = next(k for k, c in enumerate(helper) if abs(c) == code)
-    sign = 1 if helper[pos] > 0 else -1
-    u, v = helper[:pos], helper[pos + 1 :]
-    return sign, concat(invert(u), invert(v))
+    crossings = handle_occurrences(helper, j)
+    if crossings != 1:
+        raise MoveError(f"helper {word_str(helper)!r} does not cross a{j} exactly once ({crossings} crossings)")
+    return _solve(helper, j)
 
 
 def eliminate_letter(target: Word, helper: Word, j: int) -> Word:
@@ -284,11 +286,6 @@ def eliminate_letter(target: Word, helper: Word, j: int) -> Word:
     """
     sign, repl = relator_solution(helper, j)
     return substitute(target, j, sign, repl)
-
-
-def is_cancelling(w: Word, i: int) -> bool:
-    """Weak cancellation test: the cyclically reduced word crosses a_i once."""
-    return handle_occurrences(cyclic_reduce(w), i) == 1
 
 
 def is_isolated(w: Word, i: int) -> bool:
@@ -316,15 +313,12 @@ def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
     word = h.word
     if word is None:
         raise MoveError(f"opaque 2-handle {h.id} cannot cancel a 1-handle")
-    if not is_cancelling(word, i):
-        raise MoveError(
-            f"2-handle {h.id} ({h.label()}) word {word_str(word)!r} "
-            f"does not cross a{i} exactly once"
-        )
     relator = cyclic_reduce(word)
+    if handle_occurrences(relator, i) != 1:
+        raise MoveError(f"2-handle {h.id} ({h.label()}) word {word_str(word)!r} does not cross a{i} exactly once")
     complex_.one_handles.remove(i)
     complex_.remove(h)
-    complex_.eliminations.add(i, *relator_solution(relator, i))
+    complex_.eliminations.add(i, *_solve(relator, i))
     return CancelResult(relator)
 
 
@@ -338,7 +332,6 @@ __all__ = [
     "slide_words",
     "relator_solution",
     "eliminate_letter",
-    "is_cancelling",
     "is_isolated",
     "CancelResult",
     "cancel",

@@ -114,7 +114,7 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     s = FiberSurface(knot.genus, n)
     base = build_W(s)
     if isinstance(knot, StallingsKnot):
-        phi, heads = None, stallings_rules(knot.m).heads
+        phi, heads = None, stallings_rules(knot.m)
     else:
         phi = compile_monodromy(knot.piece_monodromy(), s)
         heads = beta_images(phi)

@@ -21,6 +21,12 @@ from .twists import MonodromySpec, piece_monodromy, stallings_monodromy, two_bri
 #: Xeon, `run_both` of K_10000 takes 0.3 s at n = 1 or 2, and 1 s at n = 1000.
 MAX_TWISTS = 10000
 
+#: The largest k of an `--all-fibered --max-k k` sweep, which builds every
+#: two-bridge sign sequence of genus 1..k: 4 + 16 + ... + 4^k knots.  On a
+#: 2-vCPU Xeon, `verify --all-fibered` at n = 1 takes 78 s at k = 7 (21844
+#: knots) and 17 s at k = 6; each further k multiplies the time by four.
+MAX_SWEEP_K = 7
+
 
 class KnotSpecError(ValueError):
     """Malformed knot specification string or non-knot input."""
@@ -242,6 +248,7 @@ def parse_knot_spec(text: str) -> Knot:
 
 __all__ = [
     "MAX_TWISTS",
+    "MAX_SWEEP_K",
     "ConwayForm",
     "KnotFraction",
     "DForm",

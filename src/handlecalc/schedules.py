@@ -7,10 +7,12 @@ Three phases, executed per piece:
   alpha_i exactly once.  Cancel (alpha_i*, H~_i).
 
   Stallings script (replaces Phase A at g = 2): slide phi_m(B_i) over B_i
-  (i = 0..4), form the double slides of H_1 and H_3 over H_2 along their
+  (i = 0..3), form the double slides of H_1 and H_3 over H_2 along their
   shared eta * t_{a3}^m(alpha_3) subpath, then cancel alpha_2, alpha_3,
   alpha_1, alpha_4 in that order; "sliding over the H_3 double slide" is
-  the elimination of its single alpha_4 crossing.
+  the elimination of its single alpha_4 crossing.  The paper also slides
+  phi_m(B_4) over B_4; B_4 later cancels alpha_5, which erases that
+  slide from every surviving word, so the script leaves it out.
 
   Chain phase (n >= 2): the 2-handles of c_1, c_2, ..., c_{2n-2} cancel
   alpha_{4g+2n-3}, then the even letters downward and the odd letters
@@ -52,7 +54,7 @@ from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, 
 from .factorization import build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import Move, MoveTrace, _canonical, complex_state, execute, weak_cancellations
+from .trace import Move, MoveTrace, complex_state, execute, weak_cancellations
 from .twists import ta3_power
 from .words import Word, alpha, concat, word_str
 
@@ -113,11 +115,9 @@ def _phase_a(run: _Run) -> None:
 
 def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     s = run.cx.surface
-    image = [run.cx.find("B", i, phi_image=True) for i in range(5)]
-    base = [run.cx.find("B", i, phi_image=False) for i in range(5)]
-    for i in range(5):
-        run.move("slide", image[i], base[i])
-    h0, h1, h2, h3 = image[0], image[1], image[2], image[3]
+    h0, h1, h2, h3 = (run.cx.find("B", i, phi_image=True) for i in range(4))
+    for i, h in enumerate((h0, h1, h2, h3)):
+        run.move("slide", h, run.cx.find("B", i, phi_image=False))
 
     # H_1 and H_3 share the initial subpath eta * t_{a3}^m(alpha_3) with
     # H_2 (conjugated by alpha_0 when n >= 2); the double slides run along
@@ -144,12 +144,9 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
 def _chain_phase(run: _Run) -> None:
     s = run.cx.surface
     g, n = s.g, s.n
-    used: dict[int, int] = {}
 
     def step(c_index: int, letter: int) -> None:
-        h = run.cx.find("c", c_index, phi_image=False, skip=used.get(c_index, 0))
-        used[c_index] = used.get(c_index, 0) + 1
-        run.move("cancel", h, letter=letter)
+        run.move("cancel", run.cx.find("c", c_index, phi_image=False), letter=letter)
 
     step(1, 4 * g + 2 * n - 3)
     for i in range(1, n):
@@ -201,7 +198,7 @@ def _derive_x2(
     initial = complex_state(start2)
     position = {h.id: k for k, h in enumerate(start2.two_handles)}
     entries.sort(key=lambda h: position[h["id"]])
-    if _canonical({**trace1.initial, "two_handles": entries}) != _canonical(initial):
+    if {**trace1.initial, "two_handles": entries} != initial:
         raise mismatch("X1's initial state, renamed and rotated, is not X2's")
 
     start2.one_handles = set(cx1.one_handles)

@@ -49,15 +49,18 @@ _MASK = (1 << 64) - 1
 #: Fields every trace document must carry, in the order they are read,
 #: with their JSON types.  `final` and `certificate` are null in the trace
 #: of a failed schedule, which replay rejects.  The optional `warnings`
-#: must be a list of strings and `error` an object or null.
+#: must be a list of strings and `error` an object or null.  A document
+#: holds no other key than these, `schema` and the optional ones.
 _REQUIRED_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict,
                     "moves": list, "final": dict, "certificate": dict}
 _NULLABLE_FIELDS = ("final", "certificate")
+_TRACE_KEYS = {"schema", *_REQUIRED_FIELDS, "warnings", "error"}
 
 #: The `initial` summary a trace file records, in order: a string digest, then counts.
 _SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
 
 #: Move fields: the first three are required; all but `letter` are strings.
+#: A move holds no other key.
 _MOVE_FIELDS = ("kind", "target", "before", "over", "letter", "relator", "shared_prefix", "after_word")
 
 OPAQUE_TEXT = "<opaque>"
@@ -102,10 +105,6 @@ def _canonical(state: dict | None) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
-def complex_digest(cx: HandleComplex) -> str:
-    return fnv1a64(_canonical(complex_state(cx)))
-
-
 def state_summary(state: dict) -> dict:
     """A complex state as a trace file records its initial one: SHA-256 digest and counts."""
     digest = hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
@@ -120,6 +119,13 @@ def _typed(where: str, name: str, value, kind: type, nullable: bool = True):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise MoveError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _refuse_unknown(where: str, d: dict, known) -> None:
+    """Raise MoveError if the object holds a key the format does not name."""
+    unknown = sorted(d.keys() - known, key=str)
+    if unknown:
+        raise MoveError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,7 @@ class Move:
     def from_json(d: dict) -> "Move":
         if not isinstance(d, dict):
             raise MoveError(f"a move must be an object, got {type(d).__name__}")
+        _refuse_unknown("move", d, _MOVE_FIELDS)
         for name in _MOVE_FIELDS[:3]:
             if d.get(name) is None:
                 raise MoveError(f"move lacks required field {name!r}")
@@ -191,6 +198,7 @@ class MoveTrace:
         if d.get("schema") != SCHEMA:
             raise MoveError(f"unsupported trace schema {d.get('schema')!r}: this version reads {SCHEMA!r} only; "
                             "re-run `handlecalc cancel --trace` to write one")
+        _refuse_unknown("trace", d, _TRACE_KEYS)
         values = {}
         for name, kind in _REQUIRED_FIELDS.items():
             if name not in d:
@@ -214,9 +222,6 @@ class MoveTrace:
     def initial_summary(self) -> dict:
         """The `initial` field as the file records it."""
         return self.initial if self.summarised else state_summary(self.initial)
-
-    def final_digest(self) -> str:
-        return fnv1a64(_canonical(self.final))
 
 
 def weak_cancellations(moves: list[Move]) -> list[str]:
@@ -338,7 +343,6 @@ __all__ = [
     "fnv1a64",
     "word_digest",
     "complex_state",
-    "complex_digest",
     "state_summary",
     "Move",
     "MoveTrace",

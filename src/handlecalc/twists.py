@@ -295,7 +295,7 @@ def stallings_monodromy(m: int) -> MonodromySpec:
     return MonodromySpec(tuple(twists), source=f"stallings:m={m}")
 
 
-def ta3_power(w: Word, m: int, s: FiberSurface | None = None) -> Word:
+def ta3_power(w: Word, m: int, s: FiberSurface) -> Word:
     """t_{a3}^m applied letterwise (moves alpha_2 and alpha_3 only).
 
     The images come in closed form.  With a = alpha_2, b = alpha_3, k >= 1:
@@ -303,8 +303,6 @@ def ta3_power(w: Word, m: int, s: FiberSurface | None = None) -> Word:
     t^-k(a) = (b a^-1)^(k-1) b,  t^-k(b) = (b a^-1)^k b,
     so the table costs O(|m|) letters and w is substituted once.
     """
-    if s is None:
-        s = FiberSurface(2, 1)
     _check_chain_index(3, s)
     images: dict[int, Word] = {}
     if m:
@@ -316,36 +314,26 @@ def ta3_power(w: Word, m: int, s: FiberSurface | None = None) -> Word:
     return CompiledMonodromy(images, s).apply(w)
 
 
-@dataclass(frozen=True)
-class StallingsImages:
-    """Precomputed phi_m images of the genus-2 curves B_0..B_4.
+def stallings_rules(m: int) -> tuple[Word, ...]:
+    """The phi_m images of the beta parts of the genus-2 curves B_0..B_4 of K_m.
 
-    heads[i] is the image of the beta part of B_i; the closing arcs are
-    untouched by the twists and are appended per surface convention by
-    `surfaces.phi_b_word`.  At m = 0 these are the five eta-decompositions of the
-    untwisted monodromy image; the t_{a3}^m factor only rewrites the
-    alpha_2/alpha_3 letters.
+    The closing arcs are untouched by the twists and are appended per
+    surface convention by `surfaces.phi_b_word`.  At m = 0 these are the
+    five eta-decompositions of the untwisted monodromy image; the
+    t_{a3}^m factor only rewrites the alpha_2/alpha_3 letters.
     """
-
-    m: int
-    heads: tuple[Word, ...]
-
-
-def stallings_rules(m: int) -> StallingsImages:
-    """Build the phi_m image table for the Stallings knot K_m."""
     s = FiberSurface(2, 1)
     eta = eta_word()
     t_a3 = ta3_power((alpha(3),), m, s)
     t_a2inv = ta3_power((alpha(2, -1),), m, s)
     b0, b1, b3, b4 = (beta_word(i, s) for i in (0, 1, 3, 4))
-    heads = (
+    return (
         concat(eta, t_a3, t_a2inv),
         concat(eta, t_a3, b0),
         concat(eta, t_a3, b1),
         concat(eta, t_a3, b4),
         concat(b4, ta3_power(invert(b3), m, s), b4),
     )
-    return StallingsImages(m, heads)
 
 
 __all__ = [
@@ -362,6 +350,5 @@ __all__ = [
     "piece_monodromy",
     "stallings_monodromy",
     "ta3_power",
-    "StallingsImages",
     "stallings_rules",
 ]

@@ -15,7 +15,7 @@ from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, TwoBridgeKnot
 from handlecalc.schedules import assemble, run_schedule
 from handlecalc.surfaces import FiberSurface
-from handlecalc.trace import complex_digest, replay
+from handlecalc.trace import complex_state, replay
 from handlecalc.twists import apply_monodromy, piece_monodromy
 from handlecalc.words import (
     alpha,
@@ -188,7 +188,7 @@ def test_criterion_6_word_algebra_randomized():
 
 
 def test_criterion_7_trace_replay():
-    """50 random (knot, n) pairs: replay reproduces the final digest."""
+    """50 random (knot, n) pairs: replay reproduces the final state."""
     rng = random.Random(424242)
     mismatches = 0
     for _ in range(50):
@@ -200,6 +200,6 @@ def test_criterion_7_trace_replay():
         n = rng.randrange(1, 4)
         piece = rng.choice(("X1", "X2"))
         _, trace = run_schedule(knot, n, piece)
-        if complex_digest(replay(trace)) != trace.final_digest():
+        if complex_state(replay(trace)) != trace.final:
             mismatches += 1
-    _report(7, mismatches == 0, "50 random traces replayed, zero digest mismatches")
+    _report(7, mismatches == 0, "50 random traces replayed, zero final-state mismatches")

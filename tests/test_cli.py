@@ -6,9 +6,9 @@ import pytest
 
 from handlecalc import factorization
 from handlecalc.cli import main
-from handlecalc.knots import MAX_TWISTS
+from handlecalc.knots import MAX_SWEEP_K, MAX_TWISTS, TwoBridgeKnot
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
-from handlecalc.trace import MoveTrace, complex_digest, replay
+from handlecalc.trace import MoveTrace, complex_state, replay
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +87,7 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
-        assert complex_digest(replay(trace)) == trace.final_digest()
+        assert complex_state(replay(trace)) == trace.final
 
 
 @pytest.mark.parametrize(
@@ -158,6 +158,16 @@ def test_max_k_below_one_is_usage_error(capsys, command, max_k):
     assert code == 1
     assert out == ""
     assert "error: --max-k must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["cancel", "verify"])
+@pytest.mark.parametrize("max_k", [MAX_SWEEP_K + 1, 40])
+def test_max_k_above_the_limit_is_usage_error(capsys, monkeypatch, command, max_k):
+    # The limit holds before any knot of the sweep is built.
+    monkeypatch.setattr(TwoBridgeKnot, "from_eps", lambda eps: pytest.fail("a knot was built"))
+    code, out, err = run_cli(capsys, command, "--all-fibered", "--max-k", str(max_k))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --max-k {max_k} is above the limit {MAX_SWEEP_K} ") and "Traceback" not in err
 
 
 def test_batch_and_spec_conflict(capsys):

@@ -1,5 +1,7 @@
 """Word-level Kirby moves: slide, eliminate, cancel."""
 
+import re
+
 import pytest
 
 from handlecalc.complexes import (
@@ -9,7 +11,6 @@ from handlecalc.complexes import (
     cancel,
     complex_from_piece,
     eliminate_letter,
-    is_cancelling,
     is_isolated,
     relator_solution,
     slide_words,
@@ -69,15 +70,6 @@ def test_eliminate_uses_cyclic_reduction_of_helper():
     assert out == ()  # alpha_1 = trivial relator here
 
 
-def test_is_cancelling():
-    assert is_cancelling(parse_word("a0' a1"), 1)
-    assert not is_cancelling(parse_word("a1 a1"), 1)
-    assert not is_cancelling(parse_word("a0' a0'"), 1)
-    # Cyclic reduction applies first: a1 a2 a1' crosses a2 once, a1 zero times.
-    assert is_cancelling(parse_word("a1 a2 a1'"), 2)
-    assert not is_cancelling(parse_word("a1 a2 a1'"), 1)
-
-
 def test_is_isolated():
     assert is_isolated(parse_word("a0' a2 a0 a0"), 2)
     assert not is_isolated(parse_word("a1' a2"), 2)
@@ -126,6 +118,30 @@ def test_cancels_compose_into_one_table():
     assert cx.find("B", 3, phi_image=False) is w
 
 
+@pytest.mark.parametrize(
+    "word, i, relator",
+    [
+        ("a0' a1", 1, "a0' a1"),
+        ("a1 a1", 1, None),
+        ("a0' a0'", 1, None),
+        # Cyclic reduction applies first: a1 a2 a1' crosses a2 once, a1 zero times.
+        ("a1 a2 a1'", 2, "a2"),
+        ("a1 a2 a1'", 1, None),
+    ],
+)
+def test_cancel_needs_one_cyclic_crossing(word, i, relator):
+    h = TwoHandle("t0", CurveId("B", 1), False, parse_word(word), "fiber-1")
+    cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, [h])
+    if relator is None:
+        message = f"2-handle t0 (B1) word {word!r} does not cross a{i} exactly once"
+        with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
+            cancel(cx, i, "t0")
+        assert cx.one_handles == {1, 2, 3, 4} and [h.id for h in cx.two_handles] == ["t0"]
+    else:
+        assert cancel(cx, i, "t0").relator == parse_word(relator)
+        assert cx.one_handles == {1, 2, 3, 4} - {i} and cx.two_handles == []
+
+
 def test_cancel_preconditions():
     cx = _tiny_complex()
     with pytest.raises(MoveError):
@@ -158,17 +174,8 @@ def test_complex_from_piece_counts_and_boundary():
         assert boundary.origin == CurveId("boundary") and boundary.opaque
         assert boundary.framing == "0"
         cx.check_live_letters()
-
-
-def test_find_skips_duplicates():
-    x1, _ = build_pieces(parse_knot_spec("twobridge:+,+"), 2)
-    cx = complex_from_piece(x1)
-    first = cx.find("c", 1, phi_image=False)
-    second = cx.find("c", 1, phi_image=False, skip=1)
-    assert first.id != second.id
-    assert first.word == second.word
-    with pytest.raises(MoveError):
-        cx.find("c", 9, phi_image=False)
+        with pytest.raises(MoveError, match="no 2-handle for c9"):
+            cx.find("c", 9, phi_image=False)
 
 
 def test_live_letter_invariant_detects_dead_words():

@@ -26,7 +26,7 @@ from handlecalc.verify import full_report
 
 GOLDEN = {
     "twobridge": "b6bdfa1f5460b5426a5d0431c32de6877b2bab95d736e7ebaa68c169dc82f88c",
-    "stallings": "c80cd8baebc6a2efe3cdb15d5ed8832630ab216fa57147a5f0537a14ec2981f4",
+    "stallings": "f90f08a1531c64817f0dd0dd2282752fddf5ee9625530541cad3a02022dd57e2",
 }
 
 TWO_BRIDGE = [
@@ -38,7 +38,7 @@ STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
     "twobridge": "870c8a793edee987e0f93da68241eaea2638fe0fce9f37eb8b24e97ec588384c",
-    "stallings": "50bf4bdef0754689ebbb420823fa78c6150886e24ce817c5c982c0cb565393dd",
+    "stallings": "1c16d67055cc57b581c320ac39d08c559c1cc3a892563c7ec50749eb7587b9cb",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

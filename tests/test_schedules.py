@@ -16,7 +16,6 @@ from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
 from handlecalc.trace import (
     MoveTrace,
     ReplayError,
-    complex_digest,
     complex_state,
     execute,
     replay,
@@ -64,6 +63,20 @@ def test_stallings_counts():
 def test_stallings_cancel_order():
     _, trace = run_schedule(StallingsKnot(2), 1, "X1")
     assert [m.letter for m in cancels(trace)] == [2, 3, 1, 4, 5, 6, 7, 8]
+
+
+def test_stallings_script_slides_each_of_b0_to_b3_once():
+    # phi(B_i) slides over B_i for i = 0..3 only: the paper's slide of
+    # phi(B_4) over B_4 is erased by B_4's cancel of alpha_5, so it is left out.
+    singles = [((f"B{i}", True), (f"B{i}", False)) for i in range(4)]
+    doubles = [(("B1", True), ("B2", True)), (("B3", True), ("B2", True))]
+    for m in range(-5, 6):
+        for n in (1, 2, 3):
+            for _, trace in run_both(StallingsKnot(m), n).values():
+                origin = {h["id"]: (h["origin"], h["phi"]) for h in trace.initial["two_handles"]}
+                slides = [mv for mv in trace.moves if mv.kind == "slide"]
+                assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix is None] == singles
+                assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix] == doubles
 
 
 def test_two_bridge_cancel_order_n2():
@@ -223,7 +236,7 @@ def test_trace_json_round_trip_and_replay():
         encoded = json.dumps(trace.to_json(), sort_keys=True)
         decoded = MoveTrace.from_json(json.loads(encoded))
         final = replay(decoded)
-        assert complex_digest(final) == trace.final_digest()
+        assert complex_state(final) == trace.final
         # Determinism: re-running the schedule gives the identical trace JSON.
         _, trace2 = run_schedule(spec, n, "X1")
         assert json.dumps(trace2.to_json(), sort_keys=True) == encoded
@@ -285,6 +298,8 @@ MALFORMED = [
     pytest.param(_set("warnings", 5), "'warnings' must be list", id="warnings-not-list"),
     pytest.param(_set("warnings", ["ok", 3]), "'warnings' must be a list of str", id="warnings-not-strings"),
     pytest.param(_set("error", "boom"), "'error' must be dict", id="error-not-object"),
+    pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
+    pytest.param(_edit_move(after="0" * 16), "move has unknown field\\(s\\) 'after'", id="move-carries-after"),
 ]
 
 
@@ -321,7 +336,7 @@ def _made_up_elimination():
     before = word_digest(h.word)
     h.word = eliminate_letter(h.word, parse_word("a1 a0 a0"), 1)
     doc["moves"].insert(0, {"kind": "eliminate", "target": "x1-02", "letter": 1, "relator": "a1 a0 a0",
-                            "before": before, "after": word_digest(h.word), "after_word": word_str(h.word)})
+                            "before": before, "after_word": word_str(h.word)})
     for m in trace.moves:
         execute(cx, m.kind, m.target, m.over, m.letter)
     doc["final"] = complex_state(cx)
@@ -342,7 +357,7 @@ def _noop_freed_eliminate():
     digest = word_digest(word)
     doc["moves"].insert(k + 1, {"kind": "eliminate", "target": target, "letter": 1,
                                 "relator": trace.moves[k].relator, "before": digest,
-                                "after": digest, "after_word": word_str(word)})
+                                "after_word": word_str(word)})
     return doc
 
 
@@ -376,7 +391,7 @@ def _slide_over_itself():
     # the trace stops there with a matching final state.
     _, doc, cx = _trefoil_x1()
     slide = doc["moves"][0]
-    slide.update(over=slide["target"], after=word_digest(()), after_word="")
+    slide.update(over=slide["target"], after_word="")
     cx.handle(slide["target"]).word = ()
     doc["moves"], doc["final"] = [slide], complex_state(cx)
     return doc
