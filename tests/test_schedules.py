@@ -76,7 +76,7 @@ def test_stallings_script_slides_each_of_b0_to_b3_once():
                 origin = {h["id"]: (h["origin"], h["phi"]) for h in trace.initial["two_handles"]}
                 slides = [mv for mv in trace.moves if mv.kind == "slide"]
                 assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix is None] == singles
-                assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix] == doubles
+                assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix is not None] == doubles
 
 
 def test_two_bridge_cancel_order_n2():
