@@ -1,6 +1,6 @@
-"""Golden digest: the engine's output bytes over a fixed set of knots.
+"""Golden digests: the engine's output bytes over a fixed set of knots.
 
-One SHA-256 covers, for every two-bridge knot with k <= 2 and the
+SHA-256 digests cover, for every two-bridge knot with k <= 2 and the
 Stallings knots K_m, m in {-3..3, -60, 120}, at n = 1..3 (knot outer, n
 inner): `json.dumps([trace.to_json(), complex_state(cx)])` of `run_both`'s
 X1 and X2 results and of the full `run_schedule(spec, n, "X2")`, then
