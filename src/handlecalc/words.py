@@ -6,8 +6,12 @@ the integer i+1 and its inverse as -(i+1), so that inversion is negation
 formal letter and is never equated to the identity).  The boundary arc
 "alpha-tilde" has the reserved code TILDE.
 
-Words returned by the functions in this module are always freely reduced.
-No cyclic reduction is ever applied implicitly; use cyclic_reduce where a
+reduce_word freely reduces any sequence of letters; every word from
+outside the engine passes through it (or cyclic_reduce).  The other
+functions return freely reduced words when their inputs are: concat
+multiplies freely reduced words, so it cancels only where one part meets
+the next (Lyndon and Schupp, Combinatorial Group Theory I.1).  No cyclic
+reduction is ever applied implicitly; use cyclic_reduce where a
 conjugation-invariant form is needed (e.g. cancellation tests).
 
 >>> w = parse_word("a1 a1'")
@@ -20,6 +24,7 @@ conjugation-invariant form is needed (e.g. cancellation tests).
 from __future__ import annotations
 
 import functools
+from operator import neg
 from typing import Iterable, Tuple
 
 Word = Tuple[int, ...]
@@ -66,7 +71,13 @@ def reduce_word(w: Iterable[int]) -> Word:
     >>> word_str(reduce_word(parse_word("a1 a2' a2 a3")))
     'a1 a3'
     """
-    return concat(w)
+    out: list[int] = []
+    for c in w:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
 
 
 def is_reduced(w: Iterable[int]) -> bool:
@@ -76,18 +87,38 @@ def is_reduced(w: Iterable[int]) -> bool:
 
 def invert(w: Iterable[int]) -> Word:
     """Reverse the word and flip every sign."""
-    return tuple(-c for c in reversed(tuple(w)))
+    return tuple(map(neg, reversed(tuple(w))))
 
 
-def concat(*ws: Iterable[int]) -> Word:
-    """Reduced concatenation of any number of words."""
+def concat(*ws: Word) -> Word:
+    """The reduced product of freely reduced words.
+
+    Each part must be freely reduced (reduce_word makes any letter
+    sequence so); the product then cancels only where a part meets the
+    output so far, so a part is matched against the output's tail and the
+    rest of it is copied in one piece.  Cancellation may run across
+    several parts:
+
+    >>> word_str(concat(parse_word("a1 a2"), parse_word("a2' a3"), parse_word("a3' a1' a4")))
+    'a4'
+
+    A part that is not reduced keeps its inner cancelling pairs.
+    """
     out: list[int] = []
     for w in ws:
-        for c in w:
+        if len(w) == 1:
+            # One letter, the usual part of a substitution: no slice to copy.
+            c = w[0]
             if out and out[-1] == -c:
                 out.pop()
             else:
                 out.append(c)
+            continue
+        k, n = 0, len(w)
+        while k < n and out and out[-1] == -w[k]:
+            out.pop()
+            k += 1
+        out.extend(w[k:])
     return tuple(out)
 
 
@@ -135,7 +166,9 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     if sign_target not in (1, -1):
         raise ValueError(f"sign must be +-1, got {sign_target}")
     code = i + 1
-    pos = tuple(replacement) if sign_target == 1 else invert(replacement)
+    pos = reduce_word(replacement)
+    if sign_target == -1:
+        pos = invert(pos)
     images = {code: pos, -code: invert(pos)}
     return concat(*[images.get(c, (c,)) for c in w])
 

@@ -1,11 +1,18 @@
 """Word engine: reduction, concatenation, occurrence counting, substitution."""
 
 import doctest
+import itertools
+import json
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import handlecalc.words
+from handlecalc.schedules import run_both
+from handlecalc.trace import MoveTrace, replay
+from handlecalc.verify import full_report
 from handlecalc.words import (
     TILDE,
     alpha,
@@ -168,9 +175,27 @@ def test_concat_inverse_is_identity(w):
     assert concat(invert(w), w) == ()
 
 
-@given(words_strategy, words_strategy, words_strategy)
+reduced_strategy = words_strategy.map(reduce_word)
+
+
+@given(reduced_strategy, reduced_strategy, reduced_strategy)
 def test_concat_associative(u, v, w):
     assert concat(concat(u, v), w) == concat(u, concat(v, w))
+
+
+# Parts of a product: empty, one-letter and long reduced words, and runs
+# u, v, v^-1, u^-1, w whose cancellation crosses several seams.
+_long_reduced = st.lists(st.sampled_from(LETTER_POOL), min_size=40, max_size=120).map(reduce_word)
+_part = st.one_of(st.just(()), st.sampled_from(LETTER_POOL).map(lambda c: (c,)), reduced_strategy, _long_reduced)
+_nested = st.tuples(_part, _part, _part).map(lambda uvw: [uvw[0], uvw[1], invert(uvw[1]), invert(uvw[0]), uvw[2]])
+_parts = st.lists(st.one_of(_part.map(lambda p: [p]), _nested), max_size=8).map(lambda runs: [p for r in runs for p in r])
+
+
+@given(_parts)
+def test_concat_is_the_reduced_product_of_reduced_parts(parts):
+    got = concat(*parts)
+    assert got == reduce_word(itertools.chain(*parts))
+    assert is_reduced(got)
 
 
 @given(words_strategy, st.integers(1, 10), words_strategy)
@@ -190,3 +215,30 @@ def test_cyclic_reduce_of_conjugate_is_a_rotation(w, g):
     conjugated = cyclic_reduce(concat((g,), w, (-g,)))
     assert conjugated in _rotations(v)
     assert handle_letters(conjugated) == handle_letters(v)
+
+
+def test_engine_hands_concat_only_reduced_parts(monkeypatch):
+    """Every part the pipeline multiplies is freely reduced, as concat requires."""
+    original = handlecalc.words.concat
+
+    def checked(*ws):
+        for w in ws:
+            if not is_reduced(w):
+                raise AssertionError(f"concat was handed the unreduced part {word_str(w)!r}")
+        return original(*ws)
+
+    patched = set()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("handlecalc.") and getattr(mod, "concat", None) is original:
+            monkeypatch.setattr(mod, "concat", checked)
+            patched.add(name.rpartition(".")[2])
+    assert {"words", "complexes", "twists", "surfaces", "schedules"} <= patched
+
+    genus_3 = ",".join(random.Random(3).choice("+-") for _ in range(6))
+    specs = ["twobridge:+,+", "twobridge:+,-,+,+", f"twobridge:{genus_3}"]
+    specs += [f"stallings:m={m}" for m in (-7, 0, 3)]
+    for spec in specs:
+        for n in (1, 2, 3):
+            for _, trace in run_both(spec, n).values():
+                replay(MoveTrace.from_json(json.loads(json.dumps(trace.to_json()))))
+            assert full_report(spec, n).passed
