@@ -134,10 +134,6 @@ class TwoHandle:
         if self._table is not None:
             self._version = self._table.version
 
-    @property
-    def opaque(self) -> bool:
-        return self.word is None
-
     def label(self) -> str:
         return f"phi({self.origin})" if self.phi_image else str(self.origin)
 

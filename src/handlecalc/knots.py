@@ -13,12 +13,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .surfaces import MAX_GENUS
 from .twists import MonodromySpec, piece_monodromy, stallings_monodromy, two_bridge_monodromy
 
 
 #: The largest |m| of a Stallings knot K_m, so that a knot spec or a trace
-#: cannot make the engine build words of unbounded length.  On a 2-vCPU
-#: Xeon, `run_both` of K_10000 takes 0.3 s at n = 1 or 2, and 1 s at n = 1000.
+#: cannot make the engine build words of unbounded length, and the largest
+#: |c| of a Conway coefficient.  On a 2-vCPU Xeon, `run_both` of K_10000
+#: takes 0.3 s at n = 1 or 2, and 1 s at n = 1000.
 MAX_TWISTS = 10000
 
 #: The largest k of an `--all-fibered --max-k k` sweep, which builds every
@@ -34,11 +36,24 @@ class KnotSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ConwayForm:
+    """C(n_1..n_k): at most 2 * MAX_GENUS coefficients, each |c| <= MAX_TWISTS.
+
+    Every two-bridge knot passes here, also in the `knot` command, which
+    builds no surface; so p < 10^2050 and its fraction prints.
+    """
+
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.coefficients:
+        k = len(self.coefficients)
+        if not k:
             raise KnotSpecError("Conway form needs at least one coefficient")
+        if k > 2 * MAX_GENUS:
+            raise KnotSpecError(f"knot genus {(k + 1) // 2} is above the limit {MAX_GENUS} "
+                                f"(at most {2 * MAX_GENUS} signs or coefficients)")
+        for j, c in enumerate(self.coefficients, 1):
+            if abs(c) > MAX_TWISTS:  # c itself may have too many digits to print
+                raise KnotSpecError(f"Conway coefficient {j} is above the limit |c| <= {MAX_TWISTS}")
 
     def __str__(self):
         return "C(" + ",".join(str(c) for c in self.coefficients) + ")"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import TILDE, Word, alpha, concat, handle_index, is_handle, is_tilde
+from .words import Word, alpha, concat, handle_index, is_handle
 
 CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
 
@@ -27,7 +27,7 @@ CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
 #: make the engine build words of unbounded length.  On a 2-vCPU Xeon,
 #: `run_both` takes about 1 s at g = 256 (n = 1), 0.7 s at n = 1000
 #: (g = 1) and 2 s at both, where writing and replaying one trace adds
-#: 1.5 s.  Every letter code, at most 4g + 2n - 1, stays far below TILDE.
+#: 1.5 s.
 MAX_GENUS = 256
 MAX_INDEX = 1000
 
@@ -56,9 +56,8 @@ class FiberSurface:
 
     @cached_property
     def alphabet(self) -> frozenset[int]:
-        """Every legal letter code: alpha_0..alpha_N and, when n = 1, the tilde, both signs."""
-        codes = [*range(1, self.num_handles + 2), *((TILDE,) if self.n == 1 else ())]
-        return frozenset(codes + [-c for c in codes])
+        """Every legal letter code: alpha_0..alpha_N, both signs."""
+        return frozenset(range(-self.num_handles - 1, self.num_handles + 2)) - {0}
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,8 @@ def eta_word() -> Word:
 def validate_word(w: Word, s: FiberSurface) -> None:
     """Reject letters outside this surface's alphabet.
 
-    Handle indices must lie in [1, 4g+2n-2]; the tilde letter is only
-    legal when n = 1; 0 and codes beyond the tilde's are no letters.
+    Handle indices must lie in [1, 4g+2n-2]; 0 is no letter.  The
+    boundary arc alpha-tilde is a word over these letters, never a letter.
     `w` must be a sequence: a second pass names the first illegal letter.
     """
     if s.alphabet.issuperset(w):
@@ -204,8 +203,6 @@ def validate_word(w: Word, s: FiberSurface) -> None:
     for c in w:  # name the first letter outside the alphabet
         if c in s.alphabet:
             continue
-        if is_tilde(c):
-            raise ValueError("tilde letter is only legal when n = 1")
         if is_handle(c):
             raise ValueError(f"letter a{handle_index(c)} outside alphabet of {s.num_handles} handles")
         raise ValueError(f"{c!r} is not a letter code")

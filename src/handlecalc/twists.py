@@ -240,15 +240,6 @@ def beta_images(table: CompiledMonodromy) -> tuple[Word, ...]:
     return tuple(heads)
 
 
-def apply_monodromy(phi: MonodromySpec, w: Word, s: FiberSurface) -> Word:
-    """Apply the twists of `phi` to w (twists[0] first) as one substitution.
-
-    A twist without a letterwise rule or out of range is reported before a
-    letter of w outside the surface alphabet.
-    """
-    return compile_monodromy(phi, s).apply(w)
-
-
 def _check_eps(eps: Sequence[int]) -> tuple[int, ...]:
     eps = tuple(eps)
     if not eps or len(eps) % 2:
@@ -345,7 +336,6 @@ __all__ = [
     "CompiledMonodromy",
     "compile_monodromy",
     "beta_images",
-    "apply_monodromy",
     "two_bridge_monodromy",
     "piece_monodromy",
     "stallings_monodromy",

@@ -3,8 +3,9 @@
 A word is a tuple of nonzero integers.  The letter alpha_i is encoded as
 the integer i+1 and its inverse as -(i+1), so that inversion is negation
 (alpha_0, the connector arc through the 0-handle, gets code 1; it is a
-formal letter and is never equated to the identity).  The boundary arc
-"alpha-tilde" has the reserved code TILDE.
+formal letter and is never equated to the identity).  Every letter is some
+alpha_i; the boundary arc alpha-tilde is a word over them
+(surfaces.tilde_alpha_word), not a letter of its own.
 
 reduce_word freely reduces any sequence of letters; every word from
 outside the engine passes through it (or cyclic_reduce).  The other
@@ -29,9 +30,6 @@ from typing import Iterable, Tuple
 
 Word = Tuple[int, ...]
 
-#: Reserved letter code for the boundary arc (only meaningful when n = 1).
-TILDE = 1 << 20
-
 
 def alpha(i: int, sign: int = 1) -> int:
     """Signed letter for alpha_i.  alpha(1, -1) is the inverse of alpha_1."""
@@ -42,16 +40,8 @@ def alpha(i: int, sign: int = 1) -> int:
     return sign * (i + 1)
 
 
-def tilde(sign: int = 1) -> int:
-    return sign * TILDE
-
-
-def is_tilde(c: int) -> bool:
-    return abs(c) == TILDE
-
-
 def is_handle(c: int) -> bool:
-    return 1 < abs(c) < TILDE
+    return abs(c) > 1
 
 
 def handle_index(c: int) -> int:
@@ -78,11 +68,6 @@ def reduce_word(w: Iterable[int]) -> Word:
         else:
             out.append(c)
     return tuple(out)
-
-
-def is_reduced(w: Iterable[int]) -> bool:
-    w = tuple(w)
-    return all(w[k] != -w[k + 1] for k in range(len(w) - 1))
 
 
 def invert(w: Iterable[int]) -> Word:
@@ -138,8 +123,8 @@ def cyclic_reduce(w: Iterable[int]) -> Word:
 def handle_occurrences(w: Iterable[int], i: int) -> int:
     """Number of occurrences of the handle letter alpha_i, either sign.
 
-    Counts crossings of the i-th co-core; connector and tilde letters are
-    never counted, so i < 1 always yields 0.
+    Counts crossings of the i-th co-core; the connector alpha_0 is never
+    counted, so i < 1 always yields 0.
     """
     if i < 1:
         return 0
@@ -177,21 +162,18 @@ def _token(c: int) -> str:
     """The text of one letter code, the reference spelling of word_str; ValueError for 0."""
     if c == 0:
         raise ValueError("0 is not a letter code")
-    name = "at" if is_tilde(c) else f"a{abs(c) - 1}"
+    name = f"a{abs(c) - 1}"
     return name + "'" if c < 0 else name
 
 
 def _parse_token(tok: str) -> int:
     """The code whose text is `tok`; ValueError unless `tok` is that code's canonical text."""
     body, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
-    if body == "at":
-        code = sign * TILDE
-    elif body.startswith("a") and body[1:].isdigit():
-        code = sign * (int(body[1:]) + 1)
-    else:
+    if not (body.startswith("a") and body[1:].isdigit()):
         raise ValueError(f"bad word token: {tok!r}")
-    # isdigit and int accept "01" and non-ASCII digits, and a1048575 would be
-    # the tilde code; only the text word_str prints for the code is a token.
+    code = sign * (int(body[1:]) + 1)
+    # isdigit and int accept "01" and non-ASCII digits; only the text
+    # word_str prints for the code is a token.
     if _token(code) != tok:
         raise ValueError(f"bad word token: {tok!r} (the letter is spelled {_token(code)!r})")
     return code
@@ -211,33 +193,32 @@ class _Codes(dict):
         return _parse_token(tok)
 
 
-#: The letters alpha_0..alpha_{_TABLED - 1} and the tilde, in both signs,
-#: are looked up in the token tables; other codes take the per-letter path.
+#: The letters alpha_0..alpha_{_TABLED - 1}, in both signs, are looked up
+#: in the token tables; other codes take the per-letter path.
 _TABLED = 1 << 10
 
 
 @functools.cache
 def _token_tables() -> tuple[_Tokens, _Codes]:
     """The code -> token and token -> code tables, built on first use."""
-    codes = [sign * c for c in (*range(1, _TABLED + 1), TILDE) for sign in (1, -1)]
+    codes = [sign * c for c in range(1, _TABLED + 1) for sign in (1, -1)]
     tokens = _Tokens((c, _token(c)) for c in codes)
     return tokens, _Codes((t, c) for c, t in tokens.items())
 
 
 def word_str(w: Iterable[int]) -> str:
-    """Compact text form: `a0' a1 at` with ' marking inverses; empty word is ''."""
+    """Compact text form: `a0' a1 a2` with ' marking inverses; empty word is ''."""
     return " ".join(map(_token_tables()[0].__getitem__, w))
 
 
 def parse_word(text: str) -> Word:
     """Parse the text form produced by word_str; its exact inverse.
 
-    Tokens are whitespace-separated, each ("a" index | "at") with an
-    optional trailing ' for the inverse.  A token is accepted only if it
-    is the text word_str prints for its code: "a01", "a00" and "a1048575"
-    (the tilde's code) are rejected.
+    Tokens are whitespace-separated, each "a" index with an optional
+    trailing ' for the inverse.  A token is accepted only if it is the
+    text word_str prints for its code: "a01" and "a00" are rejected.
 
-    >>> parse_word("a0' at'")
-    (-1, -1048576)
+    >>> parse_word("a0' a4'")
+    (-1, -5)
     """
     return tuple(map(_token_tables()[1].__getitem__, text.split()))

@@ -107,6 +107,32 @@ def test_inputs_above_the_limits_are_usage_errors(capsys, monkeypatch, command, 
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param("twobridge:" + ",".join("+-" * 8000), "genus 8000 is above the limit", id="16000-signs"),
+        pytest.param("twobridge:" + ",".join("+-" * 1000), "genus 1000 is above the limit", id="2000-signs"),
+        pytest.param("conway:" + ",".join(["3"] * 12000), "genus 6000 is above the limit", id="12000-coefficients"),
+        pytest.param("conway:" + ",".join(["9" * 3000] * 2), "coefficient 1 is above the limit", id="3000-digits"),
+        pytest.param(f"conway:2,{MAX_TWISTS + 1}", f"coefficient 2 is above the limit |c| <= {MAX_TWISTS}",
+                     id="coefficient"),
+    ],
+)
+def test_knot_inputs_above_the_limits_are_usage_errors(capsys, spec, message):
+    code, out, err = run_cli(capsys, "knot", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and "int_max_str_digits" not in err
+
+
+def test_knot_at_the_limits_prints_its_fraction(capsys):
+    # 2 * MAX_GENUS coefficients of the largest size: p has about 2048 digits.
+    code, out, _ = run_cli(capsys, "knot", "conway:" + ",".join([str(-MAX_TWISTS)] * (2 * MAX_GENUS)))
+    assert code == 0 and 2000 < len(out.split("fraction: ")[1].split("/")[0]) < 2050
+    code, out, _ = run_cli(capsys, "knot", "twobridge:" + ",".join("+-" * MAX_GENUS))
+    assert code == 0 and f"genus: {MAX_GENUS}" in out
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_cancel_unwritable_trace_is_usage_error(tmp_path, capsys, where):
     path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path

@@ -171,7 +171,7 @@ def test_complex_from_piece_counts_and_boundary():
         assert cx.counts()["one_handles"] == cx.surface.num_handles
         assert cx.euler() == 6 * n
         boundary = cx.two_handles[-1]
-        assert boundary.origin == CurveId("boundary") and boundary.opaque
+        assert boundary.origin == CurveId("boundary") and boundary.word is None
         assert boundary.framing == "0"
         cx.check_live_letters()
         with pytest.raises(MoveError, match="no 2-handle for c9"):

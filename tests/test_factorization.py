@@ -9,7 +9,7 @@ from handlecalc.factorization import (
 )
 from handlecalc.knots import StallingsKnot, parse_knot_spec
 from handlecalc.surfaces import FiberSurface
-from handlecalc.twists import apply_monodromy
+from handlecalc.twists import compile_monodromy
 from handlecalc.words import parse_word
 
 
@@ -115,7 +115,8 @@ def test_conjugating_x1_by_inverse_gives_w_phi_inverse_w():
     cycles = x1.factorization.cycles
     half = len(cycles) // 2
     s = x1.factorization.fiber
-    conj = [None if vc.word is None else apply_monodromy(phi_inverse, vc.word, s) for vc in cycles[:half]]
+    table = compile_monodromy(phi_inverse, s)
+    conj = [None if vc.word is None else table.apply(vc.word) for vc in cycles[:half]]
     assert conj == [vc.word for vc in cycles[half:]]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from handlecalc.knots import (
+    MAX_TWISTS,
     ConwayForm,
     DForm,
     KnotFraction,
@@ -18,6 +19,7 @@ from handlecalc.knots import (
     is_fibered,
     parse_knot_spec,
 )
+from handlecalc.surfaces import MAX_GENUS
 
 
 def fraction_oracle(coeffs):
@@ -51,6 +53,17 @@ def test_continued_fraction_errors():
         continued_fraction(ConwayForm((2,)))  # even p: a link
     with pytest.raises(KnotSpecError):
         ConwayForm(())
+
+
+def test_conway_form_bounds():
+    # Every two-bridge knot passes here, so its fraction stays printable.
+    ConwayForm((MAX_TWISTS, -MAX_TWISTS) * MAX_GENUS)
+    with pytest.raises(KnotSpecError, match=f"genus {MAX_GENUS + 1} is above the limit"):
+        ConwayForm((3,) * (2 * MAX_GENUS + 1))
+    with pytest.raises(KnotSpecError, match="coefficient 2 is above the limit"):
+        ConwayForm((3, -MAX_TWISTS - 1))
+    with pytest.raises(KnotSpecError, match=f"genus {MAX_GENUS + 1} is above the limit"):
+        TwoBridgeKnot.from_eps((1, -1) * (MAX_GENUS + 1))
 
 
 def test_d_to_conway():

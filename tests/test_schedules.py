@@ -21,7 +21,7 @@ from handlecalc.trace import (
     replay,
     word_digest,
 )
-from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
+from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
 from handlecalc.words import handle_letters, parse_word, substitute, word_str
 
 
@@ -535,6 +535,31 @@ def test_no_live_word_mentions_a_cancelled_letter(spec, n, piece):
         mp.setattr(schedules, "execute", checked_execute)
         _, trace = run_schedule(spec, n, piece)
     assert checked == trace.moves
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 5).flatmap(lambda g: st.lists(st.sampled_from((1, -1)), min_size=2 * g, max_size=2 * g)).map(_signs),
+        st.integers(-40, 40).map(lambda m: f"stallings:m={m}"),
+    ),
+    st.integers(1, 3),
+)
+def test_every_engine_word_lies_in_its_surface_alphabet(spec, n):
+    # The engine writes no letter outside alpha_0..alpha_N; the boundary arc
+    # is the word tilde_alpha_word spells, never a letter of its own.
+    for piece in build_pieces(parse_knot_spec(spec), n):
+        s = piece.factorization.fiber
+        for vc in piece.factorization.cycles:
+            if vc.word is not None:
+                validate_word(vc.word, s)
+    for cx, trace in run_both(spec, n).values():
+        doc = trace.to_json()
+        texts = [m[k] for m in doc["moves"] for k in ("after_word", "relator", "shared_prefix") if m.get(k)]
+        texts += [h["word"] for h in doc["final"]["two_handles"] if h["word"] is not None]
+        assert texts
+        for text in texts:
+            validate_word(parse_word(text), cx.surface)
 
 
 def _eager(ref, kind, target, over, letter, shared_prefix):

@@ -16,7 +16,7 @@ from handlecalc.surfaces import (
     tilde_alpha_word,
     validate_word,
 )
-from handlecalc.words import TILDE, alpha, concat, handle_letters, handle_occurrences, is_handle, parse_word, tilde
+from handlecalc.words import alpha, concat, handle_letters, handle_occurrences, is_handle, parse_word
 
 
 def test_surface_parameters():
@@ -29,18 +29,17 @@ def test_surface_parameters():
 
 
 @pytest.mark.parametrize("g, n", [(MAX_GENUS, 1), (1, MAX_INDEX), (MAX_GENUS, MAX_INDEX)])
-def test_every_admitted_surface_codes_its_letters_below_the_tilde(g, n):
+def test_every_admitted_surface_has_the_alphabet_of_its_handles(g, n):
     s = FiberSurface(g, n)
-    assert s.num_handles + 1 < TILDE and is_handle(alpha(s.num_handles))
-    assert max(abs(c) for c in s.alphabet) == (TILDE if n == 1 else s.num_handles + 1)
+    assert is_handle(alpha(s.num_handles))
+    assert s.alphabet == {sign * c for c in range(1, s.num_handles + 2) for sign in (1, -1)}
 
 
 @pytest.mark.parametrize(
     "g, n, message",
     [(MAX_GENUS + 1, 1, f"genus {MAX_GENUS + 1} is above the limit"),
      (1, MAX_INDEX + 1, f"index {MAX_INDEX + 1} is above the limit"),
-     # Before the limits, one handle letter of this surface had the tilde's code.
-     (1, TILDE // 2, f"index {TILDE // 2} is above the limit")],
+     (1, 1 << 19, f"index {1 << 19} is above the limit")],
 )
 def test_surfaces_above_the_limits_are_refused(g, n, message):
     with pytest.raises(ValueError, match=message):
@@ -179,23 +178,21 @@ def test_eta_and_stallings_table():
 
 
 def test_validate_word():
-    validate_word(parse_word("a0 a4' at"), S11)
+    validate_word(parse_word("a0 a4' a3"), S11)
+    validate_word(tilde_alpha_word(S11), S11)
     with pytest.raises(ValueError, match="letter a5 outside alphabet of 4 handles"):
         validate_word(parse_word("a5"), S11)
-    with pytest.raises(ValueError, match="tilde letter is only legal when n = 1"):
-        validate_word((tilde(),), S12)
-    for code in (0, TILDE + 1, -TILDE - 5):
-        with pytest.raises(ValueError, match=f"^{code} is not a letter code$"):
-            validate_word((alpha(1), code), S11)
+    # 1 << 20 is a handle code like any other: no letter spells the boundary arc.
+    with pytest.raises(ValueError, match="letter a1048575 outside alphabet of 4 handles"):
+        validate_word((1 << 20,), S11)
+    with pytest.raises(ValueError, match="^0 is not a letter code$"):
+        validate_word((alpha(1), 0), S11)
 
 
 def _first_error(w, s):
     """The per-letter reference check: the message for w's first illegal letter, or None."""
     for c in w:
-        if abs(c) == TILDE:
-            if s.n != 1:
-                return "tilde letter is only legal when n = 1"
-        elif 1 < abs(c) < TILDE:
+        if abs(c) > 1:
             if abs(c) - 1 > s.num_handles:
                 return f"letter a{abs(c) - 1} outside alphabet of {s.num_handles} handles"
         elif abs(c) != 1:
@@ -205,8 +202,7 @@ def _first_error(w, s):
 
 _CODES = st.one_of(
     st.integers(-12, 12),
-    st.sampled_from([TILDE, -TILDE, TILDE - 1, TILDE + 1, -TILDE - 1]),
-    st.integers(-2 * TILDE, 2 * TILDE),
+    st.integers(-1 << 21, 1 << 21),
 )
 
 

@@ -11,7 +11,6 @@ from handlecalc.twists import (
     CompiledMonodromy,
     MonodromySpec,
     UnsupportedTwistError,
-    apply_monodromy,
     apply_twist,
     beta_images,
     chain_twist_rule,
@@ -23,7 +22,6 @@ from handlecalc.twists import (
     two_bridge_monodromy,
 )
 from handlecalc.words import (
-    TILDE,
     alpha,
     concat,
     handle_letters,
@@ -55,8 +53,8 @@ def iterated_ta3(w, m, s=S21):
 
 
 def alphabet(s):
-    """Every unsigned letter code of the surface: alpha_0..alpha_N, and the tilde arc at n = 1."""
-    return list(range(1, s.num_handles + 2)) + ([TILDE] if s.n == 1 else [])
+    """Every unsigned letter code of the surface: alpha_0..alpha_N."""
+    return list(range(1, s.num_handles + 2))
 
 
 @st.composite
@@ -148,10 +146,10 @@ def test_rule_table_satisfies_braid_relations():
 
 def test_apply_monodromy_displayed_cases():
     s = S11
-    assert apply_monodromy(piece_monodromy((1, 1)), (alpha(0),), s) == parse_word("a0 a1' a0")
-    assert apply_monodromy(piece_monodromy((-1, -1)), (alpha(0),), s) == parse_word("a1")
+    assert compile_monodromy(piece_monodromy((1, 1)), s).apply((alpha(0),)) == parse_word("a0 a1' a0")
+    assert compile_monodromy(piece_monodromy((-1, -1)), s).apply((alpha(0),)) == parse_word("a1")
     w = parse_word("a0' a1 a2' a1")
-    assert apply_monodromy(MonodromySpec(()), w, s) == w
+    assert compile_monodromy(MonodromySpec(()), s).apply(w) == w
 
 
 @given(monodromy_and_word())
@@ -159,7 +157,6 @@ def test_compiled_table_matches_sequential_twists(case):
     s, phi, w = case
     table = compile_monodromy(phi, s)
     assert table.apply(w) == sequential(phi.twists, w, s)
-    assert apply_monodromy(phi, w, s) == sequential(phi.twists, w, s)
     for code in alphabet(s):
         for c in (code, -code):
             assert table.apply((c,)) == sequential(phi.twists, (c,), s)
@@ -201,24 +198,22 @@ def test_word_validated_without_twists():
     with pytest.raises(ValueError, match="outside alphabet"):
         ta3_power((99,), 0, S21)
     with pytest.raises(ValueError, match="outside alphabet"):
-        apply_monodromy(MonodromySpec(()), (99,), S21)
-    with pytest.raises(ValueError, match="only legal when n = 1"):
-        apply_monodromy(MonodromySpec(()), (TILDE,), FiberSurface(1, 2))
+        compile_monodromy(MonodromySpec(()), S21).apply((99,))
 
 
 def test_monodromy_error_kinds():
     bad_word = (99,)
     with pytest.raises(UnsupportedTwistError):
-        apply_monodromy(MonodromySpec(((CurveId("b2"), 1),)), bad_word, S21)
+        compile_monodromy(MonodromySpec(((CurveId("b2"), 1),)), S21).apply(bad_word)
     with pytest.raises(ValueError, match="chain twist index 5 out of range"):
-        apply_monodromy(MonodromySpec(((CurveId("a", 5), 1),)), bad_word, S21)
+        compile_monodromy(MonodromySpec(((CurveId("a", 5), 1),)), S21).apply(bad_word)
     with pytest.raises(ValueError, match="twist sign must be \\+-1, got 2"):
-        apply_monodromy(MonodromySpec(((CurveId("a", 1), 1), (CurveId("a", 2), 2))), bad_word, S21)
+        compile_monodromy(MonodromySpec(((CurveId("a", 1), 1), (CurveId("a", 2), 2))), S21).apply(bad_word)
     with pytest.raises(ValueError, match="outside alphabet"):
-        apply_monodromy(piece_monodromy((1, -1, 1, 1)), bad_word, S21)
+        compile_monodromy(piece_monodromy((1, -1, 1, 1)), S21).apply(bad_word)
     # A bad twist anywhere in the spec is reported before a bad letter.
     with pytest.raises(UnsupportedTwistError):
-        apply_monodromy(stallings_monodromy(1), bad_word, S21)
+        compile_monodromy(stallings_monodromy(1), S21).apply(bad_word)
     with pytest.raises(ValueError, match="chain twist index 3 out of range"):
         ta3_power(bad_word, 2, S11)
     with pytest.raises(ValueError, match="outside alphabet"):
@@ -246,7 +241,7 @@ def test_stallings_monodromy_serialization():
     assert stallings_monodromy(-1).composition_str() == "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1"
     assert stallings_monodromy(0).serialize() == "a1^-1 a2^-1 b2 a4"
     with pytest.raises(UnsupportedTwistError):
-        apply_monodromy(stallings_monodromy(1), (alpha(0),), S21)
+        compile_monodromy(stallings_monodromy(1), S21).apply((alpha(0),))
 
 
 def test_ta3_images():
@@ -275,7 +270,7 @@ def test_ta3_closed_form_matches_iterated_twists():
         (alpha(3, -1),),
         (alpha(3), alpha(2, -1)),
         invert(beta_word(3, S21)),
-        parse_word("a0 a2 a2 a3' a4 at a2'"),
+        parse_word("a0 a2 a2 a3' a4 a8 a2'"),
     ]
     for m in range(-40, 41):
         for w in words:
@@ -358,7 +353,7 @@ def test_image_closure_exhaustive_small():
             phi = piece_monodromy(eps)
             s = FiberSurface(k, 1)
             for i in range(2 * k):
-                w = apply_monodromy(phi, (alpha(i),), s)
+                w = compile_monodromy(phi, s).apply((alpha(i),))
                 assert handle_letters(w) <= set(range(1, i + 2))
                 assert handle_occurrences(w, i + 1) == 1
 
@@ -369,7 +364,7 @@ def test_image_closure_random(eps):
     phi = piece_monodromy(eps)
     s = FiberSurface(g, 1)
     for i in range(2 * g):
-        w = apply_monodromy(phi, (alpha(i),), s)
+        w = compile_monodromy(phi, s).apply((alpha(i),))
         assert handle_letters(w) <= set(range(1, i + 2))
         assert handle_occurrences(w, i + 1) == 1
 
@@ -384,7 +379,7 @@ def test_prefix_claim(eps):
     s = FiberSurface(g, 1)
     for k in range(1, 2 * g + 1):
         twists = tuple((CurveId("a", j), eps[j - 1]) for j in range(k, 0, -1))
-        w = apply_monodromy(MonodromySpec(twists), (alpha(k),), s)
+        w = compile_monodromy(MonodromySpec(twists), s).apply((alpha(k),))
         assert handle_letters(w) <= set(range(1, k + 1))
 
 
@@ -394,5 +389,5 @@ def test_monodromy_round_trip(eps, i):
     i = i % (2 * g + 1)
     s = FiberSurface(g, 1)
     phi = two_bridge_monodromy(eps)
-    w = apply_monodromy(phi.inverse(), apply_monodromy(phi, (alpha(i),), s), s)
+    w = compile_monodromy(phi.inverse(), s).apply(compile_monodromy(phi, s).apply((alpha(i),)))
     assert w == (alpha(i),)

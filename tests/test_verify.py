@@ -43,10 +43,10 @@ def test_invertibility():
     assert check_monodromy_invertible((1, 1, -1, 1)).passed
     # empty spec round trip is trivially fine at the word level
     from handlecalc.surfaces import FiberSurface
-    from handlecalc.twists import MonodromySpec, apply_monodromy
+    from handlecalc.twists import MonodromySpec, compile_monodromy
     from handlecalc.words import alpha
 
-    assert apply_monodromy(MonodromySpec(()), (alpha(0),), FiberSurface(1, 1)) == (alpha(0),)
+    assert compile_monodromy(MonodromySpec(()), FiberSurface(1, 1)).apply((alpha(0),)) == (alpha(0),)
 
 
 def test_full_report_trefoil():

@@ -14,7 +14,6 @@ from handlecalc.schedules import run_both
 from handlecalc.trace import MoveTrace, replay
 from handlecalc.verify import full_report
 from handlecalc.words import (
-    TILDE,
     alpha,
     concat,
     cyclic_reduce,
@@ -22,16 +21,14 @@ from handlecalc.words import (
     handle_letters,
     handle_occurrences,
     invert,
-    is_reduced,
     parse_word,
     reduce_word,
     substitute,
-    tilde,
     word_str,
 )
 
-# Letters over a 10-handle surface plus connector and tilde.
-LETTER_POOL = [alpha(i, s) for i in range(11) for s in (1, -1)] + [tilde(1), tilde(-1)]
+# Letters over a 10-handle surface plus the connector.
+LETTER_POOL = [alpha(i, s) for i in range(11) for s in (1, -1)]
 words_strategy = st.lists(st.sampled_from(LETTER_POOL), max_size=30).map(tuple)
 
 
@@ -74,8 +71,8 @@ def test_handle_occurrences_b2_word():
     assert handle_occurrences(parse_word("a0' a1 a2' a1 a0' a3"), 1) == 2
 
 
-def test_handle_occurrences_ignores_connector_and_tilde():
-    w = (alpha(0), tilde(), alpha(0, -1), tilde(-1))
+def test_handle_occurrences_ignores_the_connector():
+    w = (alpha(0), alpha(0), alpha(0, -1), alpha(0))
     assert handle_occurrences(w, 0) == 0
     assert all(handle_occurrences(w, i) == 0 for i in range(1, 5))
 
@@ -95,9 +92,9 @@ def test_substitute_absent_letter():
 
 
 def test_invert_involution_example():
-    w = parse_word("a0' a1 a2' at")
+    w = parse_word("a0' a1 a2' a4")
     assert invert(invert(w)) == w
-    assert invert(w) == parse_word("at' a2 a1' a0")
+    assert invert(w) == parse_word("a4' a2 a1' a0")
 
 
 def test_cyclic_reduce():
@@ -108,16 +105,17 @@ def test_cyclic_reduce():
 
 
 def test_word_text_round_trip():
-    w = parse_word("a0' a10 at' a3")
+    w = parse_word("a0' a10 a4' a3")
     assert parse_word(word_str(w)) == w
+    assert word_str(parse_word("a1048575")) == "a1048575"
     assert word_str(()) == ""
     assert parse_word("") == ()
 
 
 def test_parse_rejects_bad_tokens():
     # Only a code's canonical text parses: no leading zeros, no non-ASCII
-    # digits, and the tilde is spelled "at", never by its code's index.
-    for bad in ("b1", "a", "a1''", "a-1", "atx", "a01", "a\u0661", "a00", "a1048575"):
+    # digits, and no "at": the boundary arc is a word, not a letter.
+    for bad in ("b1", "a", "a1''", "a-1", "atx", "a01", "a\u0661", "a00", "at", "at'"):
         try:
             parse_word(bad)
         except ValueError:
@@ -135,17 +133,16 @@ def test_word_str_rejects_code_zero():
 def test_letter_codes():
     assert alpha(0) == 1
     assert alpha(3) == 4
-    assert tilde() == TILDE
     assert handle_index(alpha(3, -1)) == 3
-    assert word_str((alpha(3, -1), tilde())) == "a3' at"
+    assert word_str((alpha(3, -1), alpha(0))) == "a3' a0"
 
 
 def _reference_text(w):
-    return " ".join(("at" if abs(c) == TILDE else f"a{abs(c) - 1}") + ("'" if c < 0 else "") for c in w)
+    return " ".join(f"a{abs(c) - 1}" + ("'" if c < 0 else "") for c in w)
 
 
-# alpha_0, handles in and beyond the token table, and the tilde, in both signs.
-_TEXT_CODES = st.one_of(st.integers(1, 2100), st.integers(1, 4 * TILDE), st.just(TILDE))
+# alpha_0 and handles in and beyond the token table, in both signs.
+_TEXT_CODES = st.one_of(st.integers(1, 2100), st.integers(1, 1 << 22))
 
 
 @given(st.lists(st.tuples(_TEXT_CODES, st.sampled_from((1, -1))).map(lambda cs: cs[0] * cs[1])).map(tuple))
@@ -159,14 +156,13 @@ def test_word_text_round_trips_exactly(w):
 def test_reduce_idempotent(w):
     r = reduce_word(w)
     assert reduce_word(r) == r
-    assert is_reduced(r)
 
 
 @given(words_strategy)
 def test_length_bound(w):
     r = reduce_word(w)
     assert len(r) <= len(w)
-    assert (len(r) == len(w)) == is_reduced(w)
+    assert (len(r) == len(w)) == (reduce_word(w) == w)
 
 
 @given(words_strategy)
@@ -195,7 +191,7 @@ _parts = st.lists(st.one_of(_part.map(lambda p: [p]), _nested), max_size=8).map(
 def test_concat_is_the_reduced_product_of_reduced_parts(parts):
     got = concat(*parts)
     assert got == reduce_word(itertools.chain(*parts))
-    assert is_reduced(got)
+    assert reduce_word(got) == got
 
 
 @given(words_strategy, st.integers(1, 10), words_strategy)
@@ -223,7 +219,7 @@ def test_engine_hands_concat_only_reduced_parts(monkeypatch):
 
     def checked(*ws):
         for w in ws:
-            if not is_reduced(w):
+            if reduce_word(w) != w:
                 raise AssertionError(f"concat was handed the unreduced part {word_str(w)!r}")
         return original(*ws)
 
