@@ -52,11 +52,6 @@ def iterated_ta3(w, m, s=S21):
     return sequential([(CurveId("a", 3), 1 if m > 0 else -1)] * abs(m), w, s)
 
 
-def alphabet(s):
-    """Every unsigned letter code of the surface: alpha_0..alpha_N."""
-    return list(range(1, s.num_handles + 2))
-
-
 @st.composite
 def chain_monodromy(draw, max_g):
     """A surface and a piece, fibration, inverse or random chain-twist monodromy on it."""
@@ -79,8 +74,7 @@ def chain_monodromy(draw, max_g):
 @st.composite
 def monodromy_and_word(draw):
     s, phi = draw(chain_monodromy(4))
-    letters = draw(st.lists(st.tuples(st.sampled_from(alphabet(s)), st.sampled_from((1, -1))), max_size=16))
-    return s, phi, tuple(c * e for c, e in letters)
+    return s, phi, tuple(draw(st.lists(st.sampled_from(sorted(s.alphabet)), max_size=16)))
 
 
 def test_twist_rule_basic_cases():
@@ -157,9 +151,8 @@ def test_compiled_table_matches_sequential_twists(case):
     s, phi, w = case
     table = compile_monodromy(phi, s)
     assert table.apply(w) == sequential(phi.twists, w, s)
-    for code in alphabet(s):
-        for c in (code, -code):
-            assert table.apply((c,)) == sequential(phi.twists, (c,), s)
+    for c in s.alphabet:
+        assert table.apply((c,)) == sequential(phi.twists, (c,), s)
 
 
 @settings(deadline=None)
