@@ -215,24 +215,6 @@ def complex_from_piece(piece: LFPiece) -> HandleComplex:
     return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
 
 
-def x2_id_map(x1: HandleComplex, x2: HandleComplex) -> dict[str, str]:
-    """Map each X1 handle id to the id of the same vanishing cycle's handle in X2.
-
-    Both complexes are start complexes (`complex_from_piece`).  X2's cycle
-    list is X1's rotated by |W|, so X2's handle k is X1's handle
-    (k + |W|) mod 2|W|; the fiber boundary handles, last in both lists,
-    correspond.  Handles are matched by list position, never by id text.
-    """
-    *cycles1, boundary1 = x1.two_handles
-    *cycles2, boundary2 = x2.two_handles
-    size = len(cycles2)
-    if len(cycles1) != size or size % 2:
-        raise MoveError(f"X1 has {len(cycles1)} cycle handles and X2 {size}; X2 is not X1 rotated by half")
-    ids = {cycles1[(k + size // 2) % size].id: h.id for k, h in enumerate(cycles2)}
-    ids[boundary1.id] = boundary2.id
-    return ids
-
-
 def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> Word:
     """Word of the target after sliding over another 2-handle.
 
@@ -324,7 +306,6 @@ __all__ = [
     "TwoHandle",
     "HandleComplex",
     "complex_from_piece",
-    "x2_id_map",
     "slide_words",
     "relator_solution",
     "eliminate_letter",

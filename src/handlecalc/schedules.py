@@ -37,24 +37,23 @@ X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
 and the schedule finds its handles by origin, not by position, so X2's
 run makes X1's moves on X1's words with only the handle ids changed.
 `run_both` therefore runs X1's schedule once and derives X2's complex and
-trace by renaming ids (`complexes.x2_id_map`, the one place the rotation
-is stated).  A guard first requires the X1 run to be of the same knot, n
-and piece X1, and X1's recorded initial state, renamed and put in X2's
-handle order, to equal X2's start complex; any mismatch raises
-ScheduleError.  `run_schedule(knot, n, "X2")` without
-`x1`, and `replay`, still run the full X2 schedule, which the tests use
-as the oracle for the derivation.
+trace by renaming ids (`_derive_x2`, the one place the rotation is
+stated).  A guard first requires the X1 run to be of the same knot, n
+and piece X1, and X1's recorded initial state, rotated and renamed, to
+equal X2's start state; any mismatch raises ScheduleError.
+`run_schedule(knot, n, "X2")` without `x1`, and `replay`, still run the
+full X2 schedule, which the tests use as the oracle for the derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, x2_id_map
+from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece
 from .factorization import build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import Move, MoveTrace, complex_state, execute, weak_cancellations
+from .trace import MoveTrace, complex_state, execute, finish, weak_cancellations
 from .twists import ta3_power
 from .words import Word, alpha, concat, word_str
 
@@ -163,15 +162,17 @@ def _phase_c(run: _Run) -> None:
 
 
 def _derive_x2(
-    spec: str, n: int, start1: HandleComplex, start2: HandleComplex, x1: tuple[HandleComplex, MoveTrace]
+    spec: str, n: int, start2: HandleComplex, x1: tuple[HandleComplex, MoveTrace]
 ) -> tuple[HandleComplex, MoveTrace]:
     """X2's final complex and trace from X1's finished run, by renaming handle ids.
 
-    `start1` and `start2` are the start complexes of both pieces; `start2`
-    becomes the returned complex.  Raises ScheduleError if X1's run is not
-    of this knot, n and piece, or if X1's initial state, renamed and
-    rotated, is not X2's start state, or if X1's trace was read from a
-    file, which records only a summary of the initial state.
+    `start2` is X2's start complex, whose handle k is X1's handle
+    (k + |W|) mod 2|W|, the fiber boundary handle last in both.  The final
+    complex is built from X1's survivors: renaming keeps X1's finished
+    state, so `finish` is not run again.  Raises ScheduleError if X1's run
+    is not of this knot, n and piece, if X1's initial state, rotated and
+    renamed, is not X2's, or if X1's trace was read from a file, which
+    records only a summary of the initial state.
     """
     cx1, trace1 = x1
 
@@ -183,33 +184,28 @@ def _derive_x2(
     if trace1.summarised:
         raise mismatch("its trace records only a summary of the initial state (a trace read from a file); "
                        "run X2's schedule instead")
-    survivors = [h.id for h in cx1.two_handles]
-    if trace1.final is None or survivors != [h["id"] for h in trace1.final["two_handles"]]:
+    if trace1.final is None or [h.id for h in cx1.two_handles] != [h["id"] for h in trace1.final["two_handles"]]:
         raise mismatch("the given complex is not the final complex of its trace")
+    entries = trace1.initial["two_handles"]
+    half = (len(entries) - 1) // 2
+    pairs = list(zip(entries[half:-1] + entries[:half] + entries[-1:], start2.two_handles))
+    initial = complex_state(start2)
+    if {**trace1.initial, "two_handles": [dict(h, id=h2.id) for h, h2 in pairs]} != initial:
+        raise mismatch("X1's initial state, renamed and rotated, is not X2's")
+    ids = {h["id"]: h2.id for h, h2 in pairs}
     try:
-        ids = x2_id_map(start1, start2)
-        entries = [dict(h, id=ids[h["id"]]) for h in trace1.initial["two_handles"]]
-        moves = [Move(m.kind, ids[m.target], None if m.over is None else ids[m.over], m.letter, m.relator,
-                      m.shared_prefix, m.before, m.after_word)
+        moves = [replace(m, target=ids[m.target], over=None if m.over is None else ids[m.over])
                  for m in trace1.moves]
         words = {ids[h.id]: h.word for h in cx1.two_handles}
-    except (KeyError, MoveError) as err:
+    except KeyError as err:
         raise mismatch(f"X1 names a handle X2 does not have ({err})") from err
-    initial = complex_state(start2)
-    position = {h.id: k for k, h in enumerate(start2.two_handles)}
-    entries.sort(key=lambda h: position[h["id"]])
-    if {**trace1.initial, "two_handles": entries} != initial:
-        raise mismatch("X1's initial state, renamed and rotated, is not X2's")
 
-    start2.one_handles = set(cx1.one_handles)
-    for h in [h for h in start2.two_handles if h.id not in words]:
-        start2.remove(h)
-    for h in start2.two_handles:
-        h.word = words[h.id]
+    survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id], h.framing)
+                 for h in start2.two_handles if h.id in words]
+    cx = HandleComplex(start2.surface, set(cx1.one_handles), survivors, start2.zero_handles)
     # Renaming keeps each cancel's letter and relator, so X2 warns where X1 does.
     warnings = weak_cancellations(moves) if trace1.warnings else []
-    trace = MoveTrace(spec, n, "X2", initial, moves, complex_state(start2), dict(trace1.certificate), warnings)
-    return start2, trace
+    return cx, MoveTrace(spec, n, "X2", initial, moves, complex_state(cx), dict(trace1.certificate), warnings)
 
 
 def run_schedule(
@@ -240,9 +236,9 @@ def run_schedule(
         raise ValueError(f"only X2 is derived from X1, got piece {piece!r}")
 
     piece1, piece2 = build_pieces(knot, n)
-    if x1 is not None:
-        return _derive_x2(knot.spec_str(), n, complex_from_piece(piece1), complex_from_piece(piece2), x1)
     cx = complex_from_piece(piece1 if piece == "X1" else piece2)
+    if x1 is not None:
+        return _derive_x2(knot.spec_str(), n, cx, x1)
     run = _Run(cx, knot.spec_str(), n, piece)
 
     if isinstance(knot, StallingsKnot):
@@ -253,21 +249,10 @@ def run_schedule(
         _chain_phase(run)
     _phase_c(run)
 
-    if cx.one_handles:
-        raise run.fail(f"schedule finished with live 1-handles {sorted(cx.one_handles)}", None)
-    expected = 6 * n - 1
-    if len(cx.two_handles) != expected:
-        raise run.fail(
-            f"schedule left {len(cx.two_handles)} 2-handles, expected {expected}", None
-        )
     try:
-        cx.check_live_letters()
+        run.trace.final, run.trace.certificate, run.trace.warnings = finish(cx, run.trace.moves, n)
     except MoveError as err:
         raise run.fail(str(err), err.word) from err
-
-    run.trace.warnings = weak_cancellations(run.trace.moves)
-    run.trace.final = complex_state(cx)
-    run.trace.certificate = {"one_handles": 0, "two_handles": expected}
     return cx, run.trace
 
 

@@ -16,9 +16,9 @@ rebuilds the initial complex from the knot spec, re-derives every move
 with `execute` from the live complex (an eliminate's relator is the word
 of the live helper it names, never a word from the trace) and requires
 each recorded move to equal the re-derived one, field for field.  The
-final state and the certificate must match the replayed complex, the
-warnings must be `weak_cancellations` of the moves, and the error must be
-null, so every field a trace prints is checked.
+moves must finish the piece (`finish`, the end check the schedules make
+too), the final state, certificate and warnings must be what it returns,
+and the error must be null, so every field a trace prints is checked.
 """
 
 from __future__ import annotations
@@ -238,6 +238,21 @@ def weak_cancellations(moves: list[Move]) -> list[str]:
     ]
 
 
+def finish(cx: HandleComplex, moves: list[Move], n: int) -> tuple[dict, dict, list[str]]:
+    """The final state, certificate and warnings of a piece whose moves are all made.
+
+    Raises MoveError unless no 1-handle is live (the upside-down X2 would
+    make it a 3-handle), 6n - 1 two-handles remain and every word runs over live letters.
+    """
+    if cx.one_handles:
+        raise MoveError(f"piece ends with live 1-handles {sorted(cx.one_handles)}")
+    expected = 6 * n - 1
+    if len(cx.two_handles) != expected:
+        raise MoveError(f"piece ends with {len(cx.two_handles)} 2-handles, expected {expected}")
+    cx.check_live_letters()
+    return complex_state(cx), {"one_handles": 0, "two_handles": expected}, weak_cancellations(moves)
+
+
 class ReplayError(MoveError):
     """A recorded trace does not match what its knot spec and moves re-derive."""
 
@@ -296,11 +311,11 @@ def replay(trace: MoveTrace) -> HandleComplex:
     complex must match the recorded initial state (its summary, for a
     trace read from a file); each recorded move must equal, field for
     field, the move `execute` derives from the live complex (its `after`
-    follows from `after_word`); the final state and the certificate must match
-    the replayed complex, and the Euler characteristic must never move;
-    the warnings must be those the moves derive, and no error may be
-    recorded.  Any mismatch, or a move the executor rejects, raises
-    ReplayError.
+    follows from `after_word`), and the Euler characteristic must never
+    move; the moves must finish the piece, and the final state, the
+    certificate and the warnings must be those `finish` returns; no error
+    may be recorded.  Any mismatch, or a move the executor rejects,
+    raises ReplayError.
     """
     if trace.piece not in ("X1", "X2"):
         raise ReplayError(f"unknown piece {trace.piece!r}")
@@ -328,12 +343,15 @@ def replay(trace: MoveTrace) -> HandleComplex:
             raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
         if cx.euler() != chi:
             raise ReplayError(f"move {k}: Euler characteristic drifted from {chi}")
-    if trace.final is None or _canonical(complex_state(cx)) != _canonical(trace.final):
+    try:
+        final, certificate, warnings = finish(cx, trace.moves, trace.n)
+    except MoveError as err:
+        raise ReplayError(f"the moves do not finish {trace.piece}: {err}") from err
+    if trace.final is None or _canonical(final) != _canonical(trace.final):
         raise ReplayError("final complex state mismatch")
-    certificate = {"one_handles": len(cx.one_handles), "two_handles": len(cx.two_handles)}
     if _canonical(trace.certificate) != _canonical(certificate):
         raise ReplayError(f"certificate {trace.certificate} does not match the replayed complex {certificate}")
-    if trace.warnings != weak_cancellations(trace.moves):
+    if trace.warnings != warnings:
         raise ReplayError("warnings do not match the weak cancellations of the moves")
     return cx
 
@@ -349,5 +367,6 @@ __all__ = [
     "ReplayError",
     "execute",
     "weak_cancellations",
+    "finish",
     "replay",
 ]

@@ -20,7 +20,7 @@ from .knots import Knot, TwoBridgeKnot, parse_knot_spec
 from .schedules import ScheduleError, assemble, run_both
 from .surfaces import FiberSurface
 from .trace import SCHEMA
-from .twists import compile_monodromy, piece_monodromy, two_bridge_monodromy
+from .twists import compile_monodromy, piece_monodromy
 from .words import alpha, handle_letters, handle_occurrences
 
 
@@ -82,8 +82,8 @@ def check_twist_image_closure(eps: Sequence[int]) -> VerificationReport:
 
 
 def check_monodromy_invertible(eps: Sequence[int]) -> VerificationReport:
-    """Applying the monodromy then its inverse fixes every generator."""
-    phi = two_bridge_monodromy(eps)
+    """The pieces' monodromy (the table `build_pieces` compiles), then its inverse, fixes every generator."""
+    phi = piece_monodromy(eps)
     g = len(tuple(eps)) // 2
     s = FiberSurface(g, 1)
     forward, backward = compile_monodromy(phi, s), compile_monodromy(phi.inverse(), s)

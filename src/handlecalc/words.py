@@ -158,10 +158,17 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     return concat(*[images.get(c, (c,)) for c in w])
 
 
+#: The most digits of a token's index: no alphabet has more than 4 * 256 + 2 * 1000 - 2
+#: letters, and Python's `int` refuses over 4300 digits with a message naming no token.
+_MAX_DIGITS = 9
+
+
 def _token(c: int) -> str:
-    """The text of one letter code, the reference spelling of word_str; ValueError for 0."""
+    """The text of one letter code, the reference spelling of word_str; ValueError for 0 and above 10**9."""
     if c == 0:
         raise ValueError("0 is not a letter code")
+    if abs(c) > 10**_MAX_DIGITS:
+        raise ValueError(f"letter code above the limit 10**{_MAX_DIGITS}: its index would not parse back")
     name = f"a{abs(c) - 1}"
     return name + "'" if c < 0 else name
 
@@ -171,6 +178,8 @@ def _parse_token(tok: str) -> int:
     body, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
     if not (body.startswith("a") and body[1:].isdigit()):
         raise ValueError(f"bad word token: {tok!r}")
+    if len(body) > _MAX_DIGITS + 1:
+        raise ValueError(f"bad word token: {tok[:12]!r}... ({len(body) - 1} digits, at most {_MAX_DIGITS})")
     code = sign * (int(body[1:]) + 1)
     # isdigit and int accept "01" and non-ASCII digits; only the text
     # word_str prints for the code is a token.
@@ -216,7 +225,8 @@ def parse_word(text: str) -> Word:
 
     Tokens are whitespace-separated, each "a" index with an optional
     trailing ' for the inverse.  A token is accepted only if it is the
-    text word_str prints for its code: "a01" and "a00" are rejected.
+    text word_str prints for its code: "a01" and "a00" are rejected, and
+    so is an index of more than 9 digits, far above any alphabet.
 
     >>> parse_word("a0' a4'")
     (-1, -5)

@@ -19,6 +19,7 @@ from handlecalc.trace import (
     complex_state,
     execute,
     replay,
+    weak_cancellations,
     word_digest,
 )
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
@@ -178,6 +179,23 @@ def test_derivation_rejects_x1_of_another_run(spec, n, relabel, message):
         trace.knot = relabel
     with pytest.raises(ScheduleError, match=message):
         run_schedule("twobridge:+,+", 1, "X2", x1=(cx, trace))
+
+
+@pytest.mark.parametrize("spec", ["twobridge:+,-", "twobridge:+,+,-,+", "stallings:m=-2", "stallings:m=3"])
+def test_derived_x2_builds_one_complex(monkeypatch, spec):
+    # The derivation builds X2's start complex only; X1's comes from its trace.
+    built = []
+
+    def counting(piece):
+        built.append(piece.which)
+        return complex_from_piece(piece)
+
+    monkeypatch.setattr(schedules, "complex_from_piece", counting)
+    for n in (1, 2, 3):
+        x1 = run_schedule(spec, n, "X1")
+        built.clear()
+        run_schedule(spec, n, "X2", x1=x1)
+        assert built == ["X2"]
 
 
 def test_only_x2_is_derived():
@@ -433,6 +451,33 @@ def _bad_knot_spec():
     return doc
 
 
+def _huge_prefix_token():
+    # An index of 5000 digits, past what Python's int reads from text.
+    _, doc, _ = _trefoil_x1()
+    doc["moves"][0]["shared_prefix"] = "a" + "9" * 5000
+    return doc
+
+
+def _cut_before_last_cancel(spec, n):
+    """An X1 trace without its last cancel, with final, certificate and
+    warnings rewritten from an honest replay of the shorter move list."""
+    _, trace = run_schedule(spec, n, "X1")
+    k = max(k for k, m in enumerate(trace.moves) if m.kind == "cancel")
+    moves = trace.moves[:k]
+    x1, _ = build_pieces(parse_knot_spec(spec), n)
+    cx = complex_from_piece(x1)
+    for m in moves:
+        execute(cx, m.kind, m.target, m.over, m.letter,
+                None if m.shared_prefix is None else parse_word(m.shared_prefix))
+    assert sorted(cx.one_handles) == [trace.moves[k].letter]
+    doc = trace.to_json()
+    doc["moves"] = [m.to_json() for m in moves]
+    doc["final"] = complex_state(cx)
+    doc["certificate"] = {"one_handles": len(cx.one_handles), "two_handles": len(cx.two_handles)}
+    doc["warnings"] = weak_cancellations(moves)
+    return doc
+
+
 @pytest.mark.parametrize(
     "forge, message",
     [
@@ -449,6 +494,12 @@ def _bad_knot_spec():
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
         pytest.param(_forged_warning, "warnings do not match", id="forged-warning"),
         pytest.param(_forged_error, "failed schedule", id="forged-error"),
+        pytest.param(_huge_prefix_token, "move 0: bad word token", id="huge-prefix-token"),
+        # a4 and a8 are the letters of the last cancel at g = 1 and g = 2.
+        pytest.param(lambda: _cut_before_last_cancel("twobridge:+,-", 1),
+                     r"do not finish X1: .*live 1-handles \[4\]", id="cut-before-last-cancel-twobridge"),
+        pytest.param(lambda: _cut_before_last_cancel("stallings:m=-2", 2),
+                     r"do not finish X1: .*live 1-handles \[8\]", id="cut-before-last-cancel-stallings"),
     ],
 )
 def test_replay_rejects_forged_trace(forge, message):

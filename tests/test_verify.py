@@ -49,6 +49,12 @@ def test_invertibility():
     assert compile_monodromy(MonodromySpec(()), FiberSurface(1, 1)).apply((alpha(0),)) == (alpha(0),)
 
 
+def test_invertibility_suite_round_trips_the_piece_monodromy():
+    # The suite certifies the table build_pieces compiles, not the fibration order.
+    assert check_monodromy_invertible((1, -1)).knot == "piece:+,-"
+    assert check_monodromy_invertible((1, 1, -1, 1)).knot == "piece:+,+,-,+"
+
+
 def test_full_report_trefoil():
     report = full_report("twobridge:+,+", 1)
     assert report.passed

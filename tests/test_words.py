@@ -114,13 +114,12 @@ def test_word_text_round_trip():
 
 def test_parse_rejects_bad_tokens():
     # Only a code's canonical text parses: no leading zeros, no non-ASCII
-    # digits, and no "at": the boundary arc is a word, not a letter.
-    for bad in ("b1", "a", "a1''", "a-1", "atx", "a01", "a\u0661", "a00", "at", "at'"):
-        try:
+    # digits, and no "at": the boundary arc is a word, not a letter.  An
+    # index of more than 9 digits is refused before it is converted.
+    for bad in ("b1", "a", "a1''", "a-1", "atx", "a01", "a\u0661", "a00", "at", "at'",
+                "a" + "9" * 5000, "a" + "9" * 5000 + "'", "a1234567890"):
+        with pytest.raises(ValueError, match="bad word token"):
             parse_word(bad)
-        except ValueError:
-            continue
-        raise AssertionError(f"{bad!r} should not parse")
 
 
 def test_word_str_rejects_code_zero():
@@ -128,6 +127,14 @@ def test_word_str_rejects_code_zero():
     for w in ((0,), (alpha(1), 0, alpha(2))):
         with pytest.raises(ValueError, match="0 is not a letter code"):
             word_str(w)
+
+
+def test_word_str_refuses_an_index_parse_word_refuses():
+    # The largest index of 9 digits round-trips; one more letter code does not print.
+    assert parse_word(word_str((10**9, -(10**9)))) == (10**9, -(10**9))
+    for c in (10**9 + 1, -(10**9) - 1, 10**5000):
+        with pytest.raises(ValueError, match="above the limit"):
+            word_str((c,))
 
 
 def test_letter_codes():
