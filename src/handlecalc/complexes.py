@@ -138,31 +138,34 @@ class TwoHandle:
         return f"phi({self.origin})" if self.phi_image else str(self.origin)
 
 
-@dataclass
 class HandleComplex:
     """One piece's handle data; mutated in place by moves.
 
     A schedule run owns its complex exclusively; distinct runs are
     independent.  Word values themselves stay immutable tuples.  The
     complex binds its 2-handles to its elimination table and indexes them
-    by id and by (origin, phi_image) at construction; remove handles only
-    through `remove`, which keeps the index.
+    by id (in their given order) and by (origin, phi_image) at
+    construction; remove handles only through `remove`, which keeps both
+    indexes in constant time.
     """
 
-    surface: FiberSurface
-    one_handles: set[int]
-    two_handles: list[TwoHandle]
-    zero_handles: int = 1
-    eliminations: Eliminations = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, surface: FiberSurface, one_handles: set[int], two_handles: list[TwoHandle],
+                 zero_handles: int = 1):
+        self.surface = surface
+        self.one_handles = one_handles
+        self.zero_handles = zero_handles
         self.eliminations = Eliminations()
         self._by_id: dict[str, TwoHandle] = {}
         self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] = {}
-        for h in self.two_handles:
+        for h in two_handles:
             h._table, h._version = self.eliminations, 0
             self._by_id[h.id] = h
             self._by_origin.setdefault((h.origin, h.phi_image), []).append(h)
+
+    @property
+    def two_handles(self) -> list[TwoHandle]:
+        """The live 2-handles in their given order, as a new list."""
+        return list(self._by_id.values())
 
     def handle(self, hid: str) -> TwoHandle:
         h = self._by_id.get(hid)
@@ -179,24 +182,23 @@ class HandleComplex:
 
     def remove(self, h: TwoHandle) -> None:
         """Drop a 2-handle from the complex; its word stays as it reads now."""
-        self.two_handles.remove(h)
         del self._by_id[h.id]
-        self._by_origin[(h.origin, h.phi_image)].remove(h)
+        self._by_origin[(h.origin, h.phi_image)].remove(h)  # the few handles of one origin
         h._word, h._table = h.word, None
 
     def counts(self) -> dict[str, int]:
         return {
             "zero_handles": self.zero_handles,
             "one_handles": len(self.one_handles),
-            "two_handles": len(self.two_handles),
+            "two_handles": len(self._by_id),
         }
 
     def euler(self) -> int:
-        return self.zero_handles - len(self.one_handles) + len(self.two_handles)
+        return self.zero_handles - len(self.one_handles) + len(self._by_id)
 
     def check_live_letters(self) -> None:
         """Every non-opaque word runs only over live 1-handles."""
-        for h in self.two_handles:
+        for h in self._by_id.values():
             word = h.word
             if word is None:
                 continue

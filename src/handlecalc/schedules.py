@@ -47,13 +47,13 @@ full X2 schedule, which the tests use as the oracle for the derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece
 from .factorization import build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, complex_state, execute, finish, weak_cancellations
+from .trace import MoveTrace, execute, finish, weak_cancellations, word_state
 from .twists import ta3_power
 from .words import Word, alpha, concat, word_str
 
@@ -72,7 +72,7 @@ class _Run:
 
     def __init__(self, cx: HandleComplex, knot_spec: str, n: int, piece: str):
         self.cx = cx
-        self.trace = MoveTrace(knot=knot_spec, n=n, piece=piece, initial=complex_state(cx))
+        self.trace = MoveTrace(knot=knot_spec, n=n, piece=piece, initial=word_state(cx))
 
     def fail(self, message: str, word: Word | None) -> ScheduleError:
         self.trace.error = {
@@ -169,7 +169,9 @@ def _derive_x2(
     `start2` is X2's start complex, whose handle k is X1's handle
     (k + |W|) mod 2|W|, the fiber boundary handle last in both.  The final
     complex is built from X1's survivors: renaming keeps X1's finished
-    state, so `finish` is not run again.  Raises ScheduleError if X1's run
+    state, so `finish` is not run again.  Each renamed move shares its X1
+    move's text and digest (`Move.renamed`), so no word is spelled twice
+    when both traces are written.  Raises ScheduleError if X1's run
     is not of this knot, n and piece, if X1's initial state, rotated and
     renamed, is not X2's, or if X1's trace was read from a file, which
     records only a summary of the initial state.
@@ -189,13 +191,12 @@ def _derive_x2(
     entries = trace1.initial["two_handles"]
     half = (len(entries) - 1) // 2
     pairs = list(zip(entries[half:-1] + entries[:half] + entries[-1:], start2.two_handles))
-    initial = complex_state(start2)
+    initial = word_state(start2)
     if {**trace1.initial, "two_handles": [dict(h, id=h2.id) for h, h2 in pairs]} != initial:
         raise mismatch("X1's initial state, renamed and rotated, is not X2's")
     ids = {h["id"]: h2.id for h, h2 in pairs}
     try:
-        moves = [replace(m, target=ids[m.target], over=None if m.over is None else ids[m.over])
-                 for m in trace1.moves]
+        moves = [m.renamed(ids) for m in trace1.moves]
         words = {ids[h.id]: h.word for h in cx1.two_handles}
     except KeyError as err:
         raise mismatch(f"X1 names a handle X2 does not have ({err})") from err
@@ -205,7 +206,7 @@ def _derive_x2(
     cx = HandleComplex(start2.surface, set(cx1.one_handles), survivors, start2.zero_handles)
     # Renaming keeps each cancel's letter and relator, so X2 warns where X1 does.
     warnings = weak_cancellations(moves) if trace1.warnings else []
-    return cx, MoveTrace(spec, n, "X2", initial, moves, complex_state(cx), dict(trace1.certificate), warnings)
+    return cx, MoveTrace(spec, n, "X2", initial, moves, word_state(cx), dict(trace1.certificate), warnings)
 
 
 def run_schedule(

@@ -6,26 +6,38 @@ canonical JSON and its handle counts), the move list, the final state
 and the certificate counts.  Nothing else is written that replay
 re-derives: the initial complex is rebuilt from the knot spec, and a
 move's `after` digest follows from its `after_word` (a cancel's is that
-of `<removed>`).  Word digests are 64-bit FNV-1a over the word text
-form.  A trace a schedule returns keeps the full initial state in
-memory; a trace read from a file holds only the summary.
+of `<removed>`).  Word digests are 64-bit FNV-1a over a word's text
+form.
+
+Words are tuples in memory and text only in the file.  A `Move` holds
+its relator, shared prefix and after-word, and the target's word before
+the move, as words; a `MoveTrace` holds its initial and final states,
+and `finish` returns the final one, as word states (`word_state`, whose
+2-handle words are tuples).  `to_json` spells the words and hashes each
+move's before-word, once per move; `from_json` parses each word field
+once and keeps the text it read.  A schedule run, and `full_report`,
+therefore neither formats nor hashes a word.  A trace a schedule returns
+holds its full initial state; a trace read from a file holds only the
+summary, and its moves hold the `before` digest, not the word.
 
 `execute` applies one slide, eliminate or cancel to a complex and returns
 the move's full record; the schedules log moves only through it.  Replay
 rebuilds the initial complex from the knot spec, re-derives every move
 with `execute` from the live complex (an eliminate's relator is the word
 of the live helper it names, never a word from the trace) and requires
-each recorded move to equal the re-derived one, field for field.  The
-moves must finish the piece (`finish`, the end check the schedules make
-too), the final state, certificate and warnings must be what it returns,
-and the error must be null, so every field a trace prints is checked.
+each recorded move to equal the re-derived one, field for field, words
+compared as words (`before` as a digest when the move was read from a
+file, which records no before-word).  The moves must finish the piece
+(`finish`, the end check the schedules make too), the final state,
+certificate and warnings must be what it returns, and the error must be
+null, so every field a trace prints is checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .complexes import (
     HandleComplex,
@@ -62,6 +74,8 @@ _SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
 #: Move fields: the first three are required; all but `letter` are strings.
 #: A move holds no other key.
 _MOVE_FIELDS = ("kind", "target", "before", "over", "letter", "relator", "shared_prefix", "after_word")
+#: The move fields that hold a word, spelled as text in a file.
+_WORD_FIELDS = ("relator", "shared_prefix", "after_word")
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
@@ -82,32 +96,54 @@ def word_digest(w: Word | None) -> str:
     return fnv1a64(OPAQUE_TEXT if w is None else word_str(w))
 
 
-def complex_state(cx: HandleComplex) -> dict:
+def word_state(cx: HandleComplex) -> dict:
+    """The complex's state with each 2-handle word a tuple (None if opaque): the form a trace holds."""
     return {
         "surface": {"g": cx.surface.g, "n": cx.surface.n},
         "zero_handles": cx.zero_handles,
         "one_handles": sorted(cx.one_handles),
         "two_handles": [
-            {
-                "id": h.id,
-                "origin": str(h.origin),
-                "phi": h.phi_image,
-                "word": None if h.word is None else word_str(h.word),
-                "framing": h.framing,
-            }
+            {"id": h.id, "origin": str(h.origin), "phi": h.phi_image, "word": h.word, "framing": h.framing}
             for h in cx.two_handles
         ],
         "four_handle_pending": False,  # no move in this model adds a 4-handle
     }
 
 
+def state_text(state: dict) -> dict:
+    """A word state with its words spelled as text: the form a trace file records."""
+    return {**state, "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
+                                     for h in state["two_handles"]]}
+
+
+def complex_state(cx: HandleComplex) -> dict:
+    """The complex's state as a trace file records it, words as text."""
+    return state_text(word_state(cx))
+
+
+def _read_state(state: dict) -> dict:
+    """`state_text`'s inverse on the `final` field of a trace file: each word parsed once."""
+    handles = state.get("two_handles")
+    if not isinstance(handles, list) or not all(isinstance(h, dict) and "word" in h for h in handles):
+        raise MoveError("trace field 'final' must hold a list 'two_handles' of objects with a 'word'")
+    parsed = []
+    for k, h in enumerate(handles):
+        where = f"final 2-handle {k}"
+        try:
+            parsed.append({**h, "word": _parsed("word", _typed(where, "word", h["word"], str))})
+        except MoveError as err:
+            raise MoveError(f"{where}: {err}") from None
+    return {**state, "two_handles": parsed}
+
+
 def _canonical(state: dict | None) -> str:
+    """Sorted-key JSON, equal exactly when the values and their JSON types are; a word dumps as a list."""
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def state_summary(state: dict) -> dict:
-    """A complex state as a trace file records its initial one: SHA-256 digest and counts."""
-    digest = hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
+    """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts."""
+    digest = hashlib.sha256(_canonical(state_text(state)).encode("utf-8")).hexdigest()
     return {"digest": f"sha256:{digest}", "zero_handles": state["zero_handles"],
             "one_handles": len(state["one_handles"]), "two_handles": len(state["two_handles"])}
 
@@ -121,6 +157,16 @@ def _typed(where: str, name: str, value, kind: type, nullable: bool = True):
     return value
 
 
+def _parsed(name: str, text: str | None) -> Word | None:
+    """The word a text field spells (None stays None); MoveError naming the field if it spells none."""
+    if text is None:
+        return None
+    try:
+        return parse_word(text)
+    except ValueError as err:
+        raise MoveError(f"{err} in field {name!r}") from None
+
+
 def _refuse_unknown(where: str, d: dict, known) -> None:
     """Raise MoveError if the object holds a key the format does not name."""
     unknown = sorted(d.keys() - known, key=str)
@@ -128,18 +174,45 @@ def _refuse_unknown(where: str, d: dict, known) -> None:
         raise MoveError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Move:
-    """One replayable move.  Digests are of the target handle's word."""
+    """One replayable move, its words held as tuples.
+
+    `relator`, `shared_prefix` and `after_word` are words, or None where
+    the move has none; `before_word` is the target's word before the move,
+    None in a move read from a file, which records only its digest.  The
+    text a file holds (`to_json`) and the `before` digest are made when
+    first asked for and kept, so a move's words are not to be changed
+    after it is made; a move renamed by the X2 derivation (`renamed`)
+    shares them with its X1 move.  Two moves are equal when every field
+    is, `before` compared as a word where both moves hold one and as a
+    digest otherwise.
+    """
 
     kind: str  # slide | eliminate | cancel
     target: str
     over: str | None = None
     letter: int | None = None
-    relator: str | None = None
-    shared_prefix: str | None = None
-    before: str = ""
-    after_word: str | None = None
+    relator: Word | None = None
+    shared_prefix: Word | None = None
+    before_word: Word | None = None
+    after_word: Word | None = None
+    _text: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _spelled(self, name: str) -> str:
+        """The text of a word field, made on first use."""
+        text = self._text.get(name)
+        if text is None:
+            text = self._text[name] = word_str(getattr(self, name))
+        return text
+
+    @property
+    def before(self) -> str:
+        """The digest of the target's word before the move, made on first use."""
+        digest = self._text.get("before")
+        if digest is None:
+            digest = self._text["before"] = word_digest(self.before_word)
+        return digest
 
     @property
     def after(self) -> str:
@@ -148,28 +221,65 @@ class Move:
         A slide or eliminate: that of its `after_word`; a cancel, which
         has none: that of `<removed>`.
         """
-        return _REMOVED_DIGEST if self.after_word is None else fnv1a64(self.after_word)
+        return _REMOVED_DIGEST if self.after_word is None else fnv1a64(self._spelled("after_word"))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Move):
+            return NotImplemented
+        if self.before_word is None or other.before_word is None:
+            same_before = self.before == other.before
+        else:
+            same_before = self.before_word == other.before_word
+        return (same_before and self.kind == other.kind and self.target == other.target
+                and self.over == other.over and self.letter == other.letter
+                and self.after_word == other.after_word and self.relator == other.relator
+                and self.shared_prefix == other.shared_prefix)
+
+    __hash__ = None  # mutable, and equal moves may differ in what they hold of `before`
+
+    def renamed(self, ids: dict[str, str]) -> "Move":
+        """The move with its handle ids mapped through `ids`, sharing this move's text and digest."""
+        move = Move(self.kind, ids[self.target], None if self.over is None else ids[self.over], self.letter,
+                    self.relator, self.shared_prefix, self.before_word, self.after_word)
+        move._text = self._text
+        return move
 
     def to_json(self) -> dict:
-        """The fields in `_MOVE_FIELDS` order; unset optional fields are left out."""
-        return {name: value for name in _MOVE_FIELDS if (value := getattr(self, name)) is not None}
+        """The fields in `_MOVE_FIELDS` order, words as text; unset optional fields are left out."""
+        out = {"kind": self.kind, "target": self.target, "before": self.before}
+        if self.over is not None:
+            out["over"] = self.over
+        if self.letter is not None:
+            out["letter"] = self.letter
+        for name in _WORD_FIELDS:
+            if getattr(self, name) is not None:
+                out[name] = self._spelled(name)
+        return out
 
     @staticmethod
     def from_json(d: dict) -> "Move":
+        """A move from its file form, each word field parsed once; the text read is kept for `to_json`."""
         if not isinstance(d, dict):
             raise MoveError(f"a move must be an object, got {type(d).__name__}")
         _refuse_unknown("move", d, _MOVE_FIELDS)
         for name in _MOVE_FIELDS[:3]:
             if d.get(name) is None:
                 raise MoveError(f"move lacks required field {name!r}")
-        return Move(**{name: _typed("move", name, d.get(name), int if name == "letter" else str)
-                       for name in _MOVE_FIELDS})
+        for name in _MOVE_FIELDS:
+            _typed("move", name, d.get(name), int if name == "letter" else str)
+        get = d.get
+        move = Move(d["kind"], d["target"], get("over"), get("letter"), _parsed("relator", get("relator")),
+                    _parsed("shared_prefix", get("shared_prefix")), after_word=_parsed("after_word", get("after_word")))
+        move._text = {name: d[name] for name in ("before", *_WORD_FIELDS) if get(name) is not None}
+        return move
 
 
 @dataclass
 class MoveTrace:
-    """A piece's move trace.  `initial` is the full initial state in a trace a
-    schedule returns, and its `state_summary` in one read from a file."""
+    """A piece's move trace.  `initial` is the full initial word state in a
+    trace a schedule returns, and its `state_summary` in one read from a
+    file; `final` is a word state.  `to_json` spells both as the file
+    records them; `error` is kept as recorded, its word as text."""
 
     knot: str
     n: int
@@ -185,6 +295,8 @@ class MoveTrace:
         out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _REQUIRED_FIELDS}}
         out["initial"] = self.initial_summary()
         out["moves"] = [m.to_json() for m in self.moves]
+        if self.final is not None:
+            out["final"] = state_text(self.final)
         if self.warnings:
             out["warnings"] = self.warnings
         if self.error is not None:
@@ -208,7 +320,15 @@ class MoveTrace:
             raise MoveError(f"trace field 'initial' must hold {', '.join(_SUMMARY_FIELDS)}, got {list(values['initial'])}")
         for name in _SUMMARY_FIELDS:
             _typed("initial", name, values["initial"][name], str if name == "digest" else int, nullable=False)
-        values["moves"] = [Move.from_json(m) for m in values["moves"]]
+        moves = []
+        for k, m in enumerate(values["moves"]):
+            try:
+                moves.append(Move.from_json(m))
+            except MoveError as err:
+                raise MoveError(f"move {k}: {err}") from None
+        values["moves"] = moves
+        if values["final"] is not None:
+            values["final"] = _read_state(values["final"])
         warnings = _typed("trace", "warnings", d.get("warnings", []), list, nullable=False)
         if not all(isinstance(w, str) for w in warnings):
             raise MoveError(f"trace field 'warnings' must be a list of str, got {warnings!r}")
@@ -232,9 +352,9 @@ def weak_cancellations(moves: list[Move]) -> list[str]:
     """
     return [
         f"weak cancellation of a{m.letter} against {m.target}: "
-        f"word {m.relator!r} is not over alpha_0/a{m.letter} alone"
+        f"word {m._spelled('relator')!r} is not over alpha_0/a{m.letter} alone"
         for m in moves
-        if m.kind == "cancel" and not is_isolated(parse_word(m.relator), m.letter)
+        if m.kind == "cancel" and not is_isolated(m.relator, m.letter)
     ]
 
 
@@ -250,7 +370,7 @@ def finish(cx: HandleComplex, moves: list[Move], n: int) -> tuple[dict, dict, li
     if len(cx.two_handles) != expected:
         raise MoveError(f"piece ends with {len(cx.two_handles)} 2-handles, expected {expected}")
     cx.check_live_letters()
-    return complex_state(cx), {"one_handles": 0, "two_handles": expected}, weak_cancellations(moves)
+    return word_state(cx), {"one_handles": 0, "two_handles": expected}, weak_cancellations(moves)
 
 
 class ReplayError(MoveError):
@@ -278,12 +398,12 @@ def execute(
     no letter, and on a handle moved over itself.
     """
     h = cx.handle(target)
-    before = word_digest(h.word)
+    before = h.word
     if kind == "cancel":
         if letter is None:
             raise MoveError(f"cancel on {target} names no letter")
         result = cancel(cx, letter, target)
-        return Move(kind, target, letter=letter, relator=word_str(result.relator), before=before)
+        return Move(kind, target, letter=letter, relator=result.relator, before_word=before)
     if kind not in ("slide", "eliminate"):
         raise MoveError(f"unknown move kind {kind!r}")
     if over is None:
@@ -295,13 +415,12 @@ def execute(
         raise MoveError(f"cannot {kind} with opaque handle {target if h.word is None else over}")
     if kind == "slide":
         h.word = slide_words(h.word, helper.word, shared_prefix)
-        record = {"shared_prefix": None if shared_prefix is None else word_str(reduce_word(shared_prefix))}
-    else:
-        if letter is None:
-            raise MoveError(f"eliminate on {target} names no letter")
-        h.word = eliminate_letter(h.word, helper.word, letter)
-        record = {"letter": letter, "relator": word_str(helper.word)}
-    return Move(kind, target, over, before=before, after_word=word_str(h.word), **record)
+        prefix = None if shared_prefix is None else reduce_word(shared_prefix)
+        return Move(kind, target, over, shared_prefix=prefix, before_word=before, after_word=h.word)
+    if letter is None:
+        raise MoveError(f"eliminate on {target} names no letter")
+    h.word = eliminate_letter(h.word, helper.word, letter)
+    return Move(kind, target, over, letter, helper.word, before_word=before, after_word=h.word)
 
 
 def replay(trace: MoveTrace) -> HandleComplex:
@@ -329,17 +448,16 @@ def replay(trace: MoveTrace) -> HandleComplex:
     if knot.spec_str() != trace.knot:
         raise ReplayError(f"knot spec {trace.knot!r} is not written as the engine writes it, {knot.spec_str()!r}")
     cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
-    if _canonical(state_summary(complex_state(cx))) != _canonical(trace.initial_summary()):
+    if _canonical(state_summary(word_state(cx))) != _canonical(trace.initial_summary()):
         raise ReplayError(f"initial state is not that of {trace.piece} of {trace.knot} at n={trace.n}")
     chi = cx.euler()
     for k, move in enumerate(trace.moves):
         try:
-            prefix = None if move.shared_prefix is None else parse_word(move.shared_prefix)
-            got = execute(cx, move.kind, move.target, move.over, move.letter, prefix)
-        except ValueError as err:  # MoveError, or a bad token in the shared prefix
+            got = execute(cx, move.kind, move.target, move.over, move.letter, move.shared_prefix)
+        except MoveError as err:
             raise ReplayError(f"move {k}: {err}") from err
         if got != move:
-            wrong = ", ".join(f.name for f in fields(Move) if getattr(got, f.name) != getattr(move, f.name))
+            wrong = ", ".join(name for name in _MOVE_FIELDS if getattr(got, name) != getattr(move, name))
             raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
         if cx.euler() != chi:
             raise ReplayError(f"move {k}: Euler characteristic drifted from {chi}")
@@ -360,6 +478,8 @@ __all__ = [
     "SCHEMA",
     "fnv1a64",
     "word_digest",
+    "word_state",
+    "state_text",
     "complex_state",
     "state_summary",
     "Move",

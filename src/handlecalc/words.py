@@ -223,12 +223,14 @@ def word_str(w: Iterable[int]) -> str:
 def parse_word(text: str) -> Word:
     """Parse the text form produced by word_str; its exact inverse.
 
-    Tokens are whitespace-separated, each "a" index with an optional
-    trailing ' for the inverse.  A token is accepted only if it is the
-    text word_str prints for its code: "a01" and "a00" are rejected, and
-    so is an index of more than 9 digits, far above any alphabet.
+    Tokens are separated by single spaces, each "a" index with an optional
+    trailing ' for the inverse.  Only the text word_str prints parses: a
+    token spelled otherwise ("a01", "a00", an index of more than 9 digits,
+    far above any alphabet) is refused, and so is any other spacing, which
+    leaves an empty token.  So two texts parse to the same word only if
+    they are equal.
 
     >>> parse_word("a0' a4'")
     (-1, -5)
     """
-    return tuple(map(_token_tables()[1].__getitem__, text.split()))
+    return tuple(map(_token_tables()[1].__getitem__, text.split(" "))) if text else ()

@@ -15,7 +15,7 @@ from handlecalc.factorization import build_pieces
 from handlecalc.knots import StallingsKnot, TwoBridgeKnot
 from handlecalc.schedules import assemble, run_schedule
 from handlecalc.surfaces import FiberSurface
-from handlecalc.trace import complex_state, replay
+from handlecalc.trace import replay, word_state
 from handlecalc.twists import compile_monodromy, piece_monodromy
 from handlecalc.words import (
     alpha,
@@ -128,8 +128,8 @@ def test_criterion_4_displayed_words():
     for m in (0, 1, -2, 5):
         _, trace = run_schedule(StallingsKnot(m), 1, "X1")
         slides = [mv for mv in trace.moves if mv.kind == "slide" and mv.shared_prefix]
-        checks.append((f"H_12 double slide m={m}", slides[0].after_word, "a2' a0"))
-        checks.append((f"H_32 double slide m={m}", slides[1].after_word, "a0' a1 a2' a3 a4' a0"))
+        checks.append((f"H_12 double slide m={m}", word_str(slides[0].after_word), "a2' a0"))
+        checks.append((f"H_32 double slide m={m}", word_str(slides[1].after_word), "a0' a1 a2' a3 a4' a0"))
 
     bad = [(name, got, want) for name, got, want in checks if got != want]
     _report(4, not bad, f"{len(checks)} displayed-word regressions byte-identical" if not bad else str(bad))
@@ -198,6 +198,6 @@ def test_criterion_7_trace_replay():
         n = rng.randrange(1, 4)
         piece = rng.choice(("X1", "X2"))
         _, trace = run_schedule(knot, n, piece)
-        if complex_state(replay(trace)) != trace.final:
+        if word_state(replay(trace)) != trace.final:
             mismatches += 1
     _report(7, mismatches == 0, "50 random traces replayed, zero final-state mismatches")

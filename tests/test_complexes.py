@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from handlecalc.complexes import (
     HandleComplex,
@@ -183,3 +184,34 @@ def test_live_letter_invariant_detects_dead_words():
     cx.one_handles.discard(2)
     with pytest.raises(MoveError):
         cx.check_live_letters()
+
+
+@given(st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.permutations(range(k)), st.integers(0, k))))
+def test_remove_keeps_order_and_indexes(case):
+    # Handles of three origins, both phi flags; a random prefix of a random
+    # removal order.  After each removal the survivors keep their order and
+    # `handle`, `find`, the counts and the Euler characteristic agree with them.
+    k, order, count = case
+    handles = [TwoHandle(f"t{j}", CurveId("B", j % 3), j % 2 == 0, (alpha(1),), "fiber-1") for j in range(k)]
+    cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, list(handles))
+    removed = set()
+    for j in order[:count]:
+        cx.remove(handles[j])
+        removed.add(j)
+        live = [h for j, h in enumerate(handles) if j not in removed]
+        assert cx.two_handles == live
+        assert cx.counts()["two_handles"] == len(live) and cx.euler() == 1 - 4 + len(live)
+        for i, h in enumerate(handles):
+            if i in removed:
+                with pytest.raises(MoveError, match="no 2-handle with id"):
+                    cx.handle(h.id)
+            else:
+                assert cx.handle(h.id) is h
+        for index in range(3):
+            for phi in (False, True):
+                first = next((h for h in live if h.origin == CurveId("B", index) and h.phi_image == phi), None)
+                if first is None:
+                    with pytest.raises(MoveError, match="no 2-handle for"):
+                        cx.find("B", index, phi)
+                else:
+                    assert cx.find("B", index, phi) is first

@@ -21,6 +21,7 @@ from handlecalc.trace import (
     replay,
     weak_cancellations,
     word_digest,
+    word_state,
 )
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
 from handlecalc.words import handle_letters, parse_word, substitute, word_str
@@ -254,7 +255,7 @@ def test_trace_json_round_trip_and_replay():
         encoded = json.dumps(trace.to_json(), sort_keys=True)
         decoded = MoveTrace.from_json(json.loads(encoded))
         final = replay(decoded)
-        assert complex_state(final) == trace.final
+        assert word_state(final) == trace.final == decoded.final
         # Determinism: re-running the schedule gives the identical trace JSON.
         _, trace2 = run_schedule(spec, n, "X1")
         assert json.dumps(trace2.to_json(), sort_keys=True) == encoded
@@ -297,6 +298,16 @@ def _set(name, value):
     return lambda doc: {**doc, name: value}
 
 
+def _edit_final_word(value):
+    """Set the word of the final state's first 2-handle."""
+
+    def mutate(doc):
+        doc["final"]["two_handles"][0]["word"] = value
+        return doc
+
+    return mutate
+
+
 MALFORMED = [
     pytest.param(_without(f), f"required field '{f}'", id=f)
     for f in ("knot", "n", "piece", "initial", "moves", "final", "certificate")
@@ -318,6 +329,15 @@ MALFORMED = [
     pytest.param(_set("error", "boom"), "'error' must be dict", id="error-not-object"),
     pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
     pytest.param(_edit_move(after="0" * 16), "move has unknown field\\(s\\) 'after'", id="move-carries-after"),
+    # A word field that spells no word is refused when read, naming the move and the field.
+    pytest.param(_edit_move(relator="a01"), "move 0: bad word token: 'a01' .* in field 'relator'", id="bad-relator-token"),
+    pytest.param(_edit_move(after_word="a2 a1''"), "move 0: bad word token: \"a1''\" in field 'after_word'",
+                 id="bad-after-word-token"),
+    # An index of 5000 digits, past what Python's int reads from text.
+    pytest.param(_edit_move(shared_prefix="a" + "9" * 5000), "move 0: bad word token", id="huge-prefix-token"),
+    pytest.param(_edit_final_word("a0  a1"), "final 2-handle 0: bad word token: '' in field 'word'",
+                 id="final-word-double-space"),
+    pytest.param(_edit_final_word(7), "final 2-handle 0 field 'word' must be str", id="final-word-not-string"),
 ]
 
 
@@ -374,7 +394,7 @@ def _noop_freed_eliminate():
     assert 1 not in handle_letters(word)
     digest = word_digest(word)
     doc["moves"].insert(k + 1, {"kind": "eliminate", "target": target, "letter": 1,
-                                "relator": trace.moves[k].relator, "before": digest,
+                                "relator": word_str(trace.moves[k].relator), "before": digest,
                                 "after_word": word_str(word)})
     return doc
 
@@ -451,13 +471,6 @@ def _bad_knot_spec():
     return doc
 
 
-def _huge_prefix_token():
-    # An index of 5000 digits, past what Python's int reads from text.
-    _, doc, _ = _trefoil_x1()
-    doc["moves"][0]["shared_prefix"] = "a" + "9" * 5000
-    return doc
-
-
 def _cut_before_last_cancel(spec, n):
     """An X1 trace without its last cancel, with final, certificate and
     warnings rewritten from an honest replay of the shorter move list."""
@@ -467,8 +480,7 @@ def _cut_before_last_cancel(spec, n):
     x1, _ = build_pieces(parse_knot_spec(spec), n)
     cx = complex_from_piece(x1)
     for m in moves:
-        execute(cx, m.kind, m.target, m.over, m.letter,
-                None if m.shared_prefix is None else parse_word(m.shared_prefix))
+        execute(cx, m.kind, m.target, m.over, m.letter, m.shared_prefix)
     assert sorted(cx.one_handles) == [trace.moves[k].letter]
     doc = trace.to_json()
     doc["moves"] = [m.to_json() for m in moves]
@@ -494,7 +506,6 @@ def _cut_before_last_cancel(spec, n):
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
         pytest.param(_forged_warning, "warnings do not match", id="forged-warning"),
         pytest.param(_forged_error, "failed schedule", id="forged-error"),
-        pytest.param(_huge_prefix_token, "move 0: bad word token", id="huge-prefix-token"),
         # a4 and a8 are the letters of the last cancel at g = 1 and g = 2.
         pytest.param(lambda: _cut_before_last_cancel("twobridge:+,-", 1),
                      r"do not finish X1: .*live 1-handles \[4\]", id="cut-before-last-cancel-twobridge"),
@@ -646,9 +657,7 @@ def test_lazy_words_equal_eager_rewrites(spec, n, piece):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schedules, "execute", checked_execute)
         _, trace = run_schedule(spec, n, piece)
-    assert [h["word"] for h in trace.final["two_handles"]] == [
-        None if w is None else word_str(w) for w in ref.values()
-    ]
+    assert [h["word"] for h in trace.final["two_handles"]] == list(ref.values())
 
 
 def test_a_handlecalc_1_document_is_refused():
@@ -671,6 +680,23 @@ def test_the_file_summarises_the_initial_state_and_leaves_out_after():
     assert parsed.initial == doc["initial"] and parsed.moves == trace.moves
     assert [m.after for m in parsed.moves] == [m.after for m in trace.moves]
     assert parsed.to_json() == doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPECS, st.integers(1, 3))
+def test_both_traces_round_trip_through_json(spec, n):
+    # A trace written and read back equals the one in memory move for move
+    # (its words parsed, `before` compared as a digest), writes the same
+    # document again and replays.
+    for _, trace in run_both(spec, n).values():
+        doc = trace.to_json()
+        parsed = MoveTrace.from_json(json.loads(json.dumps(doc)))
+        assert len(parsed.moves) == len(trace.moves)
+        for got, want in zip(parsed.moves, trace.moves):
+            assert got == want
+        assert parsed.final == trace.final
+        assert parsed.to_json() == doc
+        replay(parsed)
 
 
 def test_derivation_refuses_an_x1_trace_read_from_a_file():

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from handlecalc import schedules
+from handlecalc import schedules, trace, words
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.schedules import ScheduleError, run_schedule
+from handlecalc.words import word_str
 from handlecalc.verify import (
     check_twist_image_closure,
     check_monodromy_invertible,
@@ -114,10 +115,30 @@ def test_failing_slide_is_a_failed_check(monkeypatch):
     with pytest.raises(ScheduleError) as err:
         run_schedule("twobridge:+,+", 1, "X1")
     assert err.value.trace.error["message"] == "cannot slide with opaque handle x1-04"
-    assert err.value.trace.error["word"] == err.value.trace.initial["two_handles"][0]["word"]
+    assert err.value.trace.error["word"] == word_str(err.value.trace.initial["two_handles"][0]["word"])
 
 
 def test_report_parity_guard():
     # 12n-2 is even for every n: a pure-arithmetic guard on assembly.
     for n in range(1, 8):
         assert (12 * n - 2) % 2 == 0
+
+
+@pytest.mark.parametrize("spec", ["twobridge:+,+", "twobridge:+,-,+,+", "stallings:m=-7", "stallings:m=3"])
+def test_full_report_formats_hashes_and_parses_no_word(monkeypatch, spec):
+    # Words stay tuples in memory; only a trace's to_json and from_json
+    # spell, hash or parse one, and a report calls neither.
+    def refuse(*args):
+        raise AssertionError("a word was spelled, hashed or parsed")
+
+    functions = {words.word_str, words.parse_word, trace.fnv1a64}
+    patched = set()
+    for mod in (trace, schedules):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and value in functions:
+                monkeypatch.setattr(mod, name, refuse)
+                patched.add(f"{mod.__name__.rpartition('.')[2]}.{name}")
+    assert {"trace.word_str", "trace.fnv1a64", "trace.parse_word", "schedules.word_str"} <= patched
+    for n in (1, 2, 3):
+        report = full_report(spec, n)
+        assert report.passed, [c for c in report.checks if not c.passed]
