@@ -9,7 +9,6 @@ import pytest
 from handlecalc import schedules, trace, words
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.schedules import ScheduleError, run_schedule
-from handlecalc.words import word_str
 from handlecalc.verify import (
     check_twist_image_closure,
     check_monodromy_invertible,
@@ -115,7 +114,7 @@ def test_failing_slide_is_a_failed_check(monkeypatch):
     with pytest.raises(ScheduleError) as err:
         run_schedule("twobridge:+,+", 1, "X1")
     assert err.value.trace.error["message"] == "cannot slide with opaque handle x1-04"
-    assert err.value.trace.error["word"] == word_str(err.value.trace.initial["two_handles"][0]["word"])
+    assert err.value.trace.error["word"] == words.word_str(err.value.trace.initial["two_handles"][0]["word"])
 
 
 def test_report_parity_guard():
