@@ -170,8 +170,7 @@ def _derive_x2(
     (k + |W|) mod 2|W|, the fiber boundary handle last in both.  The final
     complex is built from X1's survivors: renaming keeps X1's finished
     state, so `finish` is not run again.  Each renamed move shares its X1
-    move's text and digest (`Move.renamed`), so no word is spelled twice
-    when both traces are written.  Raises ScheduleError if X1's run
+    move's words (`Move.renamed`).  Raises ScheduleError if X1's run
     is not of this knot, n and piece, if X1's initial state, rotated and
     renamed, is not X2's, or if X1's trace was read from a file, which
     records only a summary of the initial state.

@@ -1,24 +1,21 @@
-"""Replayable move traces with stable digests, and the one move executor.
+"""Replayable move traces, and the one move executor.
 
-Schema "handlecalc/2": a trace file holds the knot spec, the index n,
+Schema "handlecalc/3": a trace file holds the knot spec, the index n,
 the piece, a summary of the initial complex (the SHA-256 of its
 canonical JSON and its handle counts), the move list, the final state
 and the certificate counts.  Nothing else is written that replay
 re-derives: the initial complex is rebuilt from the knot spec, and a
-move's `after` digest follows from its `after_word` (a cancel's is that
-of `<removed>`).  Word digests are 64-bit FNV-1a over a word's text
-form.
+move records no digest of the target's word before or after it, since
+replay re-derives both words from the moves before it.
 
 Words are tuples in memory and text only in the file.  A `Move` holds
-its relator, shared prefix and after-word, and the target's word before
-the move, as words; a `MoveTrace` holds its initial and final states,
-and `finish` returns the final one, as word states (`word_state`, whose
-2-handle words are tuples).  `to_json` spells the words and hashes each
-move's before-word, once per move; `from_json` parses each word field
-once and keeps the text it read.  A schedule run, and `full_report`,
-therefore neither formats nor hashes a word.  A trace a schedule returns
-holds its full initial state; a trace read from a file holds only the
-summary, and its moves hold the `before` digest, not the word.
+its relator, shared prefix and after-word as words; a `MoveTrace` holds
+its initial and final states, and `finish` returns the final one, as
+word states (`word_state`, whose 2-handle words are tuples).  `to_json`
+spells the words and `from_json` parses each word field once, so a
+schedule run, and `full_report`, neither formats nor parses a word.  A
+trace a schedule returns holds its full initial state; a trace read from
+a file holds only the summary.
 
 `execute` applies one slide, eliminate or cancel to a complex and returns
 the move's full record; the schedules log moves only through it.  Replay
@@ -26,11 +23,10 @@ rebuilds the initial complex from the knot spec, re-derives every move
 with `execute` from the live complex (an eliminate's relator is the word
 of the live helper it names, never a word from the trace) and requires
 each recorded move to equal the re-derived one, field for field, words
-compared as words (`before` as a digest when the move was read from a
-file, which records no before-word).  The moves must finish the piece
-(`finish`, the end check the schedules make too), the final state,
-certificate and warnings must be what it returns, and the error must be
-null, so every field a trace prints is checked.
+compared as words.  The moves must finish the piece (`finish`, the end
+check the schedules make too), the final state, certificate and warnings
+must be what it returns, and the error must be null, so every field a
+trace prints is checked.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from .factorization import build_pieces
 from .knots import parse_knot_spec
 from .words import Word, parse_word, reduce_word, word_str
 
-SCHEMA = "handlecalc/2"
+SCHEMA = "handlecalc/3"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -71,14 +67,20 @@ _TRACE_KEYS = {"schema", *_REQUIRED_FIELDS, "warnings", "error"}
 #: The `initial` summary a trace file records, in order: a string digest, then counts.
 _SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
 
-#: Move fields: the first three are required; all but `letter` are strings.
+#: Move fields: the first two are required; all but `letter` are strings.
 #: A move holds no other key.
-_MOVE_FIELDS = ("kind", "target", "before", "over", "letter", "relator", "shared_prefix", "after_word")
+_MOVE_FIELDS = ("kind", "target", "over", "letter", "relator", "shared_prefix", "after_word")
 #: The move fields that hold a word, spelled as text in a file.
 _WORD_FIELDS = ("relator", "shared_prefix", "after_word")
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
+
+# No trace field holds a word digest.  `fnv1a64`, `word_digest`,
+# `_REMOVED_DIGEST`, `Move.before_word` and the `Move.before`/`Move.after`
+# properties stay only because `bench/tracer.py` reads `before` and `after`
+# in its move signature and counts `fnv1a64` calls; they go when the
+# benchmark stops reading them.
 
 
 def fnv1a64(text: str) -> str:
@@ -174,19 +176,14 @@ def _refuse_unknown(where: str, d: dict, known) -> None:
         raise MoveError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class Move:
     """One replayable move, its words held as tuples.
 
     `relator`, `shared_prefix` and `after_word` are words, or None where
-    the move has none; `before_word` is the target's word before the move,
-    None in a move read from a file, which records only its digest.  The
-    text a file holds (`to_json`) and the `before` digest are made when
-    first asked for and kept, so a move's words are not to be changed
-    after it is made; a move renamed by the X2 derivation (`renamed`)
-    shares them with its X1 move.  Two moves are equal when every field
-    is, `before` compared as a word where both moves hold one and as a
-    digest otherwise.
+    the move has none.  Two moves are equal when every field a file
+    records is.  `before_word`, the target's word before the move, is None
+    in a move read from a file and takes no part in equality.
     """
 
     kind: str  # slide | eliminate | cancel
@@ -195,83 +192,45 @@ class Move:
     letter: int | None = None
     relator: Word | None = None
     shared_prefix: Word | None = None
-    before_word: Word | None = None
     after_word: Word | None = None
-    _text: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _spelled(self, name: str) -> str:
-        """The text of a word field, made on first use."""
-        text = self._text.get(name)
-        if text is None:
-            text = self._text[name] = word_str(getattr(self, name))
-        return text
+    before_word: Word | None = field(default=None, compare=False)
 
     @property
     def before(self) -> str:
-        """The digest of the target's word before the move, made on first use."""
-        digest = self._text.get("before")
-        if digest is None:
-            digest = self._text["before"] = word_digest(self.before_word)
-        return digest
+        """The digest of the target's word before the move."""
+        return word_digest(self.before_word)
 
     @property
     def after(self) -> str:
-        """The digest of the target's word after the move, derived rather than stored.
-
-        A slide or eliminate: that of its `after_word`; a cancel, which
-        has none: that of `<removed>`.
-        """
-        return _REMOVED_DIGEST if self.after_word is None else fnv1a64(self._spelled("after_word"))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Move):
-            return NotImplemented
-        if self.before_word is None or other.before_word is None:
-            same_before = self.before == other.before
-        else:
-            same_before = self.before_word == other.before_word
-        return (same_before and self.kind == other.kind and self.target == other.target
-                and self.over == other.over and self.letter == other.letter
-                and self.after_word == other.after_word and self.relator == other.relator
-                and self.shared_prefix == other.shared_prefix)
-
-    __hash__ = None  # mutable, and equal moves may differ in what they hold of `before`
+        """The digest of the target's word after the move: that of `<removed>` for a cancel."""
+        return _REMOVED_DIGEST if self.after_word is None else word_digest(self.after_word)
 
     def renamed(self, ids: dict[str, str]) -> "Move":
-        """The move with its handle ids mapped through `ids`, sharing this move's text and digest."""
-        move = Move(self.kind, ids[self.target], None if self.over is None else ids[self.over], self.letter,
-                    self.relator, self.shared_prefix, self.before_word, self.after_word)
-        move._text = self._text
-        return move
+        """The move with its handle ids mapped through `ids`."""
+        return Move(self.kind, ids[self.target], None if self.over is None else ids[self.over], self.letter,
+                    self.relator, self.shared_prefix, self.after_word, self.before_word)
 
     def to_json(self) -> dict:
         """The fields in `_MOVE_FIELDS` order, words as text; unset optional fields are left out."""
-        out = {"kind": self.kind, "target": self.target, "before": self.before}
-        if self.over is not None:
-            out["over"] = self.over
-        if self.letter is not None:
-            out["letter"] = self.letter
-        for name in _WORD_FIELDS:
-            if getattr(self, name) is not None:
-                out[name] = self._spelled(name)
+        out = {}
+        for name in _MOVE_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = word_str(value) if name in _WORD_FIELDS else value
         return out
 
     @staticmethod
     def from_json(d: dict) -> "Move":
-        """A move from its file form, each word field parsed once; the text read is kept for `to_json`."""
+        """A move from its file form, each word field parsed once."""
         if not isinstance(d, dict):
             raise MoveError(f"a move must be an object, got {type(d).__name__}")
         _refuse_unknown("move", d, _MOVE_FIELDS)
-        for name in _MOVE_FIELDS[:3]:
+        for name in _MOVE_FIELDS[:2]:
             if d.get(name) is None:
                 raise MoveError(f"move lacks required field {name!r}")
-        for name in _MOVE_FIELDS:
-            _typed("move", name, d.get(name), int if name == "letter" else str)
-        get = d.get
-        move = Move(d["kind"], d["target"], get("over"), get("letter"), _parsed("relator", get("relator")),
-                    _parsed("shared_prefix", get("shared_prefix")), after_word=_parsed("after_word", get("after_word")))
-        move._text = {name: d[name] for name in ("before", *_WORD_FIELDS) if get(name) is not None}
-        return move
+        values = {name: _typed("move", name, d.get(name), int if name == "letter" else str) for name in _MOVE_FIELDS}
+        return Move(**{name: _parsed(name, value) if name in _WORD_FIELDS else value
+                       for name, value in values.items()})
 
 
 @dataclass
@@ -352,7 +311,7 @@ def weak_cancellations(moves: list[Move]) -> list[str]:
     """
     return [
         f"weak cancellation of a{m.letter} against {m.target}: "
-        f"word {m._spelled('relator')!r} is not over alpha_0/a{m.letter} alone"
+        f"word {word_str(m.relator)!r} is not over alpha_0/a{m.letter} alone"
         for m in moves
         if m.kind == "cancel" and not is_isolated(m.relator, m.letter)
     ]
@@ -429,11 +388,10 @@ def replay(trace: MoveTrace) -> HandleComplex:
     The knot spec must be written as the engine writes it, and the rebuilt
     complex must match the recorded initial state (its summary, for a
     trace read from a file); each recorded move must equal, field for
-    field, the move `execute` derives from the live complex (its `after`
-    follows from `after_word`), and the Euler characteristic must never
-    move; the moves must finish the piece, and the final state, the
-    certificate and the warnings must be those `finish` returns; no error
-    may be recorded.  Any mismatch, or a move the executor rejects,
+    field, the move `execute` derives from the live complex, and the
+    Euler characteristic must never move; the moves must finish the
+    piece, and the final state, the certificate and the warnings must be
+    those `finish` returns; no error may be recorded.  Any mismatch, or a move the executor rejects,
     raises ReplayError.
     """
     if trace.piece not in ("X1", "X2"):

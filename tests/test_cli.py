@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handlecalc import factorization
 from handlecalc.cli import main
@@ -83,7 +84,7 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "cancel", "twobridge:+,-", "--n", "2", "--trace", str(path))
     assert code == 0
     body = json.loads(path.read_text())
-    assert body["schema"] == "handlecalc/2"
+    assert body["schema"] == "handlecalc/3"
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
@@ -229,3 +230,55 @@ def test_factorize_json_round_trip(capsys):
     assert payload["knot"] == "stallings:m=1"
     assert len(payload["X1"]["cycles"]) == 12
     assert payload["X1"]["cycles"][:1][0]["curve"] == "phi(B0)"
+
+
+_CLI_SPECS = [
+    "twobridge:+,+", "twobridge:+,-,+,+", "twobridge:+", "twobridge:+,x", "twobridge:",
+    "conway:2,2", "conway:2,1", "conway:", "conway:2,,2", "conway:99999",
+    "stallings:m=3", "stallings:m=-2", "stallings:m=", "stallings:m=x", f"stallings:m={MAX_TWISTS + 1}",
+]
+
+
+@st.composite
+def _argv(draw, trace_paths):
+    """A command line: a command, a knot spec or a sweep, and flags, each valid or not.
+
+    A flag goes mostly to the commands that take it, and now and then to
+    one that does not.
+    """
+    command = draw(st.sampled_from(["knot", "factorize", "cancel", "verify"]))
+    argv = [command]
+
+    def takes(*commands):
+        return draw(st.booleans()) and (command in commands or draw(st.integers(0, 7)) == 0)
+
+    sweep = command in ("cancel", "verify") and draw(st.booleans())
+    if not sweep or draw(st.booleans()):
+        argv.append(draw(st.sampled_from(_CLI_SPECS)))
+    if takes("factorize", "cancel", "verify"):
+        argv += ["--n", draw(st.sampled_from(["-1", "0", "1", "2", "1001", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if sweep:  # a sweep to k = 2 or more would run too long for a property
+        argv += ["--all-fibered", "--max-k", draw(st.sampled_from(["0", "1"]))]
+    elif takes("cancel", "verify"):
+        argv += ["--max-k", draw(st.sampled_from(["0", "1", "8"]))]
+    if takes("cancel"):
+        argv += ["--trace", draw(st.sampled_from(trace_paths))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def trace_paths(tmp_path_factory):
+    """A writable trace path and one in a directory that does not exist."""
+    root = tmp_path_factory.mktemp("cli")
+    return [str(root / "trace.json"), str(root / "missing" / "trace.json")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_with_a_documented_exit_code(trace_paths, data):
+    # Whatever the command line, the CLI returns one of the exit codes its
+    # docstring names and raises nothing.
+    argv = data.draw(_argv(trace_paths), label="argv")
+    assert main(argv) in (0, 1, 2, 3)

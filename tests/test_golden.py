@@ -25,8 +25,8 @@ from handlecalc.trace import complex_state
 from handlecalc.verify import full_report
 
 GOLDEN = {
-    "twobridge": "b6bdfa1f5460b5426a5d0431c32de6877b2bab95d736e7ebaa68c169dc82f88c",
-    "stallings": "f90f08a1531c64817f0dd0dd2282752fddf5ee9625530541cad3a02022dd57e2",
+    "twobridge": "0eb32469d4428bfb3fea35ccbcf7ec32e0aa85aca8b99597289563a555af5932",
+    "stallings": "09131a7581b333e5507700c05aa4239c4dc1bc8792ef518941fb1958e2b772c0",
 }
 
 TWO_BRIDGE = [
@@ -37,8 +37,8 @@ TWO_BRIDGE = [
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
-    "twobridge": "870c8a793edee987e0f93da68241eaea2638fe0fce9f37eb8b24e97ec588384c",
-    "stallings": "1c16d67055cc57b581c320ac39d08c559c1cc3a892563c7ec50749eb7587b9cb",
+    "twobridge": "b9a5afcfcfad9f6d38cca2d1da4568c9fe63ab482ab9616c2ea287548a902280",
+    "stallings": "4d8f3c23c27d7451628215a3ba9eb400b06adca91ab73c916c774142781de5e3",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

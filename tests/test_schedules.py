@@ -18,9 +18,9 @@ from handlecalc.trace import (
     ReplayError,
     complex_state,
     execute,
+    finish,
     replay,
     weak_cancellations,
-    word_digest,
     word_state,
 )
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
@@ -316,13 +316,11 @@ MALFORMED = [
     pytest.param(_set("moves", [7]), "move must be an object", id="move-not-object"),
     pytest.param(_edit_move(kind=None), "required field 'kind'", id="move-lacks-kind"),
     pytest.param(_edit_move(target=None), "required field 'target'", id="move-lacks-target"),
-    pytest.param(_edit_move(before=None), "required field 'before'", id="move-lacks-before"),
     pytest.param(_edit_initial(digest=None), "'initial' must hold digest", id="initial-lacks-digest"),
     pytest.param(_edit_move(letter="1"), "'letter' must be int", id="letter-not-int"),
     pytest.param(_edit_move(letter=True), "'letter' must be int", id="letter-bool"),
     pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
     pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
-    pytest.param(_edit_move(before=0), "'before' must be str", id="digest-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
     pytest.param(_set("warnings", 5), "'warnings' must be list", id="warnings-not-list"),
     pytest.param(_set("warnings", ["ok", 3]), "'warnings' must be a list of str", id="warnings-not-strings"),
@@ -350,11 +348,13 @@ def test_trace_missing_field_is_move_error(mutate, message):
 
 
 def test_replay_detects_tampering():
+    # A handlecalc/3 move records no digest: one that carries a `before`
+    # key, forged or not, is refused when the document is read.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     tampered = trace.to_json()
-    first_slide = next(m for m in tampered["moves"] if m["kind"] == "slide")
+    k, first_slide = next((k, m) for k, m in enumerate(tampered["moves"]) if m["kind"] == "slide")
     first_slide["before"] = "0" * 16
-    with pytest.raises(ReplayError, match="before"):
+    with pytest.raises(MoveError, match=rf"move {k}: move has unknown field\(s\) 'before'"):
         replay(MoveTrace.from_json(tampered))
 
 
@@ -371,10 +371,9 @@ def _made_up_elimination():
     # the forged move list does reproduce.
     trace, doc, cx = _trefoil_x1()
     h = cx.handle("x1-02")
-    before = word_digest(h.word)
     h.word = eliminate_letter(h.word, parse_word("a1 a0 a0"), 1)
     doc["moves"].insert(0, {"kind": "eliminate", "target": "x1-02", "letter": 1, "relator": "a1 a0 a0",
-                            "before": before, "after_word": word_str(h.word)})
+                            "after_word": word_str(h.word)})
     for m in trace.moves:
         execute(cx, m.kind, m.target, m.over, m.letter)
     doc["final"] = complex_state(cx)
@@ -384,7 +383,7 @@ def _made_up_elimination():
 def _noop_freed_eliminate():
     # Right after the cancel of a1, an eliminate of a1 from the next move's
     # target with no helper, through the relator that cancel freed; the
-    # cancel already rewrote a1 away, so the digests do not change.
+    # cancel already rewrote a1 away, so the word does not change.
     trace, doc, cx = _trefoil_x1()
     k = next(k for k, m in enumerate(trace.moves) if m.kind == "cancel" and m.letter == 1)
     for m in trace.moves[: k + 1]:
@@ -392,10 +391,8 @@ def _noop_freed_eliminate():
     target = trace.moves[k + 1].target
     word = cx.handle(target).word
     assert 1 not in handle_letters(word)
-    digest = word_digest(word)
     doc["moves"].insert(k + 1, {"kind": "eliminate", "target": target, "letter": 1,
-                                "relator": word_str(trace.moves[k].relator), "before": digest,
-                                "after_word": word_str(word)})
+                                "relator": word_str(trace.moves[k].relator), "after_word": word_str(word)})
     return doc
 
 
@@ -660,12 +657,27 @@ def test_lazy_words_equal_eager_rewrites(spec, n, piece):
     assert [h["word"] for h in trace.final["two_handles"]] == list(ref.values())
 
 
-def test_a_handlecalc_1_document_is_refused():
-    # The old format: the initial complex in full and an `after` digest per move.
+def _handlecalc_1_document(trace):
+    # The initial complex in full, and `before` and `after` digests per move.
+    moves = [{"kind": m.kind, "target": m.target, "before": m.before, **m.to_json(), "after": m.after}
+             for m in trace.moves]
+    return {**trace.to_json(), "schema": "handlecalc/1", "initial": trace.initial, "moves": moves}
+
+
+def _handlecalc_2_document(trace):
+    # The initial complex as a summary, and a `before` digest per move.
+    moves = [{"kind": m.kind, "target": m.target, "before": m.before, **m.to_json()} for m in trace.moves]
+    return {**trace.to_json(), "schema": "handlecalc/2", "moves": moves}
+
+
+@pytest.mark.parametrize("old", [pytest.param(_handlecalc_1_document, id="handlecalc-1"),
+                                 pytest.param(_handlecalc_2_document, id="handlecalc-2")])
+def test_a_handlecalc_1_document_is_refused(old):
+    # An older format is refused by name, never read as the current one.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
-    doc = {**trace.to_json(), "schema": "handlecalc/1", "initial": trace.initial}
-    doc["moves"] = [{**m.to_json(), "after": m.after} for m in trace.moves]
-    with pytest.raises(MoveError, match=r"unsupported trace schema 'handlecalc/1': this version reads 'handlecalc/2'"):
+    doc = old(trace)
+    message = rf"unsupported trace schema '{doc['schema']}': this version reads 'handlecalc/3'"
+    with pytest.raises(MoveError, match=message):
         MoveTrace.from_json(doc)
 
 
@@ -675,7 +687,7 @@ def test_the_file_summarises_the_initial_state_and_leaves_out_after():
     assert doc["initial"] == trace_module.state_summary(trace.initial)
     assert doc["initial"]["two_handles"] == len(trace.initial["two_handles"]) == 4 * 2 + 8 * 2 - 3
     assert doc["initial"]["digest"].startswith("sha256:")
-    assert not any("after" in m for m in doc["moves"])
+    assert not any("after" in m or "before" in m for m in doc["moves"])
     parsed = MoveTrace.from_json(json.loads(json.dumps(doc)))
     assert parsed.initial == doc["initial"] and parsed.moves == trace.moves
     assert [m.after for m in parsed.moves] == [m.after for m in trace.moves]
@@ -686,8 +698,7 @@ def test_the_file_summarises_the_initial_state_and_leaves_out_after():
 @given(_SPECS, st.integers(1, 3))
 def test_both_traces_round_trip_through_json(spec, n):
     # A trace written and read back equals the one in memory move for move
-    # (its words parsed, `before` compared as a digest), writes the same
-    # document again and replays.
+    # (its words parsed), writes the same document again and replays.
     for _, trace in run_both(spec, n).values():
         doc = trace.to_json()
         parsed = MoveTrace.from_json(json.loads(json.dumps(doc)))
@@ -697,6 +708,46 @@ def test_both_traces_round_trip_through_json(spec, n):
         assert parsed.final == trace.final
         assert parsed.to_json() == doc
         replay(parsed)
+
+
+@pytest.mark.parametrize("spec", ["twobridge:+,+", "twobridge:+,-,+,+", "stallings:m=-7", "stallings:m=3"])
+def test_the_trace_file_path_hashes_no_word(monkeypatch, spec):
+    # No trace field holds a word digest, so writing, reading and replaying
+    # both traces hash no word.
+    def refuse(*args):
+        raise AssertionError("a word was hashed")
+
+    monkeypatch.setattr(trace_module, "fnv1a64", refuse)
+    monkeypatch.setattr(trace_module, "word_digest", refuse)
+    for n in (1, 2, 3):
+        for _, trace in run_both(spec, n).values():
+            doc = trace.to_json()
+            parsed = MoveTrace.from_json(json.loads(json.dumps(doc)))
+            assert parsed.to_json() == doc
+            replay(parsed)
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS[:20] + ["stallings:m=-2", "stallings:m=0", "stallings:m=3"])
+def test_every_slide_and_eliminate_earns_its_place(spec):
+    # Left out of an X1 trace, any one slide or eliminate leaves moves that
+    # the executor or the end check refuses, or that finish the piece with a
+    # weak-cancellation warning: no move can be dropped at no cost.  The
+    # warnings are read from the moves `execute` returns, whose relators are
+    # the ones the shorter list produces, not the recorded ones.
+    for n in (1, 2):
+        _, trace = run_schedule(spec, n, "X1")
+        x1, _ = build_pieces(parse_knot_spec(spec), n)
+        for k, left_out in enumerate(trace.moves):
+            if left_out.kind == "cancel":
+                continue
+            cx = complex_from_piece(x1)
+            try:
+                moves = [execute(cx, m.kind, m.target, m.over, m.letter, m.shared_prefix)
+                         for m in trace.moves[:k] + trace.moves[k + 1:]]
+                _, _, warnings = finish(cx, moves, n)
+            except MoveError:
+                continue
+            assert warnings, f"n={n}: the {left_out.kind} of move {k} on {left_out.target} can be left out"
 
 
 def test_derivation_refuses_an_x1_trace_read_from_a_file():
@@ -767,15 +818,13 @@ def _eagerly_certified(doc):
     """Whether the document's moves, made on eagerly rewritten words, give its words.
 
     An oracle independent of the complex's elimination table: every
-    `before` digest and `after_word` and the final words must be those of
-    the eager words, and every 1-handle must be cancelled.
+    `after_word` and the final words must be those of the eager words,
+    and every 1-handle must be cancelled.
     """
     x1, x2 = build_pieces(parse_knot_spec(doc["knot"]), doc["n"])
     cx = complex_from_piece(x1 if doc["piece"] == "X1" else x2)
     ref, live = {h.id: h.word for h in cx.two_handles}, set(cx.one_handles)
     for m in doc["moves"]:
-        if word_digest(ref[m["target"]]) != m["before"]:
-            return False
         prefix = parse_word(m["shared_prefix"]) if "shared_prefix" in m else None
         _eager(ref, m["kind"], m["target"], m.get("over"), m.get("letter"), prefix)
         if m["kind"] == "cancel":

@@ -78,7 +78,7 @@ def test_full_report_n3():
 def test_report_json_shape():
     report = full_report("twobridge:+,-", 2)
     payload = report.to_json()
-    assert payload["schema"] == "handlecalc/2"
+    assert payload["schema"] == "handlecalc/3"
     assert payload["passed"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in payload["checks"])
     # Values are JSON values, not their Python repr.
