@@ -54,7 +54,7 @@ from .twists import (
     stallings_rules,
     two_bridge_monodromy,
 )
-from .verify import VerificationReport, check_twist_image_closure, check_monodromy_invertible, euler_char, full_report
+from .verify import VerificationReport, check_piece_table, euler_char, full_report
 from .words import (
     Word,
     alpha,

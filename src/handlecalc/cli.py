@@ -9,7 +9,6 @@ writing a trace file), verify (full certificate).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from itertools import product
@@ -108,46 +107,44 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
-    knots = _knot_selection(args)
-    try:  # before any schedule runs, so an unwritable path prints no result
-        trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext()
-    except OSError as err:
-        print(f"error: cannot write trace {args.trace}: {err.strerror or err}", file=sys.stderr)
-        return EXIT_USAGE
-    with trace_file:
-        traces = []
-        for knot in knots:
-            results = run_both(knot, args.n)
-            line = []
-            for piece in ("X1", "X2"):
-                cx, trace = results[piece]
-                traces.append(trace)
-                line.append(f"{piece}: 1-handles: {len(cx.one_handles)}, 2-handles: {len(cx.two_handles)}")
-            counts = assemble(results["X1"][0], results["X2"][0], args.n)
-            if args.json:
-                _emit(
-                    {
-                        "schema": SCHEMA,
-                        "knot": knot.spec_str(),
-                        "n": args.n,
-                        "pieces": {
-                            p: results[p][0].counts() for p in ("X1", "X2")
-                        },
-                        "assembled": counts.as_dict(),
-                    }
-                )
-            else:
-                print(f"{knot.spec_str()} (n={args.n})  " + "; ".join(line))
+    outputs, traces = [], []
+    for knot in _knot_selection(args):
+        results = run_both(knot, args.n)
+        counts = assemble(results["X1"][0], results["X2"][0], args.n)
         if args.trace:
-            body = {
-                "schema": SCHEMA,
-                "n": args.n,
-                "traces": [t.to_json() for t in traces],
-            }
-            json.dump(body, trace_file, indent=2)
-            trace_file.write("\n")
-            if not args.json:
-                print(f"trace written to {args.trace}")
+            traces += [results[piece][1] for piece in ("X1", "X2")]
+        if args.json:
+            outputs.append(
+                {
+                    "schema": SCHEMA,
+                    "knot": knot.spec_str(),
+                    "n": args.n,
+                    "pieces": {p: results[p][0].counts() for p in ("X1", "X2")},
+                    "assembled": counts.as_dict(),
+                }
+            )
+        else:
+            line = "; ".join(
+                f"{p}: 1-handles: {len(results[p][0].one_handles)}, 2-handles: {len(results[p][0].two_handles)}"
+                for p in ("X1", "X2")
+            )
+            outputs.append(f"{knot.spec_str()} (n={args.n})  {line}")
+    if args.trace:  # after every run, so a failed run leaves an old file as it was
+        body = {"schema": SCHEMA, "n": args.n, "traces": [t.to_json() for t in traces]}
+        try:
+            with open(args.trace, "w", encoding="utf-8") as trace_file:
+                json.dump(body, trace_file, indent=2)
+                trace_file.write("\n")
+        except OSError as err:
+            print(f"error: cannot write trace {args.trace}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_USAGE
+    for out in outputs:  # nothing is printed before the trace is written
+        if args.json:
+            _emit(out)
+        else:
+            print(out)
+    if args.trace and not args.json:
+        print(f"trace written to {args.trace}")
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ from .complexes import (
 )
 from .factorization import build_pieces
 from .knots import parse_knot_spec
-from .words import Word, parse_word, reduce_word, word_str
+from .words import Word, handle_occurrences, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/3"
 
@@ -354,7 +354,8 @@ def execute(
 
     Raises MoveError on an opaque target or helper, on a slide or
     eliminate that names no helper, on a cancel or eliminate that names
-    no letter, and on a handle moved over itself.
+    no letter, on an eliminate whose target does not cross its letter,
+    and on a handle moved over itself.
     """
     h = cx.handle(target)
     before = h.word
@@ -378,6 +379,8 @@ def execute(
         return Move(kind, target, over, shared_prefix=prefix, before_word=before, after_word=h.word)
     if letter is None:
         raise MoveError(f"eliminate on {target} names no letter")
+    if not handle_occurrences(h.word, letter):  # a repeated eliminate would change nothing
+        raise MoveError(f"eliminate on {target}: its word does not cross a{letter}")
     h.word = eliminate_letter(h.word, helper.word, letter)
     return Move(kind, target, over, letter, helper.word, before_word=before, after_word=h.word)
 

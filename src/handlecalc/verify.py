@@ -2,13 +2,15 @@
 
 The count checks (Euler characteristic, Betti ranks) work purely from the
 handle numbers and are deliberately separate from the schedule engine, so
-a divergence pins a bug to exactly one of the two paths.  The rule checks
-replay the twist tables against their stated closure and invertibility
-properties.  All cancellation certificates here are homotopy-level: a
-word crossing a co-core once certifies the pair at the level of the
-1-skeleton's fundamental group, which is what the cancellation criterion
-consumes.  No 1-handles left means the resulting presentation of the
-fundamental group has no generators; b_1 = 0 is read off from that.
+a divergence pins a bug to exactly one of the two paths.  The rule suites
+(`check_piece_table`) compile the pieces' monodromy and its inverse once
+each and check the table's closure and invertibility properties, one
+report row per suite.  All cancellation certificates here are
+homotopy-level: a word crossing a co-core once certifies the pair at the
+level of the 1-skeleton's fundamental group, which is what the
+cancellation criterion consumes.  No 1-handles left means the resulting
+presentation of the fundamental group has no generators; b_1 = 0 is read
+off from that.
 """
 
 from __future__ import annotations
@@ -63,34 +65,32 @@ def euler_char(counts: Sequence[int]) -> int:
     return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
 
 
-def check_twist_image_closure(eps: Sequence[int]) -> VerificationReport:
-    """Closure property of the composite twist action.
+def check_piece_table(eps: Sequence[int]) -> VerificationReport:
+    """The rule suites of the pieces' monodromy, the table `build_pieces` compiles.
 
-    For i < 2g the image of alpha_i must be a word over alpha_0..alpha_{i+1}
-    crossing alpha_{i+1} exactly once.
+    Closure: for i < 2g the image of alpha_i is a word over
+    alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.  Invertibility:
+    the table, then the inverse's table, fixes alpha_0..alpha_{2g}.
+
+    >>> report = check_piece_table((1, 1))
+    >>> report.knot
+    'piece:+,+'
+    >>> [(c.name, c.actual) for c in report.checks]
+    [('twist closure suite', True), ('twist invertibility suite', True)]
     """
     phi = piece_monodromy(eps)
-    g = len(tuple(eps)) // 2
-    s = FiberSurface(g, 1)
-    table = compile_monodromy(phi, s)
-    report = VerificationReport(knot=phi.source, n=1)
-    for i in range(2 * g):
-        w = table.apply((alpha(i),))
-        report.add(f"image of a{i} stays below a{i + 1}", True, handle_letters(w) <= set(range(1, i + 2)))
-        report.add(f"image of a{i} crosses a{i + 1} once", 1, handle_occurrences(w, i + 1))
-    return report
-
-
-def check_monodromy_invertible(eps: Sequence[int]) -> VerificationReport:
-    """The pieces' monodromy (the table `build_pieces` compiles), then its inverse, fixes every generator."""
-    phi = piece_monodromy(eps)
-    g = len(tuple(eps)) // 2
+    g = len(phi) // 2
     s = FiberSurface(g, 1)
     forward, backward = compile_monodromy(phi, s), compile_monodromy(phi.inverse(), s)
+    images = [forward.apply((alpha(i),)) for i in range(2 * g + 1)]
+    closed = all(
+        handle_letters(w) <= set(range(1, i + 2)) and handle_occurrences(w, i + 1) == 1
+        for i, w in enumerate(images[:-1])
+    )
     report = VerificationReport(knot=phi.source, n=1)
-    for i in range(2 * g + 1):
-        w = backward.apply(forward.apply((alpha(i),)))
-        report.add(f"round trip fixes a{i}", (alpha(i),), w)
+    report.add("twist closure suite", True, closed)
+    report.add("twist invertibility suite", True,
+               all(backward.apply(w) == (alpha(i),) for i, w in enumerate(images)))
     return report
 
 
@@ -125,9 +125,7 @@ def full_report(knot: Knot | str, n: int) -> VerificationReport:
     report.add("b1 (no 1-handles, no generators)", 0, counts.h1)
 
     if isinstance(knot, TwoBridgeKnot):
-        eps = knot.eps
-        report.add("twist closure suite", True, check_twist_image_closure(eps).passed)
-        report.add("twist invertibility suite", True, check_monodromy_invertible(eps).passed)
+        report.checks += check_piece_table(knot.eps).checks
     return report
 
 
@@ -135,7 +133,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "euler_char",
-    "check_twist_image_closure",
-    "check_monodromy_invertible",
+    "check_piece_table",
     "full_report",
 ]

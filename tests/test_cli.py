@@ -5,9 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlecalc import factorization
+from handlecalc import cli, factorization
 from handlecalc.cli import main
 from handlecalc.knots import MAX_SWEEP_K, MAX_TWISTS, TwoBridgeKnot
+from handlecalc.schedules import ScheduleError
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
 from handlecalc.trace import MoveTrace, complex_state, replay
 
@@ -139,7 +140,7 @@ def test_cancel_unwritable_trace_is_usage_error(tmp_path, capsys, where):
     path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
     code, out, err = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1", "--trace", str(path))
     assert code == 1
-    assert out == ""  # the path is opened before any schedule runs
+    assert out == ""  # nothing is printed before the trace is written
     assert err.startswith(f"error: cannot write trace {path}: ")
     assert "Traceback" not in err
 
@@ -221,6 +222,30 @@ def test_schedule_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cancel", "twobridge:+,+")
     assert code == 2
     assert "offending word: a1 a1" in err
+
+
+@pytest.mark.parametrize(
+    "n, fail, code",
+    [
+        pytest.param("0", False, 1, id="n-0"),
+        pytest.param("1001", False, 1, id="n-1001"),
+        pytest.param("1", True, 2, id="schedule-failure"),
+    ],
+)
+def test_failed_cancel_leaves_the_trace_path_alone(tmp_path, capsys, monkeypatch, n, fail, code):
+    # The trace is written only after every run succeeds: an old file keeps
+    # its bytes and a missing path is not created.
+    def failing_run_both(knot, n):
+        raise ScheduleError("forced failure")
+
+    if fail:
+        monkeypatch.setattr(cli, "run_both", failing_run_both)
+    old, missing = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"old": true}\n')
+    for path in (old, missing):
+        assert run_cli(capsys, "cancel", "twobridge:+,+", "--n", n, "--trace", str(path))[:2] == (code, "")
+    assert old.read_text() == '{"old": true}\n'
+    assert not missing.exists()
 
 
 def test_factorize_json_round_trip(capsys):

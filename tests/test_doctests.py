@@ -10,7 +10,7 @@ import pytest
 import handlecalc
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(handlecalc.__path__, "handlecalc."))
-WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces", "handlecalc.twists"}
+WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces", "handlecalc.twists", "handlecalc.verify"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -396,6 +396,15 @@ def _noop_freed_eliminate():
     return doc
 
 
+def _repeated_eliminate():
+    # A K_0 X1 trace with its first eliminate made twice: the second finds
+    # no a<letter> left, so it changes no word, and every field still matches.
+    doc = run_schedule("stallings:m=0", 1, "X1")[1].to_json()
+    k = next(k for k, m in enumerate(doc["moves"]) if m["kind"] == "eliminate")
+    doc["moves"].insert(k, dict(doc["moves"][k]))
+    return doc
+
+
 def _relabelled_knot():
     _, doc, _ = _trefoil_x1()
     doc["knot"] = "twobridge:-,-"
@@ -492,6 +501,7 @@ def _cut_before_last_cancel(spec, n):
     [
         pytest.param(_made_up_elimination, "names no helper", id="made-up-relator"),
         pytest.param(_noop_freed_eliminate, "names no helper", id="noop-freed-eliminate"),
+        pytest.param(_repeated_eliminate, "does not cross a", id="repeated-eliminate"),
         pytest.param(_relabelled_knot, "initial state", id="relabelled-knot"),
         pytest.param(_respelled_knot, "not written as the engine writes it", id="respelled-knot"),
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),

@@ -6,15 +6,17 @@ import json
 
 import pytest
 
-from handlecalc import schedules, trace, words
+from handlecalc import schedules, trace, twists, verify, words
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.schedules import ScheduleError, run_schedule
-from handlecalc.verify import (
-    check_twist_image_closure,
-    check_monodromy_invertible,
-    euler_char,
-    full_report,
-)
+from handlecalc.twists import MonodromySpec
+from handlecalc.verify import check_piece_table, euler_char, full_report
+
+SUITES = ("twist closure suite", "twist invertibility suite")
+
+
+def _row(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 def test_euler_char_examples():
@@ -27,23 +29,21 @@ def test_euler_char_examples():
 
 
 def test_image_closure_suite_sign_cases():
-    report = check_twist_image_closure((1, 1))
-    assert report.passed
-    report = check_twist_image_closure((-1, -1))
-    assert report.passed
+    assert _row(check_piece_table((1, 1)), "twist closure suite").passed
+    assert _row(check_piece_table((-1, -1)), "twist closure suite").passed
 
 
 def test_image_closure_suite_exhaustive_length4():
     for eps in itertools.product((1, -1), repeat=4):
-        assert check_twist_image_closure(eps).passed
+        assert _row(check_piece_table(eps), "twist closure suite").passed, eps
 
 
 def test_invertibility():
-    assert check_monodromy_invertible((1, -1)).passed
-    assert check_monodromy_invertible((1, 1, -1, 1)).passed
+    assert _row(check_piece_table((1, -1)), "twist invertibility suite").passed
+    assert _row(check_piece_table((1, 1, -1, 1)), "twist invertibility suite").passed
     # empty spec round trip is trivially fine at the word level
     from handlecalc.surfaces import FiberSurface
-    from handlecalc.twists import MonodromySpec, compile_monodromy
+    from handlecalc.twists import compile_monodromy
     from handlecalc.words import alpha
 
     assert compile_monodromy(MonodromySpec(()), FiberSurface(1, 1)).apply((alpha(0),)) == (alpha(0),)
@@ -51,8 +51,31 @@ def test_invertibility():
 
 def test_invertibility_suite_round_trips_the_piece_monodromy():
     # The suite certifies the table build_pieces compiles, not the fibration order.
-    assert check_monodromy_invertible((1, -1)).knot == "piece:+,-"
-    assert check_monodromy_invertible((1, 1, -1, 1)).knot == "piece:+,+,-,+"
+    assert check_piece_table((1, -1)).knot == "piece:+,-"
+    assert check_piece_table((1, 1, -1, 1)).knot == "piece:+,+,-,+"
+
+
+def _fails_one_suite(report, suite):
+    """The schedule and count rows pass, and of the two suite rows only `suite` fails."""
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == [suite]
+    assert all(c.passed for c in report.checks if c.name not in SUITES)
+
+
+def test_closure_suite_fails_on_the_fibration_order(monkeypatch):
+    # The fibration monodromy is an automorphism too, but its images of
+    # alpha_i reach past alpha_{i+1}: every sign sequence of genus <= 2 fails.
+    monkeypatch.setattr(verify, "piece_monodromy", twists.two_bridge_monodromy)
+    _fails_one_suite(full_report("twobridge:+,+", 1), "twist closure suite")
+    for k in (1, 2):
+        for eps in itertools.product((1, -1), repeat=2 * k):
+            report = check_piece_table(eps)
+            assert [c.passed for c in report.checks] == [False, True], eps
+
+
+def test_invertibility_suite_fails_on_a_wrong_inverse(monkeypatch):
+    monkeypatch.setattr(MonodromySpec, "inverse", lambda self: self)
+    _fails_one_suite(full_report("twobridge:+,+", 1), "twist invertibility suite")
 
 
 def test_full_report_trefoil():
