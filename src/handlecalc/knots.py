@@ -198,8 +198,9 @@ class StallingsKnot:
     m: int
 
     def __post_init__(self):
-        if abs(self.m) > MAX_TWISTS:
-            raise KnotSpecError(f"Stallings twist count m={self.m} is above the limit |m| <= {MAX_TWISTS}")
+        if abs(self.m) > MAX_TWISTS:  # m itself may have too many digits to print
+            shown = f"m={self.m}" if abs(self.m) < 10**12 else f"m (a {self.m.bit_length()}-bit integer)"
+            raise KnotSpecError(f"Stallings twist count {shown} is above the limit |m| <= {MAX_TWISTS}")
 
     @property
     def genus(self) -> int:
@@ -222,14 +223,32 @@ class StallingsKnot:
 Knot = TwoBridgeKnot | StallingsKnot
 
 
+def _shown(text: str) -> str:
+    """`text` as an error message quotes it: cut after 12 characters, its length named."""
+    return repr(text) if len(text) <= 12 else f"{text[:12]!r}... ({len(text)} characters)"
+
+
+def _spec_int(tok: str, what: str) -> int:
+    """The integer `tok` spells as an optional sign and ASCII digits (`int` also reads `1_0` or ` 1`)."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # more digits than Python's int reads from text
+            pass
+    raise KnotSpecError(f"bad {what} {_shown(tok)}")
+
+
 def parse_knot_spec(text: str) -> Knot:
     """Parse `twobridge:+,-,...`, `conway:2,-2,...` or `stallings:m=<int>`.
 
-    Mixed or malformed forms are rejected with the offending token named.
+    Mixed or malformed forms are rejected with the offending token named,
+    cut to its first 12 characters.  The items of a list may have spaces
+    around them; an integer is an optional sign and ASCII digits.
     """
     kind, sep, body = text.partition(":")
     if not sep:
-        raise KnotSpecError(f"knot spec {text!r} is missing the ':' separator")
+        raise KnotSpecError(f"knot spec {_shown(text)} is missing the ':' separator")
     if kind == "twobridge":
         eps = []
         for tok in body.split(","):
@@ -239,26 +258,15 @@ def parse_knot_spec(text: str) -> Knot:
             elif tok == "-" or tok == "-1":
                 eps.append(-1)
             else:
-                raise KnotSpecError(f"bad twobridge sign token {tok!r} in {text!r}")
+                raise KnotSpecError(f"bad twobridge sign token {_shown(tok)}")
         return TwoBridgeKnot.from_eps(eps)
     if kind == "conway":
-        coeffs = []
-        for tok in body.split(","):
-            tok = tok.strip()
-            try:
-                coeffs.append(int(tok))
-            except ValueError:
-                raise KnotSpecError(f"bad conway coefficient {tok!r} in {text!r}") from None
-        return TwoBridgeKnot.from_conway(coeffs)
+        return TwoBridgeKnot.from_conway([_spec_int(tok.strip(), "conway coefficient") for tok in body.split(",")])
     if kind == "stallings":
         if not body.startswith("m="):
-            raise KnotSpecError(f"stallings spec needs m=<int>, got {body!r}")
-        try:
-            m = int(body[2:])
-        except ValueError:
-            raise KnotSpecError(f"bad stallings twist count {body[2:]!r}") from None
-        return StallingsKnot(m)
-    raise KnotSpecError(f"unknown knot spec kind {kind!r} (use twobridge/conway/stallings)")
+            raise KnotSpecError(f"stallings spec needs m=<int>, got {_shown(body)}")
+        return StallingsKnot(_spec_int(body[2:], "stallings twist count"))
+    raise KnotSpecError(f"unknown knot spec kind {_shown(kind)} (use twobridge/conway/stallings)")
 
 
 __all__ = [

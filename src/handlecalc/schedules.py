@@ -27,11 +27,12 @@ through that table where it is read, so no word as read mentions a
 cancelled letter: the "slide over the earlier helpers" steps of the
 later phases are done by the cancellations themselves and the trace
 records only the moves the schedule makes.  A failed move or
-single-crossing check aborts with the offending word recorded in the
-trace: that is the falsification channel for the underlying curve
-computations.  A cancel whose relator crosses other 1-handles besides
-its letter is legal but earns a warning; the warnings are derived from
-the recorded moves (`trace.weak_cancellations`), never kept on the side.
+single-crossing check aborts with a ScheduleError that carries the
+offending word and the partial trace: that is the falsification channel
+for the underlying curve computations.  A cancel whose relator crosses
+other 1-handles besides its letter is a legal, weak cancellation;
+`trace.weak_cancellations(moves)` lists them, and no run keeps them on
+the side.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
 and the schedule finds its handles by origin, not by position, so X2's
@@ -53,9 +54,9 @@ from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece
 from .factorization import build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, execute, finish, weak_cancellations, word_state
+from .trace import MoveTrace, execute, finish, word_state
 from .twists import ta3_power
-from .words import Word, alpha, concat, word_str
+from .words import Word, alpha, concat
 
 
 class ScheduleError(RuntimeError):
@@ -75,11 +76,7 @@ class _Run:
         self.trace = MoveTrace(knot=knot_spec, n=n, piece=piece, initial=word_state(cx))
 
     def fail(self, message: str, word: Word | None) -> ScheduleError:
-        self.trace.error = {
-            "message": message,
-            "word": None if word is None else word_str(word),
-        }
-        self.trace.warnings = weak_cancellations(self.trace.moves)
+        """The error that ends the run, with the moves made so far."""
         return ScheduleError(message, word=word, trace=self.trace)
 
     def move(
@@ -203,9 +200,7 @@ def _derive_x2(
     survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id], h.framing)
                  for h in start2.two_handles if h.id in words]
     cx = HandleComplex(start2.surface, set(cx1.one_handles), survivors, start2.zero_handles)
-    # Renaming keeps each cancel's letter and relator, so X2 warns where X1 does.
-    warnings = weak_cancellations(moves) if trace1.warnings else []
-    return cx, MoveTrace(spec, n, "X2", initial, moves, word_state(cx), dict(trace1.certificate), warnings)
+    return cx, MoveTrace(spec, n, "X2", initial, moves, word_state(cx))
 
 
 def run_schedule(
@@ -217,9 +212,9 @@ def run_schedule(
     """Run the full cancellation schedule for one piece.
 
     Returns the final complex (no 1-handles, 6n-1 two-handles) and the
-    replayable trace.  Raises ScheduleError, with the failure recorded in
-    the attached trace, if any move, single-crossing check or count check
-    fails.
+    replayable trace.  Raises ScheduleError, carrying the offending word
+    and the partial trace, if any move, single-crossing check or count
+    check fails.
 
     With `x1`, X1's finished (complex, trace) of the same knot and n, the
     X2 result is derived from it by renaming handle ids instead of
@@ -250,7 +245,7 @@ def run_schedule(
     _phase_c(run)
 
     try:
-        run.trace.final, run.trace.certificate, run.trace.warnings = finish(cx, run.trace.moves, n)
+        run.trace.final = finish(cx, n)
     except MoveError as err:
         raise run.fail(str(err), err.word) from err
     return cx, run.trace

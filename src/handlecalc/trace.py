@@ -1,12 +1,15 @@
 """Replayable move traces, and the one move executor.
 
-Schema "handlecalc/3": a trace file holds the knot spec, the index n,
+Schema "handlecalc/4": a trace file holds the knot spec, the index n,
 the piece, a summary of the initial complex (the SHA-256 of its
-canonical JSON and its handle counts), the move list, the final state
-and the certificate counts.  Nothing else is written that replay
-re-derives: the initial complex is rebuilt from the knot spec, and a
-move records no digest of the target's word before or after it, since
-replay re-derives both words from the moves before it.
+canonical JSON and its handle counts), the move list and the final
+state, and nothing else: each fact is stated once.  The initial complex
+is rebuilt from the knot spec; a move records no digest of the target's
+word before or after it, since replay re-derives both words from the
+moves before it; the handle counts are those of the final state; and
+the weak cancellations are a query on the moves (`weak_cancellations`),
+not a field.  A failed schedule writes no trace: its `ScheduleError`
+carries the message, the word and the partial trace.
 
 Words are tuples in memory and text only in the file.  A `Move` holds
 its relator, shared prefix and after-word as words; a `MoveTrace` holds
@@ -24,9 +27,9 @@ with `execute` from the live complex (an eliminate's relator is the word
 of the live helper it names, never a word from the trace) and requires
 each recorded move to equal the re-derived one, field for field, words
 compared as words.  The moves must finish the piece (`finish`, the end
-check the schedules make too), the final state, certificate and warnings
-must be what it returns, and the error must be null, so every field a
-trace prints is checked.
+check the schedules make too) and the final state must be the one it
+returns, so every field a trace holds is checked.  A weak cancellation
+(see `weak_cancellations`) replays like any other.
 """
 
 from __future__ import annotations
@@ -48,21 +51,16 @@ from .factorization import build_pieces
 from .knots import parse_knot_spec
 from .words import Word, handle_occurrences, parse_word, reduce_word, word_str
 
-SCHEMA = "handlecalc/3"
+SCHEMA = "handlecalc/4"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
 
-#: Fields every trace document must carry, in the order they are read,
-#: with their JSON types.  `final` and `certificate` are null in the trace
-#: of a failed schedule, which replay rejects.  The optional `warnings`
-#: must be a list of strings and `error` an object or null.  A document
-#: holds no other key than these, `schema` and the optional ones.
-_REQUIRED_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict,
-                    "moves": list, "final": dict, "certificate": dict}
-_NULLABLE_FIELDS = ("final", "certificate")
-_TRACE_KEYS = {"schema", *_REQUIRED_FIELDS, "warnings", "error"}
+#: The fields of a trace document after `schema`, in the order they are
+#: written and read, with their JSON types; none may be null.  A document
+#: holds no other key.
+_TRACE_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict, "moves": list, "final": dict}
 
 #: The `initial` summary a trace file records, in order: a string digest, then counts.
 _SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
@@ -108,7 +106,6 @@ def word_state(cx: HandleComplex) -> dict:
             {"id": h.id, "origin": str(h.origin), "phi": h.phi_image, "word": h.word, "framing": h.framing}
             for h in cx.two_handles
         ],
-        "four_handle_pending": False,  # no move in this model adds a 4-handle
     }
 
 
@@ -237,8 +234,8 @@ class Move:
 class MoveTrace:
     """A piece's move trace.  `initial` is the full initial word state in a
     trace a schedule returns, and its `state_summary` in one read from a
-    file; `final` is a word state.  `to_json` spells both as the file
-    records them; `error` is kept as recorded, its word as text."""
+    file; `final` is a word state, None only in the partial trace of a
+    failed run.  `to_json` spells both as the file records them."""
 
     knot: str
     n: int
@@ -246,20 +243,20 @@ class MoveTrace:
     initial: dict
     moves: list[Move] = field(default_factory=list)
     final: dict | None = None
-    certificate: dict | None = None
-    warnings: list[str] = field(default_factory=list)
-    error: dict | None = None
 
     def to_json(self) -> dict:
-        out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _REQUIRED_FIELDS}}
+        """The file form: `schema`, then `_TRACE_FIELDS` in order, words as text.
+
+        >>> from handlecalc import run_schedule
+        >>> doc = run_schedule("twobridge:+,+", 1, "X1")[1].to_json()
+        >>> doc["schema"], list(doc), list(doc["final"])  # doctest: +NORMALIZE_WHITESPACE
+        ('handlecalc/4', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
+         ['surface', 'zero_handles', 'one_handles', 'two_handles'])
+        """
+        out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _TRACE_FIELDS}}
         out["initial"] = self.initial_summary()
         out["moves"] = [m.to_json() for m in self.moves]
-        if self.final is not None:
-            out["final"] = state_text(self.final)
-        if self.warnings:
-            out["warnings"] = self.warnings
-        if self.error is not None:
-            out["error"] = self.error
+        out["final"] = None if self.final is None else state_text(self.final)
         return out
 
     @staticmethod
@@ -269,12 +266,12 @@ class MoveTrace:
         if d.get("schema") != SCHEMA:
             raise MoveError(f"unsupported trace schema {d.get('schema')!r}: this version reads {SCHEMA!r} only; "
                             "re-run `handlecalc cancel --trace` to write one")
-        _refuse_unknown("trace", d, _TRACE_KEYS)
+        _refuse_unknown("trace", d, {"schema", *_TRACE_FIELDS})
         values = {}
-        for name, kind in _REQUIRED_FIELDS.items():
+        for name, kind in _TRACE_FIELDS.items():
             if name not in d:
                 raise MoveError(f"trace lacks required field {name!r}")
-            values[name] = _typed("trace", name, d[name], kind, name in _NULLABLE_FIELDS)
+            values[name] = _typed("trace", name, d[name], kind, nullable=False)
         if set(values["initial"]) != set(_SUMMARY_FIELDS):
             raise MoveError(f"trace field 'initial' must hold {', '.join(_SUMMARY_FIELDS)}, got {list(values['initial'])}")
         for name in _SUMMARY_FIELDS:
@@ -286,12 +283,8 @@ class MoveTrace:
             except MoveError as err:
                 raise MoveError(f"move {k}: {err}") from None
         values["moves"] = moves
-        if values["final"] is not None:
-            values["final"] = _read_state(values["final"])
-        warnings = _typed("trace", "warnings", d.get("warnings", []), list, nullable=False)
-        if not all(isinstance(w, str) for w in warnings):
-            raise MoveError(f"trace field 'warnings' must be a list of str, got {warnings!r}")
-        return MoveTrace(**values, warnings=warnings, error=_typed("trace", "error", d.get("error"), dict))
+        values["final"] = _read_state(values["final"])
+        return MoveTrace(**values)
 
     @property
     def summarised(self) -> bool:
@@ -304,10 +297,14 @@ class MoveTrace:
 
 
 def weak_cancellations(moves: list[Move]) -> list[str]:
-    """One warning per cancel whose relator crosses 1-handles besides its letter.
+    """One line per weak cancellation: a cancel whose relator crosses 1-handles besides its letter.
 
-    Read from each cancel's letter, target and relator only, so the
-    schedules, the X2 derivation and replay derive the same list.
+    A weak cancellation is a legal handle cancellation: the word still
+    crosses the co-core once, which is all the criterion asks, and the
+    freed relator rewrites every other word off the letter.  The isolated
+    form the schedules aim for is tidier, not stronger.  This is the one
+    query that lists them; it reads only each cancel's letter, target and
+    relator, so a trace read back gives the list its run would.
     """
     return [
         f"weak cancellation of a{m.letter} against {m.target}: "
@@ -317,8 +314,8 @@ def weak_cancellations(moves: list[Move]) -> list[str]:
     ]
 
 
-def finish(cx: HandleComplex, moves: list[Move], n: int) -> tuple[dict, dict, list[str]]:
-    """The final state, certificate and warnings of a piece whose moves are all made.
+def finish(cx: HandleComplex, n: int) -> dict:
+    """The final word state of a piece whose moves are all made.
 
     Raises MoveError unless no 1-handle is live (the upside-down X2 would
     make it a 3-handle), 6n - 1 two-handles remain and every word runs over live letters.
@@ -329,7 +326,7 @@ def finish(cx: HandleComplex, moves: list[Move], n: int) -> tuple[dict, dict, li
     if len(cx.two_handles) != expected:
         raise MoveError(f"piece ends with {len(cx.two_handles)} 2-handles, expected {expected}")
     cx.check_live_letters()
-    return word_state(cx), {"one_handles": 0, "two_handles": expected}, weak_cancellations(moves)
+    return word_state(cx)
 
 
 class ReplayError(MoveError):
@@ -393,14 +390,12 @@ def replay(trace: MoveTrace) -> HandleComplex:
     trace read from a file); each recorded move must equal, field for
     field, the move `execute` derives from the live complex, and the
     Euler characteristic must never move; the moves must finish the
-    piece, and the final state, the certificate and the warnings must be
-    those `finish` returns; no error may be recorded.  Any mismatch, or a move the executor rejects,
-    raises ReplayError.
+    piece, and the final state must be the one `finish` returns.  Weak
+    cancellations replay like any other.  Any mismatch, or a move the
+    executor rejects, raises ReplayError.
     """
     if trace.piece not in ("X1", "X2"):
         raise ReplayError(f"unknown piece {trace.piece!r}")
-    if trace.error is not None:
-        raise ReplayError(f"trace records a failed schedule: {trace.error}")
     try:
         knot = parse_knot_spec(trace.knot)
         x1, x2 = build_pieces(knot, trace.n)
@@ -423,15 +418,11 @@ def replay(trace: MoveTrace) -> HandleComplex:
         if cx.euler() != chi:
             raise ReplayError(f"move {k}: Euler characteristic drifted from {chi}")
     try:
-        final, certificate, warnings = finish(cx, trace.moves, trace.n)
+        final = finish(cx, trace.n)
     except MoveError as err:
         raise ReplayError(f"the moves do not finish {trace.piece}: {err}") from err
-    if trace.final is None or _canonical(final) != _canonical(trace.final):
+    if _canonical(final) != _canonical(trace.final):
         raise ReplayError("final complex state mismatch")
-    if _canonical(trace.certificate) != _canonical(certificate):
-        raise ReplayError(f"certificate {trace.certificate} does not match the replayed complex {certificate}")
-    if trace.warnings != warnings:
-        raise ReplayError("warnings do not match the weak cancellations of the moves")
     return cx
 
 

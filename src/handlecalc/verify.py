@@ -8,9 +8,12 @@ each and check the table's closure and invertibility properties, one
 report row per suite.  All cancellation certificates here are
 homotopy-level: a word crossing a co-core once certifies the pair at the
 level of the 1-skeleton's fundamental group, which is what the
-cancellation criterion consumes.  No 1-handles left means the resulting
-presentation of the fundamental group has no generators; b_1 = 0 is read
-off from that.
+cancellation criterion consumes.  A weak cancellation, whose word also
+crosses other 1-handles, meets the same criterion: it is a legal handle
+cancellation, the report neither counts nor refuses one, and
+`trace.weak_cancellations(moves)` lists them.  No 1-handles left means
+the resulting presentation of the fundamental group has no generators;
+b_1 = 0 is read off from that.
 """
 
 from __future__ import annotations

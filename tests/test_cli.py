@@ -85,7 +85,7 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "cancel", "twobridge:+,-", "--n", "2", "--trace", str(path))
     assert code == 0
     body = json.loads(path.read_text())
-    assert body["schema"] == "handlecalc/3"
+    assert body["schema"] == "handlecalc/4"
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
@@ -125,6 +125,30 @@ def test_knot_inputs_above_the_limits_are_usage_errors(capsys, spec, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and "int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param("stallings:m=" + "7" * 5000, "bad stallings twist count '777777777777'... (5000 characters)",
+                     id="m-5000-digits"),
+        pytest.param("stallings:m=" + "7" * 4000, "m (a 13288-bit integer) is above the limit", id="m-4000-digits"),
+        pytest.param("conway:2," + "7" * 5000, "bad conway coefficient '777777777777'... (5000 characters)",
+                     id="coefficient-5000-digits"),
+        pytest.param("stallings:m=1_0", "bad stallings twist count '1_0'", id="underscore"),
+        pytest.param("stallings:m= 10", "bad stallings twist count ' 10'", id="space"),
+        pytest.param("stallings:m=١٠", "bad stallings twist count '١٠'", id="arabic-indic-digits"),
+        pytest.param("conway:2,1_0", "bad conway coefficient '1_0'", id="coefficient-underscore"),
+        pytest.param("twobridge:" + "x" * 5000, "bad twobridge sign token 'xxxxxxxxxxxx'... (5000 characters)",
+                     id="sign-5000-characters"),
+    ],
+)
+def test_knot_spec_integers_are_ascii_and_echoed_short(capsys, spec, message):
+    # An integer is an optional sign and ASCII digits, and an error quotes
+    # at most 12 characters of the token, however long the input.
+    code, out, err = run_cli(capsys, "knot", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and len(err) < 120, err[:200]
 
 
 def test_knot_at_the_limits_prints_its_fraction(capsys):

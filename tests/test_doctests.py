@@ -10,7 +10,8 @@ import pytest
 import handlecalc
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(handlecalc.__path__, "handlecalc."))
-WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces", "handlecalc.twists", "handlecalc.verify"}
+WITH_EXAMPLES = {"handlecalc.words", "handlecalc.surfaces", "handlecalc.twists", "handlecalc.trace",
+                 "handlecalc.verify"}
 
 
 @pytest.mark.parametrize("name", MODULES)

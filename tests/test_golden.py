@@ -25,8 +25,8 @@ from handlecalc.trace import complex_state
 from handlecalc.verify import full_report
 
 GOLDEN = {
-    "twobridge": "0eb32469d4428bfb3fea35ccbcf7ec32e0aa85aca8b99597289563a555af5932",
-    "stallings": "09131a7581b333e5507700c05aa4239c4dc1bc8792ef518941fb1958e2b772c0",
+    "twobridge": "048996ed6604920d6c268cd388fefea1f07f0db11d96d3dab67b92cc3a6e6e26",
+    "stallings": "19a6cc3edae37febb75d1b83845ada9f1f34cd925fbba0fcc82f7ed4b2985816",
 }
 
 TWO_BRIDGE = [
@@ -37,8 +37,8 @@ TWO_BRIDGE = [
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
-    "twobridge": "b9a5afcfcfad9f6d38cca2d1da4568c9fe63ab482ab9616c2ea287548a902280",
-    "stallings": "4d8f3c23c27d7451628215a3ba9eb400b06adca91ab73c916c774142781de5e3",
+    "twobridge": "2d96f4f8f764c04c042971ae2d01d76efae10254c6cec5b4589949d3b4491e03",
+    "stallings": "60166d49a2b767e0873f48b4e531b4f41a47763b62bbc9ecc36987eb7ac62aa4",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

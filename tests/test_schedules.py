@@ -39,8 +39,8 @@ def test_trefoil_e1():
     cx, trace = run_schedule("twobridge:+,+", 1, "X1")
     assert cx.counts() == {"zero_handles": 1, "one_handles": 0, "two_handles": 5}
     assert len(cancels(trace)) == 4  # 4g pairs at g=1
-    assert trace.certificate == {"one_handles": 0, "two_handles": 5}
-    assert not trace.warnings
+    assert (trace.final["one_handles"], len(trace.final["two_handles"])) == ([], 5)
+    assert weak_cancellations(trace.moves) == []
 
 
 def test_leftover_handles_trefoil():
@@ -59,7 +59,7 @@ def test_stallings_counts():
         assert len(trace.initial["two_handles"]) == 13
         assert cx.counts() == {"zero_handles": 1, "one_handles": 0, "two_handles": 5}
         assert len(cancels(trace)) == 8
-        assert not trace.warnings
+        assert weak_cancellations(trace.moves) == []
 
 
 def test_stallings_cancel_order():
@@ -95,11 +95,11 @@ def test_genus2_n2_counts():
 
 def test_phase_a_isolated_form():
     # After its eliminations, the i-th canceling handle's word is over
-    # alpha_0 and alpha_i alone: the schedule records no weak-form warnings.
+    # alpha_0 and alpha_i alone: the schedule makes no weak cancellation.
     for eps in itertools.product((1, -1), repeat=4):
         for piece in ("X1", "X2"):
             _, trace = run_schedule(_signs(eps), 1, piece)
-            assert not trace.warnings
+            assert weak_cancellations(trace.moves) == []
 
 
 def test_opaque_conservation():
@@ -143,11 +143,11 @@ def test_derived_x2_equals_the_full_x2_run(spec):
 
 
 def test_derived_x2_renames_warning_ids(monkeypatch):
-    # Every cancel warns, so each warning's handle id must be renamed too.
+    # Every cancel is weak, so each one listed for X2 names a renamed handle.
     monkeypatch.setattr(trace_module, "is_isolated", lambda word, i: False)
     for spec, n in (("twobridge:+,-,+,+", 2), ("stallings:m=-2", 3)):
         res = run_both(spec, n)
-        warnings = res["X2"][1].warnings
+        warnings = weak_cancellations(res["X2"][1].moves)
         assert len(warnings) == len(cancels(res["X2"][1])) > 0
         assert all(" against x2-" in w for w in warnings)
         assert _final_bytes(res["X2"]) == _final_bytes(run_schedule(spec, n, "X2"))
@@ -310,8 +310,17 @@ def _edit_final_word(value):
 
 MALFORMED = [
     pytest.param(_without(f), f"required field '{f}'", id=f)
-    for f in ("knot", "n", "piece", "initial", "moves", "final", "certificate")
+    for f in ("knot", "n", "piece", "initial", "moves", "final")
 ] + [
+    # A handlecalc/4 document states each fact once: the handlecalc/3 keys
+    # that repeated the final counts, the weak cancellations of the moves
+    # or a ScheduleError's message are unknown fields, whatever they hold.
+    pytest.param(_set("certificate", {"one_handles": 0, "two_handles": 5}),
+                 "trace has unknown field\\(s\\) 'certificate'", id="carries-certificate"),
+    pytest.param(_set("warnings", 5), "trace has unknown field\\(s\\) 'warnings'", id="warnings-not-list"),
+    pytest.param(_set("warnings", ["ok", 3]), "trace has unknown field\\(s\\) 'warnings'", id="warnings-not-strings"),
+    pytest.param(_set("error", "boom"), "trace has unknown field\\(s\\) 'error'", id="error-not-object"),
+    pytest.param(_set("final", None), "'final' must be dict, got None", id="null-final"),
     pytest.param(lambda doc: [doc], "trace must be an object", id="document-not-object"),
     pytest.param(_set("moves", [7]), "move must be an object", id="move-not-object"),
     pytest.param(_edit_move(kind=None), "required field 'kind'", id="move-lacks-kind"),
@@ -322,9 +331,6 @@ MALFORMED = [
     pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
     pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
-    pytest.param(_set("warnings", 5), "'warnings' must be list", id="warnings-not-list"),
-    pytest.param(_set("warnings", ["ok", 3]), "'warnings' must be a list of str", id="warnings-not-strings"),
-    pytest.param(_set("error", "boom"), "'error' must be dict", id="error-not-object"),
     pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
     pytest.param(_edit_move(after="0" * 16), "move has unknown field\\(s\\) 'after'", id="move-carries-after"),
     # A word field that spells no word is refused when read, naming the move and the field.
@@ -348,7 +354,7 @@ def test_trace_missing_field_is_move_error(mutate, message):
 
 
 def test_replay_detects_tampering():
-    # A handlecalc/3 move records no digest: one that carries a `before`
+    # A handlecalc/4 move records no digest: one that carries a `before`
     # key, forged or not, is refused when the document is read.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     tampered = trace.to_json()
@@ -441,33 +447,23 @@ def _slide_over_itself():
     return doc
 
 
-def _inflated_certificate():
+def _four_handle_pending_in_final():
+    # The handlecalc/3 final state's constant flag, which no state holds now.
     _, doc, _ = _trefoil_x1()
-    doc["certificate"] = {"one_handles": 0, "two_handles": 99}
+    doc["final"]["four_handle_pending"] = False
     return doc
 
 
 def _no_final_state():
+    # A final state that lists no 2-handle.
     _, doc, _ = _trefoil_x1()
-    doc["final"] = None
+    doc["final"] = {**doc["final"], "two_handles": []}
     return doc
 
 
 def _cancel_without_letter():
     _, doc, _ = _trefoil_x1()
     del next(m for m in doc["moves"] if m["kind"] == "cancel")["letter"]
-    return doc
-
-
-def _forged_warning():
-    _, doc, _ = _trefoil_x1()
-    doc["warnings"] = ["weak cancellation of a1 against x1-00: word 'a0 a1 a2' is not over alpha_0/a1 alone"]
-    return doc
-
-
-def _forged_error():
-    _, doc, _ = _trefoil_x1()
-    doc["error"] = {"message": "no failure happened", "word": None}
     return doc
 
 
@@ -478,8 +474,8 @@ def _bad_knot_spec():
 
 
 def _cut_before_last_cancel(spec, n):
-    """An X1 trace without its last cancel, with final, certificate and
-    warnings rewritten from an honest replay of the shorter move list."""
+    """An X1 trace without its last cancel, with its final state rewritten
+    from an honest replay of the shorter move list."""
     _, trace = run_schedule(spec, n, "X1")
     k = max(k for k, m in enumerate(trace.moves) if m.kind == "cancel")
     moves = trace.moves[:k]
@@ -491,8 +487,6 @@ def _cut_before_last_cancel(spec, n):
     doc = trace.to_json()
     doc["moves"] = [m.to_json() for m in moves]
     doc["final"] = complex_state(cx)
-    doc["certificate"] = {"one_handles": len(cx.one_handles), "two_handles": len(cx.two_handles)}
-    doc["warnings"] = weak_cancellations(moves)
     return doc
 
 
@@ -507,12 +501,10 @@ def _cut_before_last_cancel(spec, n):
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
         pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
         pytest.param(_slide_over_itself, "over itself", id="slide-over-itself"),
-        pytest.param(_inflated_certificate, "certificate", id="inflated-certificate"),
+        pytest.param(_four_handle_pending_in_final, "final complex state", id="four-handle-pending-in-final"),
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
-        pytest.param(_forged_warning, "warnings do not match", id="forged-warning"),
-        pytest.param(_forged_error, "failed schedule", id="forged-error"),
         # a4 and a8 are the letters of the last cancel at g = 1 and g = 2.
         pytest.param(lambda: _cut_before_last_cancel("twobridge:+,-", 1),
                      r"do not finish X1: .*live 1-handles \[4\]", id="cut-before-last-cancel-twobridge"),
@@ -525,16 +517,14 @@ def test_replay_rejects_forged_trace(forge, message):
         replay(MoveTrace.from_json(forge()))
 
 
-def test_replay_checks_recorded_warnings(monkeypatch):
-    # Every cancel warns: the recorded list replays, a shortened one does not.
+def test_replay_accepts_weak_cancellations(monkeypatch):
+    # Every cancel is weak: the trace, which records no list of them, still
+    # replays, and the one query lists each cancel of the file's moves.
     monkeypatch.setattr(trace_module, "is_isolated", lambda word, i: False)
     _, trace = run_schedule("twobridge:+,-", 2, "X1")
-    doc = trace.to_json()
-    assert len(doc["warnings"]) == len(cancels(trace))
-    replay(MoveTrace.from_json(doc))
-    doc["warnings"].pop()
-    with pytest.raises(ReplayError, match="warnings do not match"):
-        replay(MoveTrace.from_json(doc))
+    parsed = MoveTrace.from_json(json.loads(json.dumps(trace.to_json())))
+    replay(parsed)
+    assert len(weak_cancellations(parsed.moves)) == len(cancels(trace)) > 0
 
 
 def test_schedule_error_carries_word_and_trace():
@@ -552,7 +542,7 @@ def test_schedule_error_carries_word_and_trace():
     with pytest.raises(ScheduleError) as err:
         run.move("cancel", target, letter=1)
     assert err.value.word == parse_word("a1 a1")
-    assert err.value.trace.error["word"] == "a1 a1"
+    assert err.value.trace is run.trace and err.value.trace.final is None
 
 
 def test_failed_live_letter_check_is_schedule_error(monkeypatch):
@@ -562,12 +552,13 @@ def test_failed_live_letter_check_is_schedule_error(monkeypatch):
     monkeypatch.setattr(schedules.HandleComplex, "check_live_letters", dead_letter)
     with pytest.raises(ScheduleError, match="dead letters") as err:
         run_schedule("twobridge:+,+", 1, "X1")
-    assert err.value.trace.error == {"message": "handle x1-00 uses dead letters [1]", "word": None}
+    assert str(err.value) == "handle x1-00 uses dead letters [1]" and err.value.word is None
+    assert err.value.trace.final is None and len(cancels(err.value.trace)) == 4
 
 
 def test_dead_letter_in_a_final_word_is_recorded(monkeypatch):
     # A survivor that still crosses a cancelled 1-handle fails the final
-    # live-letter check, and the trace records its word.
+    # live-letter check, and the error carries its word.
     phase_c = schedules._phase_c
 
     def phase_c_then_revive_a1(run):
@@ -578,7 +569,6 @@ def test_dead_letter_in_a_final_word_is_recorded(monkeypatch):
     with pytest.raises(ScheduleError, match=r"uses dead letters \[1\]") as err:
         run_schedule("twobridge:+,+", 1, "X1")
     assert err.value.word == parse_word("a0' a1")
-    assert err.value.trace.error["word"] == "a0' a1"
 
 
 _SPECS = st.one_of(
@@ -680,13 +670,21 @@ def _handlecalc_2_document(trace):
     return {**trace.to_json(), "schema": "handlecalc/2", "moves": moves}
 
 
+def _handlecalc_3_document(trace):
+    # The certificate counts, and the constant `four_handle_pending` in the final state.
+    doc = trace.to_json()
+    return {**doc, "schema": "handlecalc/3", "final": {**doc["final"], "four_handle_pending": False},
+            "certificate": {"one_handles": 0, "two_handles": len(doc["final"]["two_handles"])}}
+
+
 @pytest.mark.parametrize("old", [pytest.param(_handlecalc_1_document, id="handlecalc-1"),
-                                 pytest.param(_handlecalc_2_document, id="handlecalc-2")])
+                                 pytest.param(_handlecalc_2_document, id="handlecalc-2"),
+                                 pytest.param(_handlecalc_3_document, id="handlecalc-3")])
 def test_a_handlecalc_1_document_is_refused(old):
     # An older format is refused by name, never read as the current one.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     doc = old(trace)
-    message = rf"unsupported trace schema '{doc['schema']}': this version reads 'handlecalc/3'"
+    message = rf"unsupported trace schema '{doc['schema']}': this version reads 'handlecalc/4'"
     with pytest.raises(MoveError, match=message):
         MoveTrace.from_json(doc)
 
@@ -741,9 +739,9 @@ def test_the_trace_file_path_hashes_no_word(monkeypatch, spec):
 def test_every_slide_and_eliminate_earns_its_place(spec):
     # Left out of an X1 trace, any one slide or eliminate leaves moves that
     # the executor or the end check refuses, or that finish the piece with a
-    # weak-cancellation warning: no move can be dropped at no cost.  The
-    # warnings are read from the moves `execute` returns, whose relators are
-    # the ones the shorter list produces, not the recorded ones.
+    # weak cancellation: no move can be dropped at no cost.  The weak
+    # cancellations are read from the moves `execute` returns, whose relators
+    # are the ones the shorter list produces, not the recorded ones.
     for n in (1, 2):
         _, trace = run_schedule(spec, n, "X1")
         x1, _ = build_pieces(parse_knot_spec(spec), n)
@@ -754,10 +752,11 @@ def test_every_slide_and_eliminate_earns_its_place(spec):
             try:
                 moves = [execute(cx, m.kind, m.target, m.over, m.letter, m.shared_prefix)
                          for m in trace.moves[:k] + trace.moves[k + 1:]]
-                _, _, warnings = finish(cx, moves, n)
+                finish(cx, n)
             except MoveError:
                 continue
-            assert warnings, f"n={n}: the {left_out.kind} of move {k} on {left_out.target} can be left out"
+            assert weak_cancellations(moves), \
+                f"n={n}: the {left_out.kind} of move {k} on {left_out.target} can be left out"
 
 
 def test_derivation_refuses_an_x1_trace_read_from_a_file():
@@ -849,23 +848,26 @@ def _eagerly_certified(doc):
 @given(_SPECS, st.integers(1, 3), st.sampled_from(("X1", "X2")), st.data())
 def test_every_single_field_forgery_is_refused(spec, n, piece, data):
     # Any one value of a trace file changed (any field of the document, of
-    # its initial summary, final state or certificate, of any move; a list
-    # losing, repeating or swapping an element; an object losing a key), or
-    # a warning or an error added, ends in ReplayError or MoveError.
+    # its initial summary or final state, of any move; a list losing,
+    # repeating or swapping an element; an object losing a key), or one of
+    # the handlecalc/3 keys certificate, warnings or error added, ends in
+    # ReplayError or MoveError.
     _, trace = run_schedule(spec, n, piece)
     doc = trace.to_json()
     paths = list(_json_paths(doc))
-    # Half the draws go to the move list as a whole and to the optional fields.
-    path = data.draw(st.sampled_from(paths) | st.sampled_from([("moves",), ("warnings",), ("error",)]))
+    # Half the draws go to the move list as a whole and to the dropped keys.
+    path = data.draw(st.sampled_from(paths)
+                     | st.sampled_from([("moves",), ("certificate",), ("warnings",), ("error",)]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if path in paths:
         original = copy.deepcopy(parent[path[-1]])
         value = data.draw(st.sampled_from(_variants(original, data)))
-    else:  # absent: the trace records no warning and no error
+    else:  # absent: a handlecalc/4 trace holds none of them, whatever the value
         original = None
-        value = data.draw(st.sampled_from([["weak cancellation"], [""], {}, {"message": "x", "word": None}]))
+        value = data.draw(st.sampled_from([[], ["weak cancellation"], [""], {}, None,
+                                           {"message": "x", "word": None}, {"one_handles": 0, "two_handles": 5}]))
     parent[path[-1]] = value
     try:
         replay(MoveTrace.from_json(doc))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from handlecalc import schedules, trace, twists, verify, words
+from handlecalc import complexes, schedules, trace, twists, verify, words
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.schedules import ScheduleError, run_schedule
 from handlecalc.twists import MonodromySpec
@@ -101,7 +101,7 @@ def test_full_report_n3():
 def test_report_json_shape():
     report = full_report("twobridge:+,-", 2)
     payload = report.to_json()
-    assert payload["schema"] == "handlecalc/3"
+    assert payload["schema"] == "handlecalc/4"
     assert payload["passed"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in payload["checks"])
     # Values are JSON values, not their Python repr.
@@ -136,8 +136,8 @@ def test_failing_slide_is_a_failed_check(monkeypatch):
 
     with pytest.raises(ScheduleError) as err:
         run_schedule("twobridge:+,+", 1, "X1")
-    assert err.value.trace.error["message"] == "cannot slide with opaque handle x1-04"
-    assert err.value.trace.error["word"] == words.word_str(err.value.trace.initial["two_handles"][0]["word"])
+    assert str(err.value) == "cannot slide with opaque handle x1-04"
+    assert err.value.word == err.value.trace.initial["two_handles"][0]["word"]
 
 
 def test_report_parity_guard():
@@ -149,18 +149,20 @@ def test_report_parity_guard():
 @pytest.mark.parametrize("spec", ["twobridge:+,+", "twobridge:+,-,+,+", "stallings:m=-7", "stallings:m=3"])
 def test_full_report_formats_hashes_and_parses_no_word(monkeypatch, spec):
     # Words stay tuples in memory; only a trace's to_json and from_json
-    # spell, hash or parse one, and a report calls neither.
+    # spell, hash or parse one, and a report calls neither.  Nor does a
+    # report derive the weak cancellations: no trace field holds them.
     def refuse(*args):
-        raise AssertionError("a word was spelled, hashed or parsed")
+        raise AssertionError("a word was spelled, hashed or parsed, or a cancellation tested for weakness")
 
-    functions = {words.word_str, words.parse_word, trace.fnv1a64}
+    functions = {words.word_str, words.parse_word, trace.fnv1a64, complexes.is_isolated, trace.weak_cancellations}
     patched = set()
     for mod in (trace, schedules):
         for name, value in list(vars(mod).items()):
             if callable(value) and value in functions:
                 monkeypatch.setattr(mod, name, refuse)
                 patched.add(f"{mod.__name__.rpartition('.')[2]}.{name}")
-    assert {"trace.word_str", "trace.fnv1a64", "trace.parse_word", "schedules.word_str"} <= patched
+    assert {"trace.word_str", "trace.fnv1a64", "trace.parse_word", "trace.is_isolated",
+            "trace.weak_cancellations"} <= patched
     for n in (1, 2, 3):
         report = full_report(spec, n)
         assert report.passed, [c for c in report.checks if not c.passed]
