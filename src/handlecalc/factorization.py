@@ -14,18 +14,25 @@ by |W|, so changing either order here breaks `run_both`.
 Every B-image is spelled one way, for both knot families and every n:
 `phi_b_word(i, head, s)` with `head` the image of beta_i.  The twists fix
 the closing arcs, so this is the image of the whole curve.  The heads are
-computed once per build: the Stallings heads for K_m, and
+computed once per knot: the Stallings heads for K_m, and
 `twists.beta_images` of the compiled table for a two-bridge knot.  Every
 image in that table is a palindrome, so the table commutes with reversing
 a word; as beta_i is alpha_0^-1 U_i rho(U_{i-1}) alpha_0^-1 with U_i a
 prefix of one alternating word, all 2g + 1 heads come from one running
 prefix product instead of one substitution of each beta_i.  The c-images
 still go through `CompiledMonodromy.apply`.
+
+Both inputs of a build are pure and immutable, and each is built once:
+W once per surface (`build_W` keeps the last 16), and the monodromy
+images once per knot (`_monodromy_images` keeps the last 4), since the
+table moves only alpha_0..alpha_{2g} and so does not depend on n.
+`verify.check_piece_table` reads the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .knots import Knot, StallingsKnot
 from .surfaces import CurveId, FiberSurface, b_word, c_word, phi_b_word
@@ -65,12 +72,17 @@ class LFPiece:
     factorization: Factorization
 
 
+@lru_cache(maxsize=16)
 def build_W(s: FiberSurface) -> Factorization:
     """The word W as an ordered cycle list.
 
     n >= 2: c_{2n-2} .. c_2 c_1 c_1 c_2 .. c_{2n-2} B_0 .. B_{2g} c_{2n-1};
     n = 1 degenerates to B_0 .. B_{2g} c_1 with the c_1 word unknown
     (carried opaque).  |W| = 2g + 4n - 2 in both cases.
+
+    Built once per surface: the W of the last 16 surfaces is kept and the
+    same frozen object is handed to every caller.  The largest, at
+    g = MAX_GENUS and n = MAX_INDEX, holds about 6 MB.
     """
     cycles: list[VanishingCycle] = []
     if s.n >= 2:
@@ -101,23 +113,38 @@ def _phi_cycle(
     return VanishingCycle(vc.curve, phi.apply(vc.word), True, vc.framing)
 
 
+@lru_cache(maxsize=4)
+def _monodromy_images(knot: Knot) -> tuple[CompiledMonodromy | None, tuple[Word, ...]]:
+    """The knot's piece monodromy as (table, images of beta_0..beta_{2g}).
+
+    For a two-bridge knot the table is compiled at FiberSurface(g, 1) and
+    the heads are its `beta_images`; K_m has no letterwise table and its
+    heads are `stallings_rules(m)`.  Neither depends on n.  Kept for the
+    last 4 knots, keyed by the knot's value: a two-bridge knot of genus
+    MAX_GENUS holds up to about 10 MB, K_m at |m| = MAX_TWISTS about 0.7 MB.
+    """
+    if isinstance(knot, StallingsKnot):
+        return None, stallings_rules(knot.m)
+    table = compile_monodromy(knot.piece_monodromy(), FiberSurface(knot.genus, 1))
+    return table, beta_images(table)
+
+
 def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     """Factorizations of both pieces for the given knot and elliptic index.
 
-    The monodromy images are computed once per call and shared by every
-    cycle: the images of beta_0..beta_{2g} (the Stallings heads, or
-    `beta_images` of the compiled two-bridge table) and, for a two-bridge
-    knot, the compiled table that maps the c-curves.
+    W is built once per surface and the monodromy images once per knot
+    (`build_W`, `_monodromy_images`), and shared by every cycle: the
+    images of beta_0..beta_{2g} (the Stallings heads, or `beta_images` of
+    the compiled two-bridge table) and, for a two-bridge knot, the
+    compiled table that maps the c-curves, read at this surface.
     A non-fibered knot (`TwoBridgeKnot.genus`) and n < 1 (`FiberSurface`)
     raise ValueError.
     """
     s = FiberSurface(knot.genus, n)
     base = build_W(s)
-    if isinstance(knot, StallingsKnot):
-        phi, heads = None, stallings_rules(knot.m)
-    else:
-        phi = compile_monodromy(knot.piece_monodromy(), s)
-        heads = beta_images(phi)
+    table, heads = _monodromy_images(knot)
+    # `apply` checks a word against the alphabet at n, wider than the table's.
+    phi = None if table is None else CompiledMonodromy(table.images, s)
     phi_block = tuple(_phi_cycle(vc, phi, heads, s) for vc in base.cycles)
     x1 = Factorization(phi_block + base.cycles, s)
     x2 = Factorization(base.cycles + phi_block, s)

@@ -255,7 +255,8 @@ def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, Mov
     """Run X1's schedule and derive X2's result from it by renaming handle ids.
 
     The only caller that passes `x1` to `run_schedule`; each call still
-    builds both pieces twice, once per `run_schedule`.
+    builds both pieces twice, once per `run_schedule`, from the W built
+    once per surface and the monodromy images built once per knot.
     """
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)

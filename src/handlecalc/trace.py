@@ -48,7 +48,7 @@ from .complexes import (
     slide_words,
 )
 from .factorization import build_pieces
-from .knots import parse_knot_spec
+from .knots import _shown, parse_knot_spec
 from .words import Word, handle_occurrences, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/4"
@@ -64,6 +64,11 @@ _TRACE_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict, "moves": 
 
 #: The `initial` summary a trace file records, in order: a string digest, then counts.
 _SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
+
+#: The keys of a word state (`word_state`), the `final` field of a file,
+#: and of each of its 2-handles.  Neither holds another key.
+_STATE_FIELDS = ("surface", "zero_handles", "one_handles", "two_handles")
+_HANDLE_FIELDS = ("id", "origin", "phi", "word", "framing")
 
 #: Move fields: the first two are required; all but `letter` are strings.
 #: A move holds no other key.
@@ -122,12 +127,14 @@ def complex_state(cx: HandleComplex) -> dict:
 
 def _read_state(state: dict) -> dict:
     """`state_text`'s inverse on the `final` field of a trace file: each word parsed once."""
+    _refuse_unknown("final", state, _STATE_FIELDS)
     handles = state.get("two_handles")
     if not isinstance(handles, list) or not all(isinstance(h, dict) and "word" in h for h in handles):
         raise MoveError("trace field 'final' must hold a list 'two_handles' of objects with a 'word'")
     parsed = []
     for k, h in enumerate(handles):
         where = f"final 2-handle {k}"
+        _refuse_unknown(where, h, _HANDLE_FIELDS)
         try:
             parsed.append({**h, "word": _parsed("word", _typed(where, "word", h["word"], str))})
         except MoveError as err:
@@ -395,17 +402,18 @@ def replay(trace: MoveTrace) -> HandleComplex:
     executor rejects, raises ReplayError.
     """
     if trace.piece not in ("X1", "X2"):
-        raise ReplayError(f"unknown piece {trace.piece!r}")
+        raise ReplayError(f"unknown piece {_shown(trace.piece)}")
     try:
         knot = parse_knot_spec(trace.knot)
         x1, x2 = build_pieces(knot, trace.n)
     except ValueError as err:  # KnotSpecError, a non-fibered knot, n out of range, an input above the limits
-        raise ReplayError(f"cannot rebuild {trace.piece} of {trace.knot!r} at n={trace.n}: {err}") from err
-    if knot.spec_str() != trace.knot:
-        raise ReplayError(f"knot spec {trace.knot!r} is not written as the engine writes it, {knot.spec_str()!r}")
+        raise ReplayError(f"cannot rebuild {trace.piece} of {_shown(trace.knot)} at n={trace.n}: {err}") from err
+    spec = knot.spec_str()
+    if spec != trace.knot:
+        raise ReplayError(f"knot spec {_shown(trace.knot)} is not written as the engine writes it, {_shown(spec)}")
     cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
     if _canonical(state_summary(word_state(cx))) != _canonical(trace.initial_summary()):
-        raise ReplayError(f"initial state is not that of {trace.piece} of {trace.knot} at n={trace.n}")
+        raise ReplayError(f"initial state is not that of {trace.piece} of {_shown(spec)} at n={trace.n}")
     chi = cx.euler()
     for k, move in enumerate(trace.moves):
         try:

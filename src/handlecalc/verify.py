@@ -3,12 +3,12 @@
 The count checks (Euler characteristic, Betti ranks) work purely from the
 handle numbers and are deliberately separate from the schedule engine, so
 a divergence pins a bug to exactly one of the two paths.  The rule suites
-(`check_piece_table`) compile the pieces' monodromy and its inverse once
-each and check the table's closure and invertibility properties, one
-report row per suite.  All cancellation certificates here are
-homotopy-level: a word crossing a co-core once certifies the pair at the
-level of the 1-skeleton's fundamental group, which is what the
-cancellation criterion consumes.  A weak cancellation, whose word also
+(`check_piece_table`) check the closure and invertibility of the table
+`build_pieces` reads, compiled once per knot, against its inverse,
+compiled fresh; one report row per suite.  All cancellation certificates
+here are homotopy-level: a word crossing a co-core once certifies the
+pair at the level of the 1-skeleton's fundamental group, which is what
+the cancellation criterion consumes.  A weak cancellation, whose word also
 crosses other 1-handles, meets the same criterion: it is a legal handle
 cancellation, the report neither counts nor refuses one, and
 `trace.weak_cancellations(moves)` lists them.  No 1-handles left means
@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .factorization import _monodromy_images
 from .knots import Knot, TwoBridgeKnot, parse_knot_spec
 from .schedules import ScheduleError, assemble, run_both
-from .surfaces import FiberSurface
 from .trace import SCHEMA
-from .twists import compile_monodromy, piece_monodromy
+from .twists import compile_monodromy
 from .words import alpha, handle_letters, handle_occurrences
 
 
@@ -69,11 +69,12 @@ def euler_char(counts: Sequence[int]) -> int:
 
 
 def check_piece_table(eps: Sequence[int]) -> VerificationReport:
-    """The rule suites of the pieces' monodromy, the table `build_pieces` compiles.
+    """The rule suites of the pieces' monodromy, the table `build_pieces` reads.
 
     Closure: for i < 2g the image of alpha_i is a word over
     alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.  Invertibility:
-    the table, then the inverse's table, fixes alpha_0..alpha_{2g}.
+    the table, then the inverse's table, fixes alpha_0..alpha_{2g}.  The
+    table is the knot's, compiled once; only the inverse is compiled here.
 
     >>> report = check_piece_table((1, 1))
     >>> report.knot
@@ -81,10 +82,11 @@ def check_piece_table(eps: Sequence[int]) -> VerificationReport:
     >>> [(c.name, c.actual) for c in report.checks]
     [('twist closure suite', True), ('twist invertibility suite', True)]
     """
-    phi = piece_monodromy(eps)
-    g = len(phi) // 2
-    s = FiberSurface(g, 1)
-    forward, backward = compile_monodromy(phi, s), compile_monodromy(phi.inverse(), s)
+    knot = TwoBridgeKnot.from_eps(eps)
+    forward, _ = _monodromy_images(knot)
+    phi = knot.piece_monodromy()
+    g = forward.surface.g
+    backward = compile_monodromy(phi.inverse(), forward.surface)
     images = [forward.apply((alpha(i),)) for i in range(2 * g + 1)]
     closed = all(
         handle_letters(w) <= set(range(1, i + 2)) and handle_occurrences(w, i + 1) == 1

@@ -45,6 +45,17 @@ def test_w_length_formula():
             assert len(build_W(FiberSurface(g, n))) == 2 * g + 4 * n - 2
 
 
+def test_w_is_built_once_per_surface():
+    # Knots of one genus share the W of each surface, cycle for cycle;
+    # another n is another surface and another W.
+    w = build_W(FiberSurface(2, 2))
+    for spec in ("twobridge:+,-,+,+", "stallings:m=5"):
+        _, x2 = build_pieces(parse_knot_spec(spec), 2)
+        assert all(a is b for a, b in zip(x2.factorization.cycles, w.cycles))
+    assert build_W(FiberSurface(2, 2)) is w
+    assert build_W(FiberSurface(2, 3)) is not w
+
+
 def test_pieces_counts():
     x1, x2 = build_pieces(parse_knot_spec("twobridge:+,+"), 1)
     # 8 cycles; the fiber boundary handle is added by the complex, total 9 = 4g+5.

@@ -298,11 +298,21 @@ def _set(name, value):
     return lambda doc: {**doc, name: value}
 
 
-def _edit_final_word(value):
-    """Set the word of the final state's first 2-handle."""
+def _edit_final(**changes):
+    """Set fields of the final state."""
 
     def mutate(doc):
-        doc["final"]["two_handles"][0]["word"] = value
+        doc["final"].update(changes)
+        return doc
+
+    return mutate
+
+
+def _edit_final_handle(**changes):
+    """Set fields of the final state's first 2-handle."""
+
+    def mutate(doc):
+        doc["final"]["two_handles"][0].update(changes)
         return doc
 
     return mutate
@@ -333,15 +343,20 @@ MALFORMED = [
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
     pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
     pytest.param(_edit_move(after="0" * 16), "move has unknown field\\(s\\) 'after'", id="move-carries-after"),
+    # The handlecalc/3 final state's constant flag, which no state holds now.
+    pytest.param(_edit_final(four_handle_pending=False), "final has unknown field\\(s\\) 'four_handle_pending'",
+                 id="four-handle-pending-in-final"),
+    pytest.param(_edit_final_handle(digest="0" * 16), "final 2-handle 0 has unknown field\\(s\\) 'digest'",
+                 id="final-handle-carries-digest"),
     # A word field that spells no word is refused when read, naming the move and the field.
     pytest.param(_edit_move(relator="a01"), "move 0: bad word token: 'a01' .* in field 'relator'", id="bad-relator-token"),
     pytest.param(_edit_move(after_word="a2 a1''"), "move 0: bad word token: \"a1''\" in field 'after_word'",
                  id="bad-after-word-token"),
     # An index of 5000 digits, past what Python's int reads from text.
     pytest.param(_edit_move(shared_prefix="a" + "9" * 5000), "move 0: bad word token", id="huge-prefix-token"),
-    pytest.param(_edit_final_word("a0  a1"), "final 2-handle 0: bad word token: '' in field 'word'",
+    pytest.param(_edit_final_handle(word="a0  a1"), "final 2-handle 0: bad word token: '' in field 'word'",
                  id="final-word-double-space"),
-    pytest.param(_edit_final_word(7), "final 2-handle 0 field 'word' must be str", id="final-word-not-string"),
+    pytest.param(_edit_final_handle(word=7), "final 2-handle 0 field 'word' must be str", id="final-word-not-string"),
 ]
 
 
@@ -447,13 +462,6 @@ def _slide_over_itself():
     return doc
 
 
-def _four_handle_pending_in_final():
-    # The handlecalc/3 final state's constant flag, which no state holds now.
-    _, doc, _ = _trefoil_x1()
-    doc["final"]["four_handle_pending"] = False
-    return doc
-
-
 def _no_final_state():
     # A final state that lists no 2-handle.
     _, doc, _ = _trefoil_x1()
@@ -501,7 +509,6 @@ def _cut_before_last_cancel(spec, n):
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
         pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
         pytest.param(_slide_over_itself, "over itself", id="slide-over-itself"),
-        pytest.param(_four_handle_pending_in_final, "final complex state", id="four-handle-pending-in-final"),
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
@@ -515,6 +522,24 @@ def _cut_before_last_cancel(spec, n):
 def test_replay_rejects_forged_trace(forge, message):
     with pytest.raises(ReplayError, match=message):
         replay(MoveTrace.from_json(forge()))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("knot", "stallings:m=" + "7" * 5000,
+                     "cannot rebuild X1 of 'stallings:m='... (5012 characters)", id="huge-knot-spec"),
+        pytest.param("knot", "twobridge:+,+" + " " * 3000,
+                     "knot spec 'twobridge:+,'... (3013 characters) is not written", id="padded-knot-spec"),
+        pytest.param("piece", "X" * 5000, "unknown piece 'XXXXXXXXXXXX'... (5000 characters)", id="huge-piece"),
+    ],
+)
+def test_replay_errors_quote_file_text_short(field, value, message):
+    # A trace file cannot make a replay error as long as it likes.
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    with pytest.raises(ReplayError) as err:
+        replay(MoveTrace.from_json({**trace.to_json(), field: value}))
+    assert message in str(err.value) and len(str(err.value)) < 200
 
 
 def test_replay_accepts_weak_cancellations(monkeypatch):

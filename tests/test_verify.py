@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from handlecalc import complexes, schedules, trace, twists, verify, words
+from handlecalc import complexes, factorization, schedules, trace, twists, verify, words
 from handlecalc.factorization import Factorization, LFPiece
+from handlecalc.knots import TwoBridgeKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, run_schedule
 from handlecalc.twists import MonodromySpec
 from handlecalc.verify import check_piece_table, euler_char, full_report
@@ -62,15 +63,54 @@ def _fails_one_suite(report, suite):
     assert all(c.passed for c in report.checks if c.name not in SUITES)
 
 
-def test_closure_suite_fails_on_the_fibration_order(monkeypatch):
+def test_closure_suite_fails_on_the_fibration_order(monkeypatch, fresh_memos):
     # The fibration monodromy is an automorphism too, but its images of
     # alpha_i reach past alpha_{i+1}: every sign sequence of genus <= 2 fails.
-    monkeypatch.setattr(verify, "piece_monodromy", twists.two_bridge_monodromy)
-    _fails_one_suite(full_report("twobridge:+,+", 1), "twist closure suite")
+    # The suites read the table the pieces are built from, so the report
+    # fails already at the schedule, whose phi(B0) no longer crosses a1 once.
+    monkeypatch.setattr(TwoBridgeKnot, "piece_monodromy", lambda k: twists.two_bridge_monodromy(k.eps))
+    report = full_report("twobridge:+,+", 1)
+    assert [c.name for c in report.checks if not c.passed] == ["schedule completes"]
     for k in (1, 2):
         for eps in itertools.product((1, -1), repeat=2 * k):
             report = check_piece_table(eps)
             assert [c.passed for c in report.checks] == [False, True], eps
+
+
+def _counted(monkeypatch, name, modules):
+    """Replace `name` in each module by one counting wrapper; return its list of calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_a_report_compiles_the_piece_table_once(monkeypatch, fresh_memos):
+    # Both builds of a report and its suites read one table per knot; only
+    # the suites' inverse is compiled apart, so another n compiles just that.
+    compiled = _counted(monkeypatch, "compile_monodromy", (factorization, verify))
+    rules = _counted(monkeypatch, "stallings_rules", (factorization,))
+    assert full_report("twobridge:+,-,+,+", 2).passed
+    assert len(compiled) == 2
+    assert full_report("twobridge:+,-,+,+", 3).passed
+    assert len(compiled) == 3
+    assert full_report("stallings:m=-3", 2).passed
+    assert len(rules) == 1 and len(compiled) == 3
+
+
+@pytest.mark.parametrize("spec", ["twobridge:+,-", "stallings:m=2"])
+def test_a_report_leaves_the_knot_as_it_was(spec):
+    # The memos are keyed by the knot's value; nothing is cached on the knot.
+    knot = parse_knot_spec(spec)
+    before = dict(vars(knot))
+    assert full_report(knot, 2).passed
+    assert vars(knot) == before
 
 
 def test_invertibility_suite_fails_on_a_wrong_inverse(monkeypatch):

@@ -220,8 +220,10 @@ def test_cyclic_reduce_of_conjugate_is_a_rotation(w, g):
     assert handle_letters(conjugated) == handle_letters(v)
 
 
-def test_engine_hands_concat_only_reduced_parts(monkeypatch):
-    """Every part the pipeline multiplies is freely reduced, as concat requires."""
+def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
+    """Every part the pipeline multiplies is freely reduced, as concat requires.
+
+    The memos start empty, so W and each monodromy table are built under the guard."""
     original = handlecalc.words.concat
 
     def checked(*ws):
