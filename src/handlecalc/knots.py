@@ -3,7 +3,9 @@
 Conway normal form C(n_1..n_k) evaluates through the continued fraction
 p/q = n_1 + 1/(n_2 + 1/(...)); the D-notation D(m_1..m_{2k}) abbreviates
 C(2m_1, -2m_2, ..., 2m_{2k-1}, -2m_{2k}) and is fibered exactly when every
-entry is +-1, in which case the fiber genus is k.
+entry is +-1, in which case the fiber genus is k.  Every two-bridge knot
+has exactly one D-form, read off its fraction (`d_form`), so a knot given
+by any Conway form is fibered exactly when its D-form is.
 """
 
 from __future__ import annotations
@@ -120,16 +122,28 @@ def d_to_conway(d: DForm) -> ConwayForm:
     return ConwayForm(coeffs)
 
 
-def conway_to_d(c: ConwayForm) -> DForm | None:
-    """Inverse of d_to_conway, or None if the coefficients do not fit the pattern."""
-    if len(c.coefficients) % 2:
-        return None
-    entries = []
-    for j, n in enumerate(c.coefficients):
-        signed = n if j % 2 == 0 else -n
-        if signed % 2:
-            return None
-        entries.append(signed // 2)
+def d_form(f: KnotFraction) -> DForm:
+    """The D-form of the knot p/q: its continued fraction with even terms.
+
+    q is shifted by p to be even, with |q| < p; then, until q = 0, the even
+    a with |p - a q| < |q| is the next term and (p, q) becomes (q, p - a q).
+    The terms are C(2m_1, -2m_2, ...), an even number of them, none 0.
+    Raises KnotSpecError for the unknot (p = 1) and for a knot of genus
+    above MAX_GENUS, before its expansion runs past 2 * MAX_GENUS terms.
+    """
+    if f.p == 1:
+        raise KnotSpecError("p = 1: the unknot, which has no fiber surface of genus >= 1")
+    p, q = f.p, f.q % f.p
+    if q % 2:
+        q -= p
+    entries: list[int] = []
+    while q:
+        if len(entries) == 2 * MAX_GENUS:
+            raise KnotSpecError(f"knot genus {MAX_GENUS + 1} or more is above the limit {MAX_GENUS} "
+                                f"(its D-form has more than {2 * MAX_GENUS} entries)")
+        a = 2 * ((p + q) // (2 * q))  # the even integer nearest p/q, which is never an odd integer
+        entries.append(a // 2 if len(entries) % 2 == 0 else -a // 2)
+        p, q = q, p - a * q
     return DForm(tuple(entries))
 
 
@@ -154,10 +168,10 @@ class TwoBridgeKnot:
 
     @staticmethod
     def from_conway(coefficients: Sequence[int]) -> "TwoBridgeKnot":
+        """The knot C(coefficients), fibered when its D-form is: C(2,1), C(3) and C(1,1,1) are the trefoil."""
         c = ConwayForm(tuple(coefficients))
-        d = conway_to_d(c)
-        eps = d.entries if d is not None and is_fibered(d) else None
-        return TwoBridgeKnot(c, eps)
+        d = d_form(continued_fraction(c))
+        return TwoBridgeKnot(c, d.entries if is_fibered(d) else None)
 
     @property
     def is_fibered(self) -> bool:
@@ -278,7 +292,7 @@ __all__ = [
     "KnotSpecError",
     "continued_fraction",
     "d_to_conway",
-    "conway_to_d",
+    "d_form",
     "is_fibered",
     "TwoBridgeKnot",
     "StallingsKnot",

@@ -11,6 +11,13 @@ the weak cancellations are a query on the moves (`weak_cancellations`),
 not a field.  A failed schedule writes no trace: its `ScheduleError`
 carries the message, the word and the partial trace.
 
+A file holds five kinds of record (the trace, its initial summary, a
+move, the final state and its 2-handles), each declared once as a table
+of its fields, in the order they are written, with their JSON types.
+One reader, `_read`, reads every record through its table, so a
+malformed document is refused with `MoveError` before replay, naming
+the record and the field.
+
 Words are tuples in memory and text only in the file.  A `Move` holds
 its relator, shared prefix and after-word as words; a `MoveTrace` holds
 its initial and final states, and `finish` returns the final one, as
@@ -57,24 +64,18 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = (1 << 64) - 1
 
-#: The fields of a trace document after `schema`, in the order they are
-#: written and read, with their JSON types; none may be null.  A document
-#: holds no other key.
+#: The JSON type of a field that holds a word: text in a file, a tuple in memory, null if opaque.
+WORD = "word"
+
+#: The records of a trace file, each a table of its fields in the order
+#: they are written, with their JSON types.  A document is `schema`, then
+#: the trace fields; only the first two move fields are required.
 _TRACE_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict, "moves": list, "final": dict}
-
-#: The `initial` summary a trace file records, in order: a string digest, then counts.
-_SUMMARY_FIELDS = ("digest", "zero_handles", "one_handles", "two_handles")
-
-#: The keys of a word state (`word_state`), the `final` field of a file,
-#: and of each of its 2-handles.  Neither holds another key.
-_STATE_FIELDS = ("surface", "zero_handles", "one_handles", "two_handles")
-_HANDLE_FIELDS = ("id", "origin", "phi", "word", "framing")
-
-#: Move fields: the first two are required; all but `letter` are strings.
-#: A move holds no other key.
-_MOVE_FIELDS = ("kind", "target", "over", "letter", "relator", "shared_prefix", "after_word")
-#: The move fields that hold a word, spelled as text in a file.
-_WORD_FIELDS = ("relator", "shared_prefix", "after_word")
+_SUMMARY_FIELDS = {"digest": str, "zero_handles": int, "one_handles": int, "two_handles": int}
+_MOVE_FIELDS = {"kind": str, "target": str, "over": str, "letter": int,
+                "relator": WORD, "shared_prefix": WORD, "after_word": WORD}
+_STATE_FIELDS = {"surface": dict, "zero_handles": int, "one_handles": list, "two_handles": list}
+_HANDLE_FIELDS = {"id": str, "origin": str, "phi": bool, "word": WORD, "framing": str}
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
@@ -102,7 +103,10 @@ def word_digest(w: Word | None) -> str:
 
 
 def word_state(cx: HandleComplex) -> dict:
-    """The complex's state with each 2-handle word a tuple (None if opaque): the form a trace holds."""
+    """The complex's state with each 2-handle word a tuple (None if opaque): the form a trace holds.
+
+    Its keys are `_STATE_FIELDS` and `_HANDLE_FIELDS`, spelled out because every schedule run makes one.
+    """
     return {
         "surface": {"g": cx.surface.g, "n": cx.surface.n},
         "zero_handles": cx.zero_handles,
@@ -116,30 +120,14 @@ def word_state(cx: HandleComplex) -> dict:
 
 def state_text(state: dict) -> dict:
     """A word state with its words spelled as text: the form a trace file records."""
-    return {**state, "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
+    return {**state, "two_handles": [{name: (None if h[name] is None else word_str(h[name])) if kind is WORD
+                                      else h[name] for name, kind in _HANDLE_FIELDS.items()}
                                      for h in state["two_handles"]]}
 
 
 def complex_state(cx: HandleComplex) -> dict:
     """The complex's state as a trace file records it, words as text."""
     return state_text(word_state(cx))
-
-
-def _read_state(state: dict) -> dict:
-    """`state_text`'s inverse on the `final` field of a trace file: each word parsed once."""
-    _refuse_unknown("final", state, _STATE_FIELDS)
-    handles = state.get("two_handles")
-    if not isinstance(handles, list) or not all(isinstance(h, dict) and "word" in h for h in handles):
-        raise MoveError("trace field 'final' must hold a list 'two_handles' of objects with a 'word'")
-    parsed = []
-    for k, h in enumerate(handles):
-        where = f"final 2-handle {k}"
-        _refuse_unknown(where, h, _HANDLE_FIELDS)
-        try:
-            parsed.append({**h, "word": _parsed("word", _typed(where, "word", h["word"], str))})
-        except MoveError as err:
-            raise MoveError(f"{where}: {err}") from None
-    return {**state, "two_handles": parsed}
 
 
 def _canonical(state: dict | None) -> str:
@@ -150,34 +138,42 @@ def _canonical(state: dict | None) -> str:
 def state_summary(state: dict) -> dict:
     """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts."""
     digest = hashlib.sha256(_canonical(state_text(state)).encode("utf-8")).hexdigest()
-    return {"digest": f"sha256:{digest}", "zero_handles": state["zero_handles"],
-            "one_handles": len(state["one_handles"]), "two_handles": len(state["two_handles"])}
+    return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", state["zero_handles"],
+                                      len(state["one_handles"]), len(state["two_handles"]))))
 
 
-def _typed(where: str, name: str, value, kind: type, nullable: bool = True):
-    """A field's value, if it has the given JSON type (or is an allowed null)."""
-    if value is None and nullable:
-        return None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise MoveError(f"{where} field {name!r} must be {kind.__name__}, got {value!r}")
-    return value
+def _read(where: str, record, fields: dict, required: int | None = None) -> dict:
+    """A record of a file as its table `fields` declares it, in table order, each word parsed once.
 
-
-def _parsed(name: str, text: str | None) -> Word | None:
-    """The word a text field spells (None stays None); MoveError naming the field if it spells none."""
-    if text is None:
-        return None
-    try:
-        return parse_word(text)
-    except ValueError as err:
-        raise MoveError(f"{err} in field {name!r}") from None
-
-
-def _refuse_unknown(where: str, d: dict, known) -> None:
-    """Raise MoveError if the object holds a key the format does not name."""
-    unknown = sorted(d.keys() - known, key=str)
+    Raises MoveError, naming `where` and the field, unless the record is an
+    object that holds every field (the first `required`, if given; a field
+    left out reads as None), each of its JSON type (a bool is no int; a
+    word is text that spells one, or null), and no other key.
+    """
+    if not isinstance(record, dict):
+        raise MoveError(f"{where} must be an object, got {type(record).__name__}")
+    unknown = sorted(record.keys() - fields.keys(), key=str)
     if unknown:
         raise MoveError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
+    values = dict.fromkeys(fields)
+    for k, (name, kind) in enumerate(fields.items()):
+        if name not in record:
+            if required is None or k < required:
+                raise MoveError(f"{where} lacks required field {name!r}")
+            continue
+        value = record[name]
+        json_type = str if kind is WORD else kind
+        if value is None and kind is WORD:
+            continue
+        if not isinstance(value, json_type) or (isinstance(value, bool) and json_type is not bool):
+            raise MoveError(f"{where} field {name!r} must be {json_type.__name__}, got {value!r}")
+        if kind is WORD:
+            try:
+                value = parse_word(value)
+            except ValueError as err:
+                raise MoveError(f"{where}: {err} in field {name!r}") from None
+        values[name] = value
+    return values
 
 
 @dataclass(slots=True)
@@ -217,24 +213,11 @@ class Move:
     def to_json(self) -> dict:
         """The fields in `_MOVE_FIELDS` order, words as text; unset optional fields are left out."""
         out = {}
-        for name in _MOVE_FIELDS:
+        for name, kind in _MOVE_FIELDS.items():
             value = getattr(self, name)
             if value is not None:
-                out[name] = word_str(value) if name in _WORD_FIELDS else value
+                out[name] = word_str(value) if kind is WORD else value
         return out
-
-    @staticmethod
-    def from_json(d: dict) -> "Move":
-        """A move from its file form, each word field parsed once."""
-        if not isinstance(d, dict):
-            raise MoveError(f"a move must be an object, got {type(d).__name__}")
-        _refuse_unknown("move", d, _MOVE_FIELDS)
-        for name in _MOVE_FIELDS[:2]:
-            if d.get(name) is None:
-                raise MoveError(f"move lacks required field {name!r}")
-        values = {name: _typed("move", name, d.get(name), int if name == "letter" else str) for name in _MOVE_FIELDS}
-        return Move(**{name: _parsed(name, value) if name in _WORD_FIELDS else value
-                       for name, value in values.items()})
 
 
 @dataclass
@@ -268,29 +251,18 @@ class MoveTrace:
 
     @staticmethod
     def from_json(d: dict) -> "MoveTrace":
-        if not isinstance(d, dict):
-            raise MoveError(f"a trace must be an object, got {type(d).__name__}")
-        if d.get("schema") != SCHEMA:
+        """A trace from its file form, every record read through its table by `_read`."""
+        if isinstance(d, dict) and d.get("schema") != SCHEMA:
             raise MoveError(f"unsupported trace schema {d.get('schema')!r}: this version reads {SCHEMA!r} only; "
                             "re-run `handlecalc cancel --trace` to write one")
-        _refuse_unknown("trace", d, {"schema", *_TRACE_FIELDS})
-        values = {}
-        for name, kind in _TRACE_FIELDS.items():
-            if name not in d:
-                raise MoveError(f"trace lacks required field {name!r}")
-            values[name] = _typed("trace", name, d[name], kind, nullable=False)
-        if set(values["initial"]) != set(_SUMMARY_FIELDS):
-            raise MoveError(f"trace field 'initial' must hold {', '.join(_SUMMARY_FIELDS)}, got {list(values['initial'])}")
-        for name in _SUMMARY_FIELDS:
-            _typed("initial", name, values["initial"][name], str if name == "digest" else int, nullable=False)
-        moves = []
-        for k, m in enumerate(values["moves"]):
-            try:
-                moves.append(Move.from_json(m))
-            except MoveError as err:
-                raise MoveError(f"move {k}: {err}") from None
-        values["moves"] = moves
-        values["final"] = _read_state(values["final"])
+        values = _read("trace", d, {"schema": str, **_TRACE_FIELDS})
+        del values["schema"]
+        values["initial"] = _read("initial", values["initial"], _SUMMARY_FIELDS)
+        values["moves"] = [Move(**_read(f"move {k}", m, _MOVE_FIELDS, required=2))
+                           for k, m in enumerate(values["moves"])]
+        final = values["final"] = _read("final", values["final"], _STATE_FIELDS)
+        final["two_handles"] = [_read(f"final 2-handle {k}", h, _HANDLE_FIELDS)
+                                for k, h in enumerate(final["two_handles"])]
         return MoveTrace(**values)
 
     @property

@@ -1,6 +1,8 @@
 """Command-line interface: output, exit codes, trace files."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +31,20 @@ def test_knot_twobridge(capsys):
 
 
 def test_knot_not_fibered(capsys):
+    code, out, _ = run_cli(capsys, "knot", "conway:3,2")
+    assert code == 0
+    assert "fraction: 7/2" in out
+    assert "fibered: no" in out
+
+
+def test_knot_conway_trefoil_is_fibered(capsys):
+    # C(2,1) = 3/1 is the trefoil: fibered whatever the shape of its coefficients.
     code, out, _ = run_cli(capsys, "knot", "conway:2,1")
     assert code == 0
-    assert "fibered: no" in out
+    assert "fibered: yes" in out and "genus: 1" in out
+    code, out, _ = run_cli(capsys, "cancel", "conway:2,1", "--n", "1")
+    assert code == 0
+    assert "X1: 1-handles: 0, 2-handles: 5" in out
 
 
 def test_knot_stallings(capsys):
@@ -75,7 +88,7 @@ def test_cancel_n2_stallings(capsys):
 
 
 def test_cancel_not_fibered_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "cancel", "conway:2,1", "--n", "1")
+    code, _, err = run_cli(capsys, "cancel", "conway:3,2", "--n", "1")
     assert code == 1
     assert "fibered" in err
 
@@ -331,3 +344,18 @@ def test_every_command_line_ends_with_a_documented_exit_code(trace_paths, data):
     # docstring names and raises nothing.
     argv = data.draw(_argv(trace_paths), label="argv")
     assert main(argv) in (0, 1, 2, 3)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # Every `handlecalc` line of the README's "Command line" block exits 0,
+    # with its `--trace` file written under tmp_path.
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    commands = [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("handlecalc ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        argv = [str(tmp_path / a) if k and argv[k - 1] == "--trace" else a for k, a in enumerate(argv)]
+        assert main(argv) == 0, argv
+        capsys.readouterr()

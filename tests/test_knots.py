@@ -14,7 +14,7 @@ from handlecalc.knots import (
     StallingsKnot,
     TwoBridgeKnot,
     continued_fraction,
-    conway_to_d,
+    d_form,
     d_to_conway,
     is_fibered,
     parse_knot_spec,
@@ -74,13 +74,41 @@ def test_d_to_conway():
         DForm((1, 1, 1))
 
 
-def test_conway_to_d_round_trip():
-    for entries in ((1, 1), (1, -1, 2, 3), (-2, 1)):
-        d = DForm(entries)
-        assert conway_to_d(d_to_conway(d)) == d
-    assert conway_to_d(ConwayForm((2, 1))) is None
-    assert conway_to_d(ConwayForm((3, -2))) is None
-    assert conway_to_d(ConwayForm((2, -2, 2))) is None
+def test_d_form_round_trip():
+    # A D-form's fraction expands back to it: the even continued fraction is unique.
+    for k in (1, 2, 3, 4):
+        for eps in itertools.product((1, -1), repeat=2 * k):
+            assert d_form(continued_fraction(d_to_conway(DForm(eps)))) == DForm(eps)
+    for entries in ((1, -1, 2, 3), (-2, 1), (5, -3, 1, 1, -4, 2)):
+        assert d_form(continued_fraction(d_to_conway(DForm(entries)))) == DForm(entries)
+
+
+@pytest.mark.parametrize(
+    "coefficients, d",
+    [
+        pytest.param((2, 1), (-1, -1), id="trefoil-C(2,1)"),
+        pytest.param((3,), (-1, -1), id="trefoil-C(3)"),
+        pytest.param((1, 1, 1), (1, 1), id="trefoil-C(1,1,1)"),
+        pytest.param((2, -2), (1, 1), id="trefoil-C(2,-2)"),
+        pytest.param((2, 2), (1, -1), id="figure-eight"),
+        pytest.param((5,), (-1, -1, -1, -1), id="5_1"),
+        pytest.param((3, 2), (2, 1), id="5_2"),
+    ],
+)
+def test_d_form_is_read_off_the_knot_not_its_coefficients(coefficients, d):
+    assert d_form(continued_fraction(ConwayForm(coefficients))) == DForm(d)
+    k = TwoBridgeKnot.from_conway(coefficients)
+    assert k.is_fibered == is_fibered(DForm(d))
+    if k.is_fibered:
+        assert k.eps == d and k.genus == len(d) // 2
+
+
+def test_d_form_refuses_the_unknot_and_a_genus_above_the_limit():
+    with pytest.raises(KnotSpecError, match="p = 1: the unknot"):
+        TwoBridgeKnot.from_conway((1,))
+    # C(9999) has a D-form of 9998 entries; the expansion stops after 2 * MAX_GENUS.
+    with pytest.raises(KnotSpecError, match=f"genus {MAX_GENUS + 1} or more is above the limit {MAX_GENUS}"):
+        TwoBridgeKnot.from_conway((9999,))
 
 
 def test_is_fibered():
@@ -136,7 +164,7 @@ def test_parse_knot_spec():
     k = parse_knot_spec("conway:2,-2")
     assert k.eps == (1, 1)
     assert str(k.fraction()) == "3/2"
-    k = parse_knot_spec("conway:2,1")
+    k = parse_knot_spec("conway:3,2")  # 5_2, which is not fibered
     assert not k.is_fibered
     with pytest.raises(KnotSpecError):
         k.monodromy()

@@ -3,7 +3,7 @@
 import copy
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from handlecalc.factorization import build_pieces
 from handlecalc.knots import MAX_TWISTS, StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
 from handlecalc.trace import (
+    Move,
     MoveTrace,
     ReplayError,
     complex_state,
@@ -242,7 +243,7 @@ def test_assemble_rejects_live_one_handles():
 
 def test_run_schedule_rejects_bad_inputs():
     with pytest.raises(Exception):
-        run_schedule("conway:2,1", 1, "X1")  # not fibered
+        run_schedule("conway:3,2", 1, "X1")  # 5_2, not fibered
     with pytest.raises(ValueError):
         run_schedule("twobridge:+,+", 0, "X1")
     with pytest.raises(ValueError):
@@ -318,6 +319,26 @@ def _edit_final_handle(**changes):
     return mutate
 
 
+def _without_final(name):
+    """Delete a field of the final state."""
+
+    def mutate(doc):
+        del doc["final"][name]
+        return doc
+
+    return mutate
+
+
+def _without_final_handle(name):
+    """Delete a field of the final state's first 2-handle."""
+
+    def mutate(doc):
+        del doc["final"]["two_handles"][0][name]
+        return doc
+
+    return mutate
+
+
 MALFORMED = [
     pytest.param(_without(f), f"required field '{f}'", id=f)
     for f in ("knot", "n", "piece", "initial", "moves", "final")
@@ -332,17 +353,17 @@ MALFORMED = [
     pytest.param(_set("error", "boom"), "trace has unknown field\\(s\\) 'error'", id="error-not-object"),
     pytest.param(_set("final", None), "'final' must be dict, got None", id="null-final"),
     pytest.param(lambda doc: [doc], "trace must be an object", id="document-not-object"),
-    pytest.param(_set("moves", [7]), "move must be an object", id="move-not-object"),
+    pytest.param(_set("moves", [7]), "move 0 must be an object, got int", id="move-not-object"),
     pytest.param(_edit_move(kind=None), "required field 'kind'", id="move-lacks-kind"),
     pytest.param(_edit_move(target=None), "required field 'target'", id="move-lacks-target"),
-    pytest.param(_edit_initial(digest=None), "'initial' must hold digest", id="initial-lacks-digest"),
+    pytest.param(_edit_initial(digest=None), "initial lacks required field 'digest'", id="initial-lacks-digest"),
     pytest.param(_edit_move(letter="1"), "'letter' must be int", id="letter-not-int"),
     pytest.param(_edit_move(letter=True), "'letter' must be int", id="letter-bool"),
     pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
     pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
     pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
-    pytest.param(_edit_move(after="0" * 16), "move has unknown field\\(s\\) 'after'", id="move-carries-after"),
+    pytest.param(_edit_move(after="0" * 16), "move 0 has unknown field\\(s\\) 'after'", id="move-carries-after"),
     # The handlecalc/3 final state's constant flag, which no state holds now.
     pytest.param(_edit_final(four_handle_pending=False), "final has unknown field\\(s\\) 'four_handle_pending'",
                  id="four-handle-pending-in-final"),
@@ -357,6 +378,19 @@ MALFORMED = [
     pytest.param(_edit_final_handle(word="a0  a1"), "final 2-handle 0: bad word token: '' in field 'word'",
                  id="final-word-double-space"),
     pytest.param(_edit_final_handle(word=7), "final 2-handle 0 field 'word' must be str", id="final-word-not-string"),
+    # Every field of the final state is typed when read, not left for replay to refuse.
+    pytest.param(_without_final("surface"), "final lacks required field 'surface'", id="final-lacks-surface"),
+    pytest.param(_edit_final(zero_handles=True), "final field 'zero_handles' must be int, got True",
+                 id="final-zero-handles-bool"),
+    pytest.param(_edit_final(one_handles="none"), "final field 'one_handles' must be list, got 'none'",
+                 id="final-one-handles-not-list"),
+    pytest.param(_edit_final_handle(phi="yes"), "final 2-handle 0 field 'phi' must be bool, got 'yes'",
+                 id="final-phi-not-bool"),
+    pytest.param(_without_final_handle("framing"), "final 2-handle 0 lacks required field 'framing'",
+                 id="final-handle-lacks-framing"),
+    # An opaque 2-handle's word is null, never left out.
+    pytest.param(_without_final_handle("word"), "final 2-handle 0 lacks required field 'word'",
+                 id="final-handle-lacks-word"),
 ]
 
 
@@ -368,6 +402,35 @@ def test_trace_missing_field_is_move_error(mutate, message):
         MoveTrace.from_json(doc)
 
 
+def test_each_trace_record_is_declared_once():
+    # A trace record's fields, their order and their JSON types are its
+    # table in `trace`: the writers write exactly those keys in that order,
+    # the dataclasses hold the same fields, and the reader takes it back.
+    docs = [run_schedule(spec, 2, "X1")[1].to_json() for spec in ("twobridge:+,-", "stallings:m=3")]
+    for doc in docs:
+        assert list(doc) == ["schema", *trace_module._TRACE_FIELDS]
+        assert list(doc["initial"]) == list(trace_module._SUMMARY_FIELDS)
+        for m in doc["moves"]:
+            assert list(m) == [name for name in trace_module._MOVE_FIELDS if name in m]
+        assert list(doc["final"]) == list(trace_module._STATE_FIELDS)
+        for h in doc["final"]["two_handles"]:
+            assert list(h) == list(trace_module._HANDLE_FIELDS)
+        assert MoveTrace.from_json(doc).to_json() == doc
+    assert {name for doc in docs for m in doc["moves"] for name in m} == set(trace_module._MOVE_FIELDS)
+    assert [f.name for f in fields(Move) if f.name != "before_word"] == list(trace_module._MOVE_FIELDS)
+    assert [f.name for f in fields(MoveTrace)] == list(trace_module._TRACE_FIELDS)
+
+
+def test_an_opaque_handle_round_trips_with_a_null_word():
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    doc = json.loads(json.dumps(trace.to_json()))
+    opaque = [k for k, h in enumerate(doc["final"]["two_handles"]) if h["word"] is None]
+    assert opaque
+    parsed = MoveTrace.from_json(doc)
+    assert all(parsed.final["two_handles"][k]["word"] is None for k in opaque)
+    assert parsed.to_json() == doc
+
+
 def test_replay_detects_tampering():
     # A handlecalc/4 move records no digest: one that carries a `before`
     # key, forged or not, is refused when the document is read.
@@ -375,7 +438,7 @@ def test_replay_detects_tampering():
     tampered = trace.to_json()
     k, first_slide = next((k, m) for k, m in enumerate(tampered["moves"]) if m["kind"] == "slide")
     first_slide["before"] = "0" * 16
-    with pytest.raises(MoveError, match=rf"move {k}: move has unknown field\(s\) 'before'"):
+    with pytest.raises(MoveError, match=rf"move {k} has unknown field\(s\) 'before'"):
         replay(MoveTrace.from_json(tampered))
 
 
