@@ -47,8 +47,6 @@ from .surfaces import (
 from .trace import MoveTrace, ReplayError, replay
 from .twists import (
     MonodromySpec,
-    apply_twist,
-    chain_twist_rule,
     piece_monodromy,
     stallings_monodromy,
     stallings_rules,

@@ -38,6 +38,7 @@ from .factorization import LFPiece
 from .surfaces import BOUNDARY, CurveId, FiberSurface
 from .words import (
     Word,
+    _shown,
     concat,
     cyclic_reduce,
     handle_letters,
@@ -170,7 +171,7 @@ class HandleComplex:
     def handle(self, hid: str) -> TwoHandle:
         h = self._by_id.get(hid)
         if h is None:
-            raise MoveError(f"no 2-handle with id {hid!r}")
+            raise MoveError(f"no 2-handle with id {_shown(hid)}")
         return h
 
     def find(self, family: str, index: int, phi_image: bool) -> TwoHandle:
@@ -192,9 +193,6 @@ class HandleComplex:
             "one_handles": len(self.one_handles),
             "two_handles": len(self._by_id),
         }
-
-    def euler(self) -> int:
-        return self.zero_handles - len(self.one_handles) + len(self._by_id)
 
     def check_live_letters(self) -> None:
         """Every non-opaque word runs only over live 1-handles."""
@@ -231,7 +229,7 @@ def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> 
     k = len(p)
     if target[:k] != p or over[:k] != p:
         raise MoveError(
-            f"shared prefix {word_str(p)!r} does not head both words "
+            f"shared prefix {_shown(word_str(p))} does not head both words "
             f"({word_str(target)!r} / {word_str(over)!r})"
         )
     return concat(target[k:], invert(over[k:]))
@@ -289,7 +287,7 @@ def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
     """
     h = complex_.handle(hid)
     if i not in complex_.one_handles:
-        raise MoveError(f"1-handle a{i} is not live")
+        raise MoveError(f"1-handle a{_shown(i)} is not live")
     word = h.word
     if word is None:
         raise MoveError(f"opaque 2-handle {h.id} cannot cancel a 1-handle")

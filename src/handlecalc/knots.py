@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .surfaces import MAX_GENUS
 from .twists import MonodromySpec, piece_monodromy, stallings_monodromy, two_bridge_monodromy
+from .words import _shown
 
 
 #: The largest |m| of a Stallings knot K_m, so that a knot spec or a trace
@@ -70,11 +71,11 @@ class KnotFraction:
 
     def __post_init__(self):
         if self.p <= 0:
-            raise KnotSpecError(f"fraction numerator must be positive, got {self.p}")
+            raise KnotSpecError(f"fraction numerator must be positive, got {_shown(self.p)}")
         if self.p % 2 == 0:
-            raise KnotSpecError(f"p = {self.p} is even: a two-bridge link, not a knot")
+            raise KnotSpecError(f"p = {_shown(self.p)} is even: a two-bridge link, not a knot")
         if gcd(self.p, self.q) != 1:
-            raise KnotSpecError(f"fraction {self.p}/{self.q} is not in lowest terms")
+            raise KnotSpecError(f"fraction {_shown(self.p)}/{_shown(self.q)} is not in lowest terms")
 
     def __str__(self):
         return f"{self.p}/{self.q}"
@@ -105,12 +106,12 @@ def continued_fraction(c: ConwayForm) -> KnotFraction:
             value = Fraction(n)
         else:
             if value == 0:
-                raise KnotSpecError(f"division by zero evaluating {c}")
+                raise KnotSpecError(f"division by zero evaluating {_shown(c)}")
             value = n + 1 / value
     assert value is not None
     p, q = value.numerator, value.denominator
     if p == 0:
-        raise KnotSpecError(f"{c} evaluates to 0, not a knot fraction")
+        raise KnotSpecError(f"{_shown(c)} evaluates to 0, not a knot fraction")
     if p < 0:
         p, q = -p, -q
     return KnotFraction(p, q)
@@ -161,10 +162,9 @@ class TwoBridgeKnot:
 
     @staticmethod
     def from_eps(eps: Sequence[int]) -> "TwoBridgeKnot":
+        """The knot D(eps), fibered when every entry is +-1, as in `from_conway`."""
         d = DForm(tuple(eps))
-        if not is_fibered(d):
-            raise KnotSpecError(f"{d} is not a fibered presentation")
-        return TwoBridgeKnot(d_to_conway(d), d.entries)
+        return TwoBridgeKnot(d_to_conway(d), d.entries if is_fibered(d) else None)
 
     @staticmethod
     def from_conway(coefficients: Sequence[int]) -> "TwoBridgeKnot":
@@ -180,7 +180,7 @@ class TwoBridgeKnot:
     def _fibered_eps(self) -> tuple[int, ...]:
         """The D-form signs; the one place a non-fibered knot is rejected."""
         if self.eps is None:
-            raise KnotSpecError(f"{self.conway} has no fibered D-form presentation")
+            raise KnotSpecError(f"{_shown(self.conway)} has no fibered D-form presentation")
         return self.eps
 
     @property
@@ -235,11 +235,6 @@ class StallingsKnot:
 
 
 Knot = TwoBridgeKnot | StallingsKnot
-
-
-def _shown(text: str) -> str:
-    """`text` as an error message quotes it: cut after 12 characters, its length named."""
-    return repr(text) if len(text) <= 12 else f"{text[:12]!r}... ({len(text)} characters)"
 
 
 def _spec_int(tok: str, what: str) -> int:

@@ -56,7 +56,7 @@ from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
 from .trace import MoveTrace, execute, finish, word_state
 from .twists import ta3_power
-from .words import Word, alpha, concat
+from .words import Word, _shown, alpha, concat
 
 
 class ScheduleError(RuntimeError):
@@ -226,9 +226,9 @@ def run_schedule(
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
     if piece not in ("X1", "X2"):
-        raise ValueError(f"piece must be X1 or X2, got {piece!r}")
+        raise ValueError(f"piece must be X1 or X2, got {_shown(piece)}")
     if x1 is not None and piece != "X2":
-        raise ValueError(f"only X2 is derived from X1, got piece {piece!r}")
+        raise ValueError(f"only X2 is derived from X1, got piece {_shown(piece)}")
 
     piece1, piece2 = build_pieces(knot, n)
     cx = complex_from_piece(piece1 if piece == "X1" else piece2)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word, alpha, concat, handle_index, is_handle
+from .words import Word, _shown, alpha, concat, handle_index, is_handle
 
 CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
 
@@ -41,13 +41,14 @@ class FiberSurface:
 
     def __post_init__(self):
         if self.g < 1:
-            raise ValueError(f"knot genus must be >= 1, got {self.g}")
+            raise ValueError(f"knot genus must be >= 1, got {_shown(self.g)}")
         if self.n < 1:
-            raise ValueError(f"elliptic index must be >= 1, got {self.n}")
+            raise ValueError(f"elliptic index must be >= 1, got {_shown(self.n)}")
         if self.g > MAX_GENUS:
-            raise ValueError(f"knot genus {self.g} is above the limit {MAX_GENUS} (at most {2 * MAX_GENUS} signs)")
+            raise ValueError(f"knot genus {_shown(self.g)} is above the limit {MAX_GENUS} "
+                             f"(at most {2 * MAX_GENUS} signs)")
         if self.n > MAX_INDEX:
-            raise ValueError(f"elliptic index {self.n} is above the limit {MAX_INDEX}")
+            raise ValueError(f"elliptic index {_shown(self.n)} is above the limit {MAX_INDEX}")
 
     @property
     def num_handles(self) -> int:
@@ -98,18 +99,14 @@ def beta_word(i: int, s: FiberSurface) -> Word:
     return (-1, *up, *reversed(up[:-1]), -1)
 
 
-def _tilde_type(s: FiberSurface) -> Word:
-    # The alternating descent a_{4g} a_{4g-1}' ... a1' a0; the spelling of the
-    # boundary arc for n = 1 and of its analogue closing B_0 for n >= 2.
+def tilde_alpha_word(s: FiberSurface) -> Word:
+    """The alternating descent a_{4g} a_{4g-1}' ... a1' a0 that closes B_0.
+
+    For n = 1 it is the boundary arc alpha-tilde; for n >= 2 the same word
+    is the closing arc of B_0 in the rotated convention.
+    """
     # alpha_j is the code j+1 and enters with sign (-1)^j: odd codes positive.
     return tuple(c if c % 2 else -c for c in range(4 * s.g + 1, 0, -1))
-
-
-def tilde_alpha_word(s: FiberSurface) -> Word:
-    """The boundary arc alpha-tilde as a word; only defined when n = 1."""
-    if s.n != 1:
-        raise ValueError(f"alpha-tilde exists only for n = 1, got n = {s.n}")
-    return _tilde_type(s)
 
 
 def middle_detour_word(s: FiberSurface) -> Word:
@@ -128,15 +125,15 @@ def middle_detour_word(s: FiberSurface) -> Word:
 def phi_b_word(i: int, head: Word, s: FiberSurface) -> Word:
     """Word of the curve B_i whose beta part is spelled `head`, 0 <= i <= 2g.
 
-    The closing arc is alpha_{4g+1-i}, or the tilde-type descent for
-    i = 0.  n = 1: head * closing.  n >= 2: the rotated form
+    The closing arc is alpha_{4g+1-i}, or the descent tilde_alpha_word(s)
+    for i = 0.  n = 1: head * closing.  n >= 2: the rotated form
     alpha_0 * head * detour * closing * alpha_0^-1.  The twists fix every
     closing arc, so with `head` the image of beta_i this is the monodromy
     image of B_i, in the convention of b_word(i, s).
     """
     if not 0 <= i <= 2 * s.g:
         raise ValueError(f"B index {i} out of range [0, {2 * s.g}]")
-    closing = _tilde_type(s) if i == 0 else (alpha(4 * s.g + 1 - i),)
+    closing = tilde_alpha_word(s) if i == 0 else (alpha(4 * s.g + 1 - i),)
     if s.n == 1:
         return concat(head, closing)
     return concat((alpha(0),), head, middle_detour_word(s), closing, (alpha(0, -1),))
@@ -148,7 +145,7 @@ def b_word(i: int, s: FiberSurface) -> Word:
     n = 1: B_0 = beta_0 * alpha-tilde and B_i = beta_i * alpha_{4g+1-i}.
     n >= 2: the rotated explicit forms starting with alpha_1, e.g.
     B_1 = a1 a_{4g+1}' a_{4g} a0'; B_0 is the i -> 0 limit of the same
-    construction (its closing arc is the tilde-type descent).
+    construction (its closing arc is the descent tilde_alpha_word(s)).
 
     >>> from .words import word_str
     >>> word_str(b_word(1, FiberSurface(1, 2)))

@@ -55,8 +55,8 @@ from .complexes import (
     slide_words,
 )
 from .factorization import build_pieces
-from .knots import _shown, parse_knot_spec
-from .words import Word, handle_occurrences, parse_word, reduce_word, word_str
+from .knots import parse_knot_spec
+from .words import Word, _shown, handle_occurrences, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/4"
 
@@ -125,11 +125,6 @@ def state_text(state: dict) -> dict:
                                      for h in state["two_handles"]]}
 
 
-def complex_state(cx: HandleComplex) -> dict:
-    """The complex's state as a trace file records it, words as text."""
-    return state_text(word_state(cx))
-
-
 def _canonical(state: dict | None) -> str:
     """Sorted-key JSON, equal exactly when the values and their JSON types are; a word dumps as a list."""
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
@@ -166,7 +161,7 @@ def _read(where: str, record, fields: dict, required: int | None = None) -> dict
         if value is None and kind is WORD:
             continue
         if not isinstance(value, json_type) or (isinstance(value, bool) and json_type is not bool):
-            raise MoveError(f"{where} field {name!r} must be {json_type.__name__}, got {value!r}")
+            raise MoveError(f"{where} field {name!r} must be {json_type.__name__}, got {_shown(value)}")
         if kind is WORD:
             try:
                 value = parse_word(value)
@@ -253,8 +248,8 @@ class MoveTrace:
     def from_json(d: dict) -> "MoveTrace":
         """A trace from its file form, every record read through its table by `_read`."""
         if isinstance(d, dict) and d.get("schema") != SCHEMA:
-            raise MoveError(f"unsupported trace schema {d.get('schema')!r}: this version reads {SCHEMA!r} only; "
-                            "re-run `handlecalc cancel --trace` to write one")
+            raise MoveError(f"unsupported trace schema {_shown(d.get('schema'))}: "
+                            f"this version reads {SCHEMA!r} only; re-run `handlecalc cancel --trace` to write one")
         values = _read("trace", d, {"schema": str, **_TRACE_FIELDS})
         del values["schema"]
         values["initial"] = _read("initial", values["initial"], _SUMMARY_FIELDS)
@@ -278,9 +273,9 @@ class MoveTrace:
 def weak_cancellations(moves: list[Move]) -> list[str]:
     """One line per weak cancellation: a cancel whose relator crosses 1-handles besides its letter.
 
-    A weak cancellation is a legal handle cancellation: the word still
-    crosses the co-core once, which is all the criterion asks, and the
-    freed relator rewrites every other word off the letter.  The isolated
+    A weak cancellation is as legal as any: the word still crosses the
+    co-core once up to free reduction, the level a trace certifies, and
+    the freed relator rewrites every other word off the letter.  The isolated
     form the schedules aim for is tidier, not stronger.  This is the one
     query that lists them; it reads only each cancel's letter, target and
     relator, so a trace read back gives the list its run would.
@@ -341,7 +336,7 @@ def execute(
         result = cancel(cx, letter, target)
         return Move(kind, target, letter=letter, relator=result.relator, before_word=before)
     if kind not in ("slide", "eliminate"):
-        raise MoveError(f"unknown move kind {kind!r}")
+        raise MoveError(f"unknown move kind {_shown(kind)}")
     if over is None:
         raise MoveError(f"{kind} on {target} names no helper")
     helper = cx.handle(over)
@@ -356,7 +351,7 @@ def execute(
     if letter is None:
         raise MoveError(f"eliminate on {target} names no letter")
     if not handle_occurrences(h.word, letter):  # a repeated eliminate would change nothing
-        raise MoveError(f"eliminate on {target}: its word does not cross a{letter}")
+        raise MoveError(f"eliminate on {target}: its word does not cross a{_shown(letter)}")
     h.word = eliminate_letter(h.word, helper.word, letter)
     return Move(kind, target, over, letter, helper.word, before_word=before, after_word=h.word)
 
@@ -367,11 +362,10 @@ def replay(trace: MoveTrace) -> HandleComplex:
     The knot spec must be written as the engine writes it, and the rebuilt
     complex must match the recorded initial state (its summary, for a
     trace read from a file); each recorded move must equal, field for
-    field, the move `execute` derives from the live complex, and the
-    Euler characteristic must never move; the moves must finish the
-    piece, and the final state must be the one `finish` returns.  Weak
-    cancellations replay like any other.  Any mismatch, or a move the
-    executor rejects, raises ReplayError.
+    field, the move `execute` derives from the live complex; the moves
+    must finish the piece, and the final state must be the one `finish`
+    returns.  Weak cancellations replay like any other.  Any mismatch, or
+    a move the executor rejects, raises ReplayError.
     """
     if trace.piece not in ("X1", "X2"):
         raise ReplayError(f"unknown piece {_shown(trace.piece)}")
@@ -379,14 +373,14 @@ def replay(trace: MoveTrace) -> HandleComplex:
         knot = parse_knot_spec(trace.knot)
         x1, x2 = build_pieces(knot, trace.n)
     except ValueError as err:  # KnotSpecError, a non-fibered knot, n out of range, an input above the limits
-        raise ReplayError(f"cannot rebuild {trace.piece} of {_shown(trace.knot)} at n={trace.n}: {err}") from err
+        raise ReplayError(f"cannot rebuild {trace.piece} of {_shown(trace.knot)} "
+                          f"at n={_shown(trace.n)}: {err}") from err
     spec = knot.spec_str()
     if spec != trace.knot:
         raise ReplayError(f"knot spec {_shown(trace.knot)} is not written as the engine writes it, {_shown(spec)}")
     cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
     if _canonical(state_summary(word_state(cx))) != _canonical(trace.initial_summary()):
         raise ReplayError(f"initial state is not that of {trace.piece} of {_shown(spec)} at n={trace.n}")
-    chi = cx.euler()
     for k, move in enumerate(trace.moves):
         try:
             got = execute(cx, move.kind, move.target, move.over, move.letter, move.shared_prefix)
@@ -395,8 +389,6 @@ def replay(trace: MoveTrace) -> HandleComplex:
         if got != move:
             wrong = ", ".join(name for name in _MOVE_FIELDS if getattr(got, name) != getattr(move, name))
             raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
-        if cx.euler() != chi:
-            raise ReplayError(f"move {k}: Euler characteristic drifted from {chi}")
     try:
         final = finish(cx, trace.n)
     except MoveError as err:
@@ -412,7 +404,6 @@ __all__ = [
     "word_digest",
     "word_state",
     "state_text",
-    "complex_state",
     "state_summary",
     "Move",
     "MoveTrace",

@@ -13,8 +13,8 @@ compile_monodromy builds it once as a table from each moved letter to its
 image, and CompiledMonodromy.apply maps a word through that table in a
 single substitution.  The input word is validated once, at that entry;
 intermediate words cannot leave the alphabet because every image lies
-inside it.  apply_twist stays the single-twist primitive and the
-reference the table is tested against.
+inside it.  This is the one action of twists on words: a single twist is
+the table of a one-entry MonodromySpec.
 
 Every image in a compiled table is a palindrome, and the pipeline relies
 on it: a chain-twist image (lo hi^-1 lo, lo, hi, hi lo^-1 hi) is one, and
@@ -44,20 +44,6 @@ class UnsupportedTwistError(ValueError):
     """Raised when a twist has no letterwise rule (t_{b2}, and t_{a4} inside phi_m)."""
 
 
-@dataclass(frozen=True)
-class TwistRule:
-    """Letterwise action of one signed Dehn twist.
-
-    `images` maps unsigned letter codes to replacement words; letters not
-    in the map are fixed.  Inverse letters receive inverted images.
-    """
-
-    curve: CurveId
-    sign: int
-    images: Mapping[int, Word]
-    surface: FiberSurface
-
-
 def _check_chain_index(j: int, s: FiberSurface) -> None:
     if not 1 <= j <= 2 * s.g:
         raise ValueError(f"chain twist index {j} out of range [1, {2 * s.g}]")
@@ -76,46 +62,12 @@ def _chain_images(j: int, sign: int) -> tuple[tuple[int, Word], tuple[int, Word]
     return (lo, (hi,)), (hi, (hi, -lo, hi))
 
 
-def _check_chain_twist(j: int, sign: int, s: FiberSurface) -> None:
-    _check_chain_index(j, s)
-    if sign not in (1, -1):
-        raise ValueError(f"twist sign must be +-1, got {sign}")
-
-
-def chain_twist_rule(j: int, sign: int, s: FiberSurface) -> TwistRule:
-    """Rule table for t_{a_j}^sign, 1 <= j <= 2g (images as in `_chain_images`).
-
-    Twists outside the stated range are rejected rather than guessed.
-    """
-    _check_chain_twist(j, sign, s)
-    return TwistRule(CurveId("a", j), sign, dict(_chain_images(j, sign)), s)
-
-
-def apply_twist(rule: TwistRule, w: Word) -> Word:
-    """Apply one twist rule letterwise and reduce.
-
-    Every letter of w must belong to the rule's surface alphabet.
-    """
-    validate_word(w, rule.surface)
-    out: list[Word] = []
-    for c in w:
-        img = rule.images.get(abs(c))
-        if img is None:
-            out.append((c,))
-        else:
-            out.append(img if c > 0 else invert(img))
-    return concat(*out)
-
-
 @dataclass(frozen=True)
 class MonodromySpec:
     """Ordered sequence of signed twists; twists[0] is applied first."""
 
     twists: tuple[tuple[CurveId, int], ...]
     source: str = "custom"
-
-    def __len__(self):
-        return len(self.twists)
 
     def inverse(self) -> "MonodromySpec":
         rev = tuple((c, -sgn) for c, sgn in reversed(self.twists))
@@ -183,7 +135,9 @@ def compile_monodromy(phi: MonodromySpec, s: FiberSurface) -> CompiledMonodromy:
             raise UnsupportedTwistError(
                 f"twist t_{curve} has no letterwise rule; use its precomputed images"
             )
-        _check_chain_twist(curve.index, sign, s)
+        _check_chain_index(curve.index, s)
+        if sign not in (1, -1):
+            raise ValueError(f"twist sign must be +-1, got {sign}")
         steps.append((curve.index, sign))
     images: dict[int, Word] = {}
     get = images.get
@@ -328,11 +282,8 @@ def stallings_rules(m: int) -> tuple[Word, ...]:
 
 
 __all__ = [
-    "TwistRule",
     "MonodromySpec",
     "UnsupportedTwistError",
-    "chain_twist_rule",
-    "apply_twist",
     "CompiledMonodromy",
     "compile_monodromy",
     "beta_images",

@@ -1,16 +1,20 @@
-"""Independent cross-checks on schedules, counts and twist rules.
+"""Count checks and rule suites over a schedule's results.
 
-The count checks (Euler characteristic, Betti ranks) work purely from the
-handle numbers and are deliberately separate from the schedule engine, so
-a divergence pins a bug to exactly one of the two paths.  The rule suites
-(`check_piece_table`) check the closure and invertibility of the table
-`build_pieces` reads, compiled once per knot, against its inverse,
-compiled fresh; one report row per suite.  All cancellation certificates
-here are homotopy-level: a word crossing a co-core once certifies the
-pair at the level of the 1-skeleton's fundamental group, which is what
-the cancellation criterion consumes.  A weak cancellation, whose word also
-crosses other 1-handles, meets the same criterion: it is a legal handle
-cancellation, the report neither counts nor refuses one, and
+The count checks (Euler characteristic, Betti ranks) read the handle
+numbers of the complexes and traces `run_both` returns, so they check the
+schedule's own bookkeeping; they are not a second computation.  The rule
+suites (`check_piece_table`) check the closure and invertibility of the
+table `build_pieces` reads, compiled once per knot, against its inverse,
+compiled fresh; one report row per suite.
+
+A passing report certifies the paper's schedule at the level of the
+fundamental group: each cancel's word crosses the 1-handle's co-core
+once up to free reduction.  The step to a geometric single crossing with
+the belt sphere is the paper's drawn argument, not checked here; a
+single crossing up to homotopy is not enough on its own (B. Mazur, "A
+note on some contractible 4-manifolds", Ann. of Math. 73 (1961)).  A weak
+cancellation, whose word also crosses other 1-handles, meets the same
+criterion: the report neither counts nor refuses one, and
 `trace.weak_cancellations(moves)` lists them.  No 1-handles left means
 the resulting presentation of the fundamental group has no generators;
 b_1 = 0 is read off from that.

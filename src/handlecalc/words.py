@@ -44,6 +44,17 @@ def is_handle(c: int) -> bool:
     return abs(c) > 1
 
 
+def _shown(value: object) -> str:
+    """`value` as an error message quotes it: cut after 12 characters, its length named.
+
+    A string is quoted (its repr), any other value spelled by `str`.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 12 else f"{value[:12]!r}... ({len(value)} characters)"
+    text = str(value)
+    return text if len(text) <= 12 else f"{text[:12]}... ({len(text)} characters)"
+
+
 def handle_index(c: int) -> int:
     """Index i of the handle letter alpha_i encoded by c."""
     if not is_handle(c):
@@ -177,14 +188,14 @@ def _parse_token(tok: str) -> int:
     """The code whose text is `tok`; ValueError unless `tok` is that code's canonical text."""
     body, sign = (tok[:-1], -1) if tok.endswith("'") else (tok, 1)
     if not (body.startswith("a") and body[1:].isdigit()):
-        raise ValueError(f"bad word token: {tok!r}")
+        raise ValueError(f"bad word token: {_shown(tok)}")
     if len(body) > _MAX_DIGITS + 1:
-        raise ValueError(f"bad word token: {tok[:12]!r}... ({len(body) - 1} digits, at most {_MAX_DIGITS})")
+        raise ValueError(f"bad word token: {_shown(tok)}, an index of more than {_MAX_DIGITS} digits")
     code = sign * (int(body[1:]) + 1)
     # isdigit and int accept "01" and non-ASCII digits; only the text
     # word_str prints for the code is a token.
     if _token(code) != tok:
-        raise ValueError(f"bad word token: {tok!r} (the letter is spelled {_token(code)!r})")
+        raise ValueError(f"bad word token: {_shown(tok)} (the letter is spelled {_token(code)!r})")
     return code
 
 

@@ -12,7 +12,7 @@ from handlecalc.cli import main
 from handlecalc.knots import MAX_SWEEP_K, MAX_TWISTS, TwoBridgeKnot
 from handlecalc.schedules import ScheduleError
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
-from handlecalc.trace import MoveTrace, complex_state, replay
+from handlecalc.trace import MoveTrace, replay, state_text, word_state
 
 
 def run_cli(capsys, *argv):
@@ -102,7 +102,7 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
-        assert complex_state(replay(trace)) == raw["final"]
+        assert state_text(word_state(replay(trace))) == raw["final"]
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 SHA-256 digests cover, for every two-bridge knot with k <= 2 and the
 Stallings knots K_m, m in {-3..3, -60, 120}, at n = 1..3 (knot outer, n
-inner): `json.dumps([trace.to_json(), complex_state(cx)])` of `run_both`'s
-X1 and X2 results and of the full `run_schedule(spec, n, "X2")`, then
+inner): `json.dumps([trace.to_json(), state_text(word_state(cx))])` of
+`run_both`'s X1 and X2 results and of the full `run_schedule(spec, n, "X2")`, then
 `full_report(spec, n).to_json()` for the two-bridge knots.  The
 two-bridge knots and the Stallings knots each have their own digest, so
 a change to one family's bytes leaves the other's digest standing.  A
@@ -21,7 +21,7 @@ import itertools
 import json
 
 from handlecalc.schedules import run_both, run_schedule
-from handlecalc.trace import complex_state
+from handlecalc.trace import state_text, word_state
 from handlecalc.verify import full_report
 
 GOLDEN = {
@@ -45,10 +45,10 @@ LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-9
 
 def _documents(spec, n):
     res = run_both(spec, n)
-    yield [res["X1"][1].to_json(), complex_state(res["X1"][0])]
-    yield [res["X2"][1].to_json(), complex_state(res["X2"][0])]
+    yield [res["X1"][1].to_json(), state_text(word_state(res["X1"][0]))]
+    yield [res["X2"][1].to_json(), state_text(word_state(res["X2"][0]))]
     cx, trace = run_schedule(spec, n, "X2")
-    yield [trace.to_json(), complex_state(cx)]
+    yield [trace.to_json(), state_text(word_state(cx))]
     if spec.startswith("twobridge:"):
         yield full_report(spec, n).to_json()
 

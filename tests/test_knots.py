@@ -1,6 +1,7 @@
 """Knot catalog: continued fractions, D-notation, equivalence, parsing."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,21 @@ def test_continued_fraction_errors():
         continued_fraction(ConwayForm((2,)))  # even p: a link
     with pytest.raises(KnotSpecError):
         ConwayForm(())
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: parse_knot_spec("conway:2,0"), "division by zero evaluating C(2,0)",
+                     id="division-by-zero"),
+        pytest.param(lambda: parse_knot_spec("conway:0"), "C(0) evaluates to 0", id="zero"),
+        pytest.param(lambda: KnotFraction(-3, 1), "fraction numerator must be positive, got -3", id="negative-p"),
+        pytest.param(lambda: KnotFraction(9, 3), "fraction 9/3 is not in lowest terms", id="not-lowest-terms"),
+    ],
+)
+def test_knot_arithmetic_refuses(make, message):
+    with pytest.raises(KnotSpecError, match=re.escape(message)):
+        make()
 
 
 def test_conway_form_bounds():
@@ -119,6 +135,9 @@ def test_is_fibered():
 def test_genus():
     assert TwoBridgeKnot.from_eps((1, 1)).genus == 1
     assert TwoBridgeKnot.from_eps((1, -1, 1, 1)).genus == 2
+    # A sign sequence with an entry other than +-1 is a knot, not a fibered one.
+    with pytest.raises(KnotSpecError, match=re.escape("C(4,-2) has no fibered D-form presentation")):
+        TwoBridgeKnot.from_eps((2, 1)).genus
     assert StallingsKnot(3).genus == 2
 
 
@@ -170,8 +189,13 @@ def test_parse_knot_spec():
         k.monodromy()
     k = parse_knot_spec("stallings:m=-4")
     assert isinstance(k, StallingsKnot) and k.m == -4
-    for bad in ("twobridge:+,2", "conway:x", "stallings:m=a", "nope:1", "twobridge"):
-        with pytest.raises(KnotSpecError):
+    for bad, message in (("twobridge:+,2", "bad twobridge sign token '2'"),
+                         ("conway:x", "bad conway coefficient 'x'"),
+                         ("stallings:m=a", "bad stallings twist count 'a'"),
+                         ("nope:1", "unknown knot spec kind 'nope'"),
+                         ("twobridge", "knot spec 'twobridge' is missing the ':' separator"),
+                         ("stallings:3", "stallings spec needs m=<int>, got '3'")):
+        with pytest.raises(KnotSpecError, match=re.escape(message)):
             parse_knot_spec(bad)
 
 

@@ -17,14 +17,15 @@ from handlecalc.trace import (
     Move,
     MoveTrace,
     ReplayError,
-    complex_state,
     execute,
     finish,
     replay,
+    state_text,
     weak_cancellations,
     word_state,
 )
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
+from handlecalc.verify import euler_char
 from handlecalc.words import handle_letters, parse_word, substitute, word_str
 
 
@@ -125,7 +126,7 @@ def test_x2_matches_x1_counts():
 
 def _final_bytes(result):
     cx, trace = result
-    return json.dumps(trace.to_json(), sort_keys=True), json.dumps(complex_state(cx), sort_keys=True)
+    return json.dumps(trace.to_json(), sort_keys=True), json.dumps(state_text(word_state(cx)), sort_keys=True)
 
 
 _ORACLE_SPECS = [_signs(eps) for k in (1, 2) for eps in itertools.product((1, -1), repeat=2 * k)] + [
@@ -167,18 +168,23 @@ def test_derivation_rejects_an_x2_that_is_not_x1_rotated(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, n, relabel, message",
+    "spec, n, relabel, start, message",
     [
-        pytest.param("twobridge:+,-", 1, None, "is X1 of twobridge:[+],- at n=1", id="other-knot"),
-        pytest.param("twobridge:+,+", 2, None, "is X1 of twobridge:[+],[+] at n=2", id="other-n"),
+        pytest.param("twobridge:+,-", 1, None, False, "is X1 of twobridge:[+],- at n=1", id="other-knot"),
+        pytest.param("twobridge:+,+", 2, None, False, "is X1 of twobridge:[+],[+] at n=2", id="other-n"),
         # Relabelled, it passes the spec check; its initial state still differs.
-        pytest.param("twobridge:+,-", 1, "twobridge:+,+", "renamed and rotated", id="other-knot-relabelled"),
+        pytest.param("twobridge:+,-", 1, "twobridge:+,+", False, "renamed and rotated", id="other-knot-relabelled"),
+        # X1's start complex with its finished trace.
+        pytest.param("twobridge:+,+", 1, None, True, "the given complex is not the final complex of its trace",
+                     id="start-complex"),
     ],
 )
-def test_derivation_rejects_x1_of_another_run(spec, n, relabel, message):
+def test_derivation_rejects_x1_of_another_run(spec, n, relabel, start, message):
     cx, trace = run_schedule(spec, n, "X1")
     if relabel is not None:
         trace.knot = relabel
+    if start:
+        cx = complex_from_piece(build_pieces(parse_knot_spec(spec), n)[0])
     with pytest.raises(ScheduleError, match=message):
         run_schedule("twobridge:+,+", 1, "X2", x1=(cx, trace))
 
@@ -218,9 +224,9 @@ def test_schedule_completeness_sweep():
 
 def test_euler_constant_through_schedule():
     cx, trace = run_schedule("twobridge:+,+", 2, "X1")
-    assert cx.euler() == 12  # 6n is preserved by every slide/cancel pair
+    assert euler_char(cx.counts().values()) == 12  # 6n is preserved by every slide/cancel pair
     replayed = replay(trace)
-    assert replayed.euler() == 12
+    assert euler_char(replayed.counts().values()) == 12
 
 
 def test_assemble_counts():
@@ -460,7 +466,7 @@ def _made_up_elimination():
                             "after_word": word_str(h.word)})
     for m in trace.moves:
         execute(cx, m.kind, m.target, m.over, m.letter)
-    doc["final"] = complex_state(cx)
+    doc["final"] = state_text(word_state(cx))
     return doc
 
 
@@ -521,7 +527,7 @@ def _slide_over_itself():
     slide = doc["moves"][0]
     slide.update(over=slide["target"], after_word="")
     cx.handle(slide["target"]).word = ()
-    doc["moves"], doc["final"] = [slide], complex_state(cx)
+    doc["moves"], doc["final"] = [slide], state_text(word_state(cx))
     return doc
 
 
@@ -535,6 +541,19 @@ def _no_final_state():
 def _cancel_without_letter():
     _, doc, _ = _trefoil_x1()
     del next(m for m in doc["moves"] if m["kind"] == "cancel")["letter"]
+    return doc
+
+
+def _unknown_kind():
+    # A K_3 X1 trace whose first eliminate has a kind no move has.
+    doc = run_schedule("stallings:m=3", 2, "X1")[1].to_json()
+    next(m for m in doc["moves"] if m["kind"] == "eliminate")["kind"] = "frobnicate"
+    return doc
+
+
+def _eliminate_without_letter():
+    doc = run_schedule("stallings:m=3", 2, "X1")[1].to_json()
+    del next(m for m in doc["moves"] if m["kind"] == "eliminate")["letter"]
     return doc
 
 
@@ -557,7 +576,7 @@ def _cut_before_last_cancel(spec, n):
     assert sorted(cx.one_handles) == [trace.moves[k].letter]
     doc = trace.to_json()
     doc["moves"] = [m.to_json() for m in moves]
-    doc["final"] = complex_state(cx)
+    doc["final"] = state_text(word_state(cx))
     return doc
 
 
@@ -575,6 +594,8 @@ def _cut_before_last_cancel(spec, n):
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
         pytest.param(_cancel_without_letter, "names no letter", id="cancel-without-letter"),
+        pytest.param(_eliminate_without_letter, "eliminate on .* names no letter", id="eliminate-without-letter"),
+        pytest.param(_unknown_kind, "unknown move kind 'frobnicate'", id="unknown-kind"),
         # a4 and a8 are the letters of the last cancel at g = 1 and g = 2.
         pytest.param(lambda: _cut_before_last_cancel("twobridge:+,-", 1),
                      r"do not finish X1: .*live 1-handles \[4\]", id="cut-before-last-cancel-twobridge"),
@@ -603,6 +624,38 @@ def test_replay_errors_quote_file_text_short(field, value, message):
     with pytest.raises(ReplayError) as err:
         replay(MoveTrace.from_json({**trace.to_json(), field: value}))
     assert message in str(err.value) and len(str(err.value)) < 200
+
+
+def _read_and_replay(mutate):
+    """A call that reads the K_3 X1 trace with `mutate` applied, then replays it."""
+    def run():
+        replay(MoveTrace.from_json(mutate(run_schedule("stallings:m=3", 1, "X1")[1].to_json())))
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(_read_and_replay(_set("n", "7" * 5000)), id="n-not-int"),
+        pytest.param(_read_and_replay(_set("n", 10**4000)), id="n-above-the-limit"),
+        pytest.param(_read_and_replay(_set("schema", "s" * 5000)), id="schema"),
+        pytest.param(_read_and_replay(_edit_move(kind="k" * 5000)), id="move-kind"),
+        pytest.param(_read_and_replay(_edit_move(target="t" * 5000)), id="move-target"),
+        pytest.param(_read_and_replay(_edit_move(kind="cancel", letter=10**4000)), id="cancel-letter"),
+        pytest.param(_read_and_replay(_edit_move(after_word="b" * 5000)), id="word-token"),
+        pytest.param(_read_and_replay(_edit_move(shared_prefix=" ".join(["a1"] * 3000))), id="shared-prefix"),
+        pytest.param(lambda: parse_knot_spec("conway:" + ",".join(["9999"] * 512)), id="conway-even-p"),
+        pytest.param(lambda: parse_knot_spec("conway:" + ",".join(["9999"] * 510 + ["2", "0"])),
+                     id="conway-division-by-zero"),
+        pytest.param(lambda: parse_knot_spec("conway:" + ",".join(["1", "0"] * 255 + ["-255"])),
+                     id="conway-evaluates-to-0"),
+    ],
+)
+def test_errors_quote_long_input_short(run):
+    # However long a field, spec or token, the error quotes at most 12 characters of it.
+    with pytest.raises(ValueError) as err:
+        run()
+    assert len(str(err.value)) < 200, str(err.value)[:300]
 
 
 def test_replay_accepts_weak_cancellations(monkeypatch):

@@ -11,9 +11,7 @@ from handlecalc.twists import (
     CompiledMonodromy,
     MonodromySpec,
     UnsupportedTwistError,
-    apply_twist,
     beta_images,
-    chain_twist_rule,
     compile_monodromy,
     piece_monodromy,
     stallings_monodromy,
@@ -40,10 +38,15 @@ eps_strategy = st.integers(1, 5).flatmap(
 )
 
 
+def one_twist(j, sign, s):
+    """The table of the single twist t_{a_j}^sign."""
+    return compile_monodromy(MonodromySpec(((CurveId("a", j), sign),)), s)
+
+
 def sequential(twists, w, s):
-    """Reference action: one apply_twist per twist, twists[0] first."""
+    """Reference action: one single-twist table per twist, twists[0] first."""
     for curve, sign in twists:
-        w = apply_twist(chain_twist_rule(curve.index, sign, s), w)
+        w = one_twist(curve.index, sign, s).apply(w)
     return reduce_word(w)
 
 
@@ -78,44 +81,44 @@ def monodromy_and_word(draw):
 
 
 def test_twist_rule_basic_cases():
-    t2 = chain_twist_rule(2, 1, S11)
-    assert apply_twist(t2, (alpha(1),)) == parse_word("a1 a2' a1")
-    t1_inv = chain_twist_rule(1, -1, S11)
-    assert apply_twist(t1_inv, (alpha(0),)) == parse_word("a1")
+    t2 = one_twist(2, 1, S11)
+    assert t2.apply((alpha(1),)) == parse_word("a1 a2' a1")
+    t1_inv = one_twist(1, -1, S11)
+    assert t1_inv.apply((alpha(0),)) == parse_word("a1")
     # letters away from the twist are fixed
-    t5 = chain_twist_rule(5, 1, S31)
-    assert apply_twist(t5, (alpha(1),)) == (alpha(1),)
+    t5 = one_twist(5, 1, S31)
+    assert t5.apply((alpha(1),)) == (alpha(1),)
 
 
 def test_twist_rule_all_four_clauses():
     s = FiberSurface(2, 1)
     for j in range(1, 5):
-        plus, minus = chain_twist_rule(j, 1, s), chain_twist_rule(j, -1, s)
-        assert apply_twist(plus, (alpha(j - 1),)) == (alpha(j - 1), alpha(j, -1), alpha(j - 1))
-        assert apply_twist(plus, (alpha(j),)) == (alpha(j - 1),)
-        assert apply_twist(minus, (alpha(j - 1),)) == (alpha(j),)
-        assert apply_twist(minus, (alpha(j),)) == (alpha(j), alpha(j - 1, -1), alpha(j))
+        plus, minus = one_twist(j, 1, s), one_twist(j, -1, s)
+        assert plus.apply((alpha(j - 1),)) == (alpha(j - 1), alpha(j, -1), alpha(j - 1))
+        assert plus.apply((alpha(j),)) == (alpha(j - 1),)
+        assert minus.apply((alpha(j - 1),)) == (alpha(j),)
+        assert minus.apply((alpha(j),)) == (alpha(j), alpha(j - 1, -1), alpha(j))
 
 
 def test_twist_rule_range_checks():
     with pytest.raises(ValueError):
-        chain_twist_rule(3, 1, S11)  # only a1, a2 exist at g=1
+        one_twist(3, 1, S11)  # only a1, a2 exist at g=1
     with pytest.raises(ValueError):
-        chain_twist_rule(0, 1, S11)
-    rule = chain_twist_rule(1, 1, S11)
+        one_twist(0, 1, S11)
+    rule = one_twist(1, 1, S11)
     with pytest.raises(ValueError):
-        apply_twist(rule, (alpha(9),))  # letter outside the surface alphabet
+        rule.apply((alpha(9),))  # letter outside the surface alphabet
 
 
 def test_inverse_rule_property():
     for g in (1, 2, 3):
         s = FiberSurface(g, 1)
         for j in range(1, 2 * g + 1):
-            plus, minus = chain_twist_rule(j, 1, s), chain_twist_rule(j, -1, s)
+            plus, minus = one_twist(j, 1, s), one_twist(j, -1, s)
             for i in range(0, 2 * g + 1):
                 w = (alpha(i),)
-                assert apply_twist(minus, apply_twist(plus, w)) == w
-                assert apply_twist(plus, apply_twist(minus, w)) == w
+                assert minus.apply(plus.apply(w)) == w
+                assert plus.apply(minus.apply(w)) == w
 
 
 def test_rule_table_satisfies_braid_relations():
@@ -125,7 +128,7 @@ def test_rule_table_satisfies_braid_relations():
     s = FiberSurface(3, 1)
 
     def t(j, w):
-        return apply_twist(chain_twist_rule(j, 1, s), w)
+        return one_twist(j, 1, s).apply(w)
 
     letters = [(alpha(k),) for k in range(0, 7)]
     for i in range(1, 7):

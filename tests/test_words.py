@@ -4,6 +4,7 @@ import doctest
 import itertools
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -135,6 +136,21 @@ def test_word_str_refuses_an_index_parse_word_refuses():
     for c in (10**9 + 1, -(10**9) - 1, 10**5000):
         with pytest.raises(ValueError, match="above the limit"):
             word_str((c,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: alpha(-1), "letter index must be >= 0, got -1", id="alpha-negative-index"),
+        pytest.param(lambda: alpha(1, 2), "sign must be +-1, got 2", id="alpha-sign"),
+        pytest.param(lambda: handle_index(1), "1 is not a handle letter", id="handle-index-of-alpha-0"),
+        pytest.param(lambda: substitute((2,), 0, 1, (3,)), "handle letters only", id="substitute-alpha-0"),
+        pytest.param(lambda: substitute((2,), 1, 2, (3,)), "sign must be +-1, got 2", id="substitute-sign"),
+    ],
+)
+def test_word_api_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_letter_codes():
