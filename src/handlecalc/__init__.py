@@ -45,13 +45,7 @@ from .surfaces import (
     tilde_alpha_word,
 )
 from .trace import MoveTrace, ReplayError, replay
-from .twists import (
-    MonodromySpec,
-    piece_monodromy,
-    stallings_monodromy,
-    stallings_rules,
-    two_bridge_monodromy,
-)
+from .twists import stallings_rules
 from .verify import VerificationReport, check_piece_table, euler_char, full_report
 from .words import (
     Word,

@@ -59,7 +59,7 @@ def _cmd_knot(args) -> int:
             "fraction": None,
             "fibered": True,
             "genus": 2,
-            "monodromy": knot.monodromy().composition_str(),
+            "monodromy": knot.monodromy_str(),
         }
     else:
         info = {
@@ -70,7 +70,7 @@ def _cmd_knot(args) -> int:
         }
         if knot.is_fibered:
             info["genus"] = knot.genus
-            info["monodromy"] = knot.monodromy().composition_str()
+            info["monodromy"] = knot.monodromy_str()
         else:
             info["reason"] = "D-form entries are not all +1/-1"
     if args.json:

@@ -230,7 +230,7 @@ def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> 
     if target[:k] != p or over[:k] != p:
         raise MoveError(
             f"shared prefix {_shown(word_str(p))} does not head both words "
-            f"({word_str(target)!r} / {word_str(over)!r})"
+            f"({_shown(word_str(target))} / {_shown(word_str(over))})"
         )
     return concat(target[k:], invert(over[k:]))
 
@@ -252,7 +252,7 @@ def relator_solution(helper: Word, j: int) -> tuple[int, Word]:
     helper = cyclic_reduce(helper)
     crossings = handle_occurrences(helper, j)
     if crossings != 1:
-        raise MoveError(f"helper {word_str(helper)!r} does not cross a{j} exactly once ({crossings} crossings)")
+        raise MoveError(f"helper {_shown(word_str(helper))} does not cross a{j} exactly once ({crossings} crossings)")
     return _solve(helper, j)
 
 
@@ -293,7 +293,7 @@ def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
         raise MoveError(f"opaque 2-handle {h.id} cannot cancel a 1-handle")
     relator = cyclic_reduce(word)
     if handle_occurrences(relator, i) != 1:
-        raise MoveError(f"2-handle {h.id} ({h.label()}) word {word_str(word)!r} does not cross a{i} exactly once")
+        raise MoveError(f"2-handle {h.id} ({h.label()}) word {_shown(word_str(word))} does not cross a{i} exactly once")
     complex_.one_handles.remove(i)
     complex_.remove(h)
     complex_.eliminations.add(i, *_solve(relator, i))

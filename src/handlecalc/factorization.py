@@ -125,7 +125,7 @@ def _monodromy_images(knot: Knot) -> tuple[CompiledMonodromy | None, tuple[Word,
     """
     if isinstance(knot, StallingsKnot):
         return None, stallings_rules(knot.m)
-    table = compile_monodromy(knot.piece_monodromy(), FiberSurface(knot.genus, 1))
+    table = compile_monodromy(knot.piece_twists(), FiberSurface(knot.genus, 1))
     return table, beta_images(table)
 
 

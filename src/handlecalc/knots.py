@@ -16,7 +16,6 @@ from math import gcd
 from typing import Sequence
 
 from .surfaces import MAX_GENUS
-from .twists import MonodromySpec, piece_monodromy, stallings_monodromy, two_bridge_monodromy
 from .words import _shown
 
 
@@ -190,11 +189,22 @@ class TwoBridgeKnot:
     def fraction(self) -> KnotFraction:
         return continued_fraction(self.conway)
 
-    def monodromy(self) -> MonodromySpec:
-        return two_bridge_monodromy(self._fibered_eps())
+    def piece_twists(self) -> tuple[tuple[int, int], ...]:
+        """The pieces' monodromy as chain twists (j, eps_j), t_{a_2g} applied first.
 
-    def piece_monodromy(self) -> MonodromySpec:
-        return piece_monodromy(self._fibered_eps())
+        The fibration monodromy has the same twists in the opposite order,
+        t_{a_1} first.  In this order the image of alpha_i is a word over
+        alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.
+        """
+        eps = self._fibered_eps()
+        return tuple((j, eps[j - 1]) for j in range(len(eps), 0, -1))
+
+    def monodromy_str(self) -> str:
+        """The fibration monodromy in composition notation, rightmost twist applied first.
+
+        t_{a_1} acts first and so is written last: the piece twists' order.
+        """
+        return " ".join(f"t_a{j}" if e == 1 else f"t_a{j}^-1" for j, e in self.piece_twists())
 
     def spec_str(self) -> str:
         if self.eps is not None:
@@ -224,8 +234,10 @@ class StallingsKnot:
     def is_fibered(self) -> bool:
         return True
 
-    def monodromy(self) -> MonodromySpec:
-        return stallings_monodromy(self.m)
+    def monodromy_str(self) -> str:
+        """phi_m = t_{a3}^m t_{a4} t_{b2} t_{a2}^-1 t_{a1}^-1, t_{a1}^-1 applied first."""
+        power = "" if not self.m else "t_a3 " if self.m == 1 else f"t_a3^{self.m} "
+        return power + "t_a4 t_b2 t_a2^-1 t_a1^-1"
 
     def spec_str(self) -> str:
         return f"stallings:m={self.m}"

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .words import Word, _shown, alpha, concat, handle_index, is_handle
 
-CURVE_FAMILIES = ("B", "c", "a", "b2", "boundary")
+CURVE_FAMILIES = ("B", "c", "boundary")
 
 #: The largest knot genus g (a two-bridge sign sequence of 2g signs) and
 #: elliptic index n a surface admits, so that a knot spec or a trace cannot
@@ -63,7 +63,7 @@ class FiberSurface:
 
 @dataclass(frozen=True)
 class CurveId:
-    """Identifier of a reference curve: family B/c/a/b2/boundary plus index."""
+    """Identifier of a vanishing-cycle curve: family B/c/boundary plus index."""
 
     family: str
     index: int = 0
@@ -73,9 +73,7 @@ class CurveId:
             raise ValueError(f"unknown curve family {self.family!r}")
 
     def __str__(self):
-        if self.family in ("b2", "boundary"):
-            return "dF" if self.family == "boundary" else "b2"
-        return f"{self.family}{self.index}"
+        return "dF" if self.family == "boundary" else f"{self.family}{self.index}"
 
 
 BOUNDARY = CurveId("boundary")

@@ -148,8 +148,10 @@ def _read(where: str, record, fields: dict, required: int | None = None) -> dict
     if not isinstance(record, dict):
         raise MoveError(f"{where} must be an object, got {type(record).__name__}")
     unknown = sorted(record.keys() - fields.keys(), key=str)
-    if unknown:
-        raise MoveError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
+    if unknown:  # quote at most 3 names, each cut after 32 characters
+        names = ", ".join(_shown(name, 32) for name in unknown[:3])
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        raise MoveError(f"{where} has unknown field(s) {names}{more}")
     values = dict.fromkeys(fields)
     for k, (name, kind) in enumerate(fields.items()):
         if name not in record:

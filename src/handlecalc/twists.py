@@ -1,11 +1,11 @@
-"""Dehn twist actions on words and composite monodromies.
+"""Dehn twist actions on words: chain-twist monodromies and the Stallings heads.
 
 Twists along the chain curves a_1..a_{2g} act letterwise: t_{a_j} moves
 only alpha_{j-1} and alpha_j, every other letter is fixed (curves beyond
-the first knot block are disjoint from all a_j).  Composite monodromies
-are stored in application order: the FIRST entry of MonodromySpec.twists
-is applied first, so the tuple reads left to right while the usual
-composition notation reads right to left.
+the first knot block are disjoint from all a_j).  A composite of chain
+twists is given as (j, sign) pairs, one for each t_{a_j}^sign, in
+application order: the FIRST pair is applied first, so the sequence reads
+left to right while the usual composition notation reads right to left.
 
 A composite of twists is one automorphism of the free group pi_1(fiber)
 (Farb-Margalit, A Primer on Mapping Class Groups, ch. 3).
@@ -14,7 +14,7 @@ image, and CompiledMonodromy.apply maps a word through that table in a
 single substitution.  The input word is validated once, at that entry;
 intermediate words cannot leave the alphabet because every image lies
 inside it.  This is the one action of twists on words: a single twist is
-the table of a one-entry MonodromySpec.
+the table of one pair, compile_monodromy(((j, sign),), s).
 
 Every image in a compiled table is a palindrome, and the pipeline relies
 on it: a chain-twist image (lo hi^-1 lo, lo, hi, hi lo^-1 hi) is one, and
@@ -26,8 +26,8 @@ palindromes first and raises ValueError on a table without them.
 
 The power t_{a3}^m has a closed form (ta3_power), so its table costs
 O(|m|) letters.  The Stallings monodromy t_{a3}^m t_{a4} t_{b2} t_{a2}^-1
-t_{a1}^-1 cannot be applied letterwise (there is no letter rule for
-t_{b2}); its images of the B-curves come from the precomputed tables in
+t_{a1}^-1 is never compiled: there is no letter rule for t_{b2}, and its
+images of the B-curves come from the precomputed tables in
 stallings_rules instead.
 """
 
@@ -36,12 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .surfaces import CurveId, FiberSurface, beta_word, eta_word, validate_word
+from .surfaces import FiberSurface, beta_word, eta_word, validate_word
 from .words import Word, alpha, concat, invert, word_str
-
-
-class UnsupportedTwistError(ValueError):
-    """Raised when a twist has no letterwise rule (t_{b2}, and t_{a4} inside phi_m)."""
 
 
 def _check_chain_index(j: int, s: FiberSurface) -> None:
@@ -63,45 +59,6 @@ def _chain_images(j: int, sign: int) -> tuple[tuple[int, Word], tuple[int, Word]
 
 
 @dataclass(frozen=True)
-class MonodromySpec:
-    """Ordered sequence of signed twists; twists[0] is applied first."""
-
-    twists: tuple[tuple[CurveId, int], ...]
-    source: str = "custom"
-
-    def inverse(self) -> "MonodromySpec":
-        rev = tuple((c, -sgn) for c, sgn in reversed(self.twists))
-        return MonodromySpec(rev, source=f"inverse({self.source})")
-
-    def serialize(self) -> str:
-        """Wire form, leftmost applied first, runs collapsed: `a1^-1 a2^-1 b2 a4 a3^3`."""
-        parts: list[str] = []
-        run: tuple[CurveId, int] | None = None
-        count = 0
-
-        def flush():
-            if run is None:
-                return
-            curve, sgn = run
-            power = sgn * count
-            parts.append(str(curve) if power == 1 else f"{curve}^{power}")
-
-        for entry in self.twists:
-            if entry == run:
-                count += 1
-            else:
-                flush()
-                run, count = entry, 1
-        flush()
-        return " ".join(parts)
-
-    def composition_str(self) -> str:
-        """Composition notation, rightmost twist applied first."""
-        toks = self.serialize().split()
-        return " ".join(f"t_{t}" for t in reversed(toks)) if toks else "id"
-
-
-@dataclass(frozen=True)
 class CompiledMonodromy:
     """A composite of twists as one automorphism of the free group.
 
@@ -120,28 +77,23 @@ class CompiledMonodromy:
         return concat(*[images.get(c, (c,)) for c in w])
 
 
-def compile_monodromy(phi: MonodromySpec, s: FiberSurface) -> CompiledMonodromy:
-    """Compose the twists of `phi` into one image table.
+def compile_monodromy(twists: Sequence[tuple[int, int]], s: FiberSurface) -> CompiledMonodromy:
+    """Compose the chain twists t_{a_j}^sign, given as (j, sign) pairs, into one image table.
 
-    The twists are checked in application order.  The table is then built
-    from the outermost twist inwards, R_j = R_{j+1} ∘ t_j with R_N = id:
-    t_j moves only two letters, so each step rewrites two entries (both
-    signs of each): one is a copy of an entry of R_{j+1}, the other one
-    concat of three of them.
+    The first pair is applied first.  Each j must lie in [1, 2g] and each
+    sign be +-1; the pairs are checked before any is composed.  The table
+    is then built from the outermost twist inwards, R_j = R_{j+1} ∘ t_j
+    with R_N = id: t_j moves only two letters, so each step rewrites two
+    entries (both signs of each): one is a copy of an entry of R_{j+1},
+    the other one concat of three of them.
     """
-    steps: list[tuple[int, int]] = []
-    for curve, sign in phi.twists:
-        if curve.family != "a":
-            raise UnsupportedTwistError(
-                f"twist t_{curve} has no letterwise rule; use its precomputed images"
-            )
-        _check_chain_index(curve.index, s)
+    for j, sign in twists:
+        _check_chain_index(j, s)
         if sign not in (1, -1):
             raise ValueError(f"twist sign must be +-1, got {sign}")
-        steps.append((curve.index, sign))
     images: dict[int, Word] = {}
     get = images.get
-    for j, sign in reversed(steps):
+    for j, sign in reversed(twists):
         step = []
         for code, img in _chain_images(j, sign):
             if len(img) == 1:
@@ -173,7 +125,8 @@ def beta_images(table: CompiledMonodromy) -> tuple[Word, ...]:
     t_{a_1} moves alpha_0.  ValueError if an image of `table` is not a
     palindrome, since the identity then fails.
 
-    >>> table = compile_monodromy(piece_monodromy((1, 1)), FiberSurface(1, 1))
+    >>> # the trefoil D(1, 1): its piece twists, t_{a2} first
+    >>> table = compile_monodromy(((2, 1), (1, 1)), FiberSurface(1, 1))
     >>> [word_str(w) for w in beta_images(table)]
     ["a0' a1 a0'", "a0' a1 a2' a1 a0'", "a0' a1 a2' a0 a2' a1 a0'"]
     """
@@ -192,52 +145,6 @@ def beta_images(table: CompiledMonodromy) -> tuple[Word, ...]:
         before, prefix = prefix, concat(prefix, images.get(u, (u,)))
         heads.append(concat(a, prefix, before[::-1], a))
     return tuple(heads)
-
-
-def _check_eps(eps: Sequence[int]) -> tuple[int, ...]:
-    eps = tuple(eps)
-    if not eps or len(eps) % 2:
-        raise ValueError(f"fibered sign sequence must have even positive length, got {len(eps)}")
-    if any(e not in (1, -1) for e in eps):
-        raise ValueError(f"fibered sign sequence must be +-1 entries, got {eps}")
-    return eps
-
-
-def two_bridge_monodromy(eps: Sequence[int]) -> MonodromySpec:
-    """Fibration monodromy of the two-bridge knot with signs eps.
-
-    t_{a_1}^{eps_1} acts first, t_{a_{2k}}^{eps_{2k}} last.
-    """
-    eps = _check_eps(eps)
-    twists = tuple((CurveId("a", j + 1), e) for j, e in enumerate(eps))
-    src = "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
-    return MonodromySpec(twists, source=src)
-
-
-def piece_monodromy(eps: Sequence[int]) -> MonodromySpec:
-    """The composite whose images label the phi-half of each piece's factorization.
-
-    Same signs as the fibration monodromy but applied in the opposite
-    order: t_{a_{2g}}^{eps_{2g}} first, t_{a_1}^{eps_1} last.  With this
-    ordering the image of alpha_i is a word over alpha_0..alpha_{i+1}
-    crossing alpha_{i+1} exactly once.
-    """
-    eps = _check_eps(eps)
-    twists = tuple((CurveId("a", j + 1), e) for j, e in reversed(list(enumerate(eps))))
-    src = "piece:" + ",".join("+" if e > 0 else "-" for e in eps)
-    return MonodromySpec(twists, source=src)
-
-
-def stallings_monodromy(m: int) -> MonodromySpec:
-    """phi_m = t_{a3}^m ∘ t_{a4} ∘ t_{b2} ∘ t_{a2}^-1 ∘ t_{a1}^-1."""
-    twists: list[tuple[CurveId, int]] = [
-        (CurveId("a", 1), -1),
-        (CurveId("a", 2), -1),
-        (CurveId("b2"), 1),
-        (CurveId("a", 4), 1),
-    ]
-    twists += [(CurveId("a", 3), 1 if m > 0 else -1)] * abs(m)
-    return MonodromySpec(tuple(twists), source=f"stallings:m={m}")
 
 
 def ta3_power(w: Word, m: int, s: FiberSurface) -> Word:
@@ -282,14 +189,9 @@ def stallings_rules(m: int) -> tuple[Word, ...]:
 
 
 __all__ = [
-    "MonodromySpec",
-    "UnsupportedTwistError",
     "CompiledMonodromy",
     "compile_monodromy",
     "beta_images",
-    "two_bridge_monodromy",
-    "piece_monodromy",
-    "stallings_monodromy",
     "ta3_power",
     "stallings_rules",
 ]

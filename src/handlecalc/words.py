@@ -44,15 +44,15 @@ def is_handle(c: int) -> bool:
     return abs(c) > 1
 
 
-def _shown(value: object) -> str:
-    """`value` as an error message quotes it: cut after 12 characters, its length named.
+def _shown(value: object, limit: int = 12) -> str:
+    """`value` as an error message quotes it: cut after `limit` characters, its length named.
 
     A string is quoted (its repr), any other value spelled by `str`.
     """
     if isinstance(value, str):
-        return repr(value) if len(value) <= 12 else f"{value[:12]!r}... ({len(value)} characters)"
+        return repr(value) if len(value) <= limit else f"{value[:limit]!r}... ({len(value)} characters)"
     text = str(value)
-    return text if len(text) <= 12 else f"{text[:12]}... ({len(text)} characters)"
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def handle_index(c: int) -> int:

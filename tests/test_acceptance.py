@@ -16,7 +16,7 @@ from handlecalc.knots import StallingsKnot, TwoBridgeKnot
 from handlecalc.schedules import assemble, run_schedule
 from handlecalc.surfaces import FiberSurface
 from handlecalc.trace import replay, word_state
-from handlecalc.twists import compile_monodromy, piece_monodromy
+from handlecalc.twists import compile_monodromy
 from handlecalc.words import (
     alpha,
     concat,
@@ -144,9 +144,9 @@ def test_criterion_5_twist_closure_suite():
         nonlocal failures, total
         g = len(eps) // 2
         s = FiberSurface(g, 1)
-        phi = piece_monodromy(eps)
+        table = compile_monodromy(TwoBridgeKnot.from_eps(eps).piece_twists(), s)
         for i in range(2 * g):
-            w = compile_monodromy(phi, s).apply((alpha(i),))
+            w = table.apply((alpha(i),))
             total += 1
             if not (handle_letters(w) <= set(range(1, i + 2)) and handle_occurrences(w, i + 1) == 1):
                 failures += 1

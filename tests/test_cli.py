@@ -54,6 +54,23 @@ def test_knot_stallings(capsys):
     assert "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1" in out
 
 
+@pytest.mark.parametrize("spec, monodromy", [
+    ("stallings:m=0", "t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    ("stallings:m=1", "t_a3 t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    ("stallings:m=-1", "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    ("stallings:m=3", "t_a3^3 t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    ("stallings:m=-7", "t_a3^-7 t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    (f"stallings:m={MAX_TWISTS}", f"t_a3^{MAX_TWISTS} t_a4 t_b2 t_a2^-1 t_a1^-1"),
+    ("twobridge:+,-", "t_a2^-1 t_a1"),
+    ("twobridge:-,-,+,+", "t_a4 t_a3 t_a2^-1 t_a1^-1"),
+])
+def test_knot_json_prints_the_monodromy(capsys, spec, monodromy):
+    # Composition notation: the rightmost twist acts first.
+    code, out, _ = run_cli(capsys, "knot", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["monodromy"] == monodromy
+
+
 def test_knot_parse_error_names_token(capsys):
     code, _, err = run_cli(capsys, "knot", "twobridge:+,x")
     assert code == 1

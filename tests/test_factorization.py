@@ -123,7 +123,7 @@ def test_conjugating_x1_by_inverse_gives_w_phi_inverse_w():
     # block, so phi(W).W becomes W.phi^-1(W) wordwise.
     knot = parse_knot_spec("twobridge:+,+")
     x1, _ = build_pieces(knot, 1)
-    phi_inverse = knot.piece_monodromy().inverse()
+    phi_inverse = [(j, -e) for j, e in reversed(knot.piece_twists())]
     cycles = x1.factorization.cycles
     half = len(cycles) // 2
     s = x1.factorization.fiber

@@ -186,7 +186,7 @@ def test_parse_knot_spec():
     k = parse_knot_spec("conway:3,2")  # 5_2, which is not fibered
     assert not k.is_fibered
     with pytest.raises(KnotSpecError):
-        k.monodromy()
+        k.monodromy_str()
     k = parse_knot_spec("stallings:m=-4")
     assert isinstance(k, StallingsKnot) and k.m == -4
     for bad, message in (("twobridge:+,2", "bad twobridge sign token '2'"),
@@ -206,6 +206,6 @@ def test_spec_round_trip():
 
 def test_monodromy_of_parsed_knot():
     k = parse_knot_spec("twobridge:+,+")
-    assert k.monodromy().composition_str() == "t_a2 t_a1"
+    assert k.monodromy_str() == "t_a2 t_a1"
     k = parse_knot_spec("stallings:m=-1")
-    assert k.monodromy().composition_str() == "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1"
+    assert k.monodromy_str() == "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1"

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handlecalc import factorization, schedules, trace as trace_module
-from handlecalc.complexes import MoveError, complex_from_piece, eliminate_letter, relator_solution, slide_words
+from handlecalc.complexes import (
+    MoveError,
+    cancel,
+    complex_from_piece,
+    eliminate_letter,
+    relator_solution,
+    slide_words,
+)
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import MAX_TWISTS, StallingsKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
@@ -626,11 +633,20 @@ def test_replay_errors_quote_file_text_short(field, value, message):
     assert message in str(err.value) and len(str(err.value)) < 200
 
 
-def _read_and_replay(mutate):
-    """A call that reads the K_3 X1 trace with `mutate` applied, then replays it."""
+def _read_and_replay(mutate, spec="stallings:m=3"):
+    """A call that reads the X1 trace of `spec` (K_3) with `mutate` applied, then replays it."""
     def run():
-        replay(MoveTrace.from_json(mutate(run_schedule("stallings:m=3", 1, "X1")[1].to_json())))
+        replay(MoveTrace.from_json(mutate(run_schedule(spec, 1, "X1")[1].to_json())))
     return run
+
+
+G8 = "twobridge:" + ",".join(["+"] * 16)
+
+
+def _cancel_off_its_letter():
+    """Cancel a1 against X1's phi(B0) at g = 8, whose word of 36 letters does not cross a1."""
+    cx = complex_from_piece(build_pieces(parse_knot_spec(G8), 1)[0])
+    cancel(cx, 1, cx.find("B", 0, phi_image=True).id)
 
 
 @pytest.mark.parametrize(
@@ -644,6 +660,13 @@ def _read_and_replay(mutate):
         pytest.param(_read_and_replay(_edit_move(kind="cancel", letter=10**4000)), id="cancel-letter"),
         pytest.param(_read_and_replay(_edit_move(after_word="b" * 5000)), id="word-token"),
         pytest.param(_read_and_replay(_edit_move(shared_prefix=" ".join(["a1"] * 3000))), id="shared-prefix"),
+        pytest.param(_read_and_replay(_set("x" * 5000, 1)), id="unknown-field"),
+        pytest.param(_read_and_replay(lambda doc: {**doc, **{f"k{i}": 0 for i in range(1000)}}),
+                     id="unknown-fields"),
+        # The words of the first slide run to 141 and 148 characters.
+        pytest.param(_read_and_replay(_edit_move(shared_prefix="a1"), G8), id="prefix-heads-no-word-g8"),
+        pytest.param(lambda: relator_solution(parse_word(" ".join(["a1"] * 3000)), 2), id="helper-word"),
+        pytest.param(_cancel_off_its_letter, id="cancel-word-g8"),
         pytest.param(lambda: parse_knot_spec("conway:" + ",".join(["9999"] * 512)), id="conway-even-p"),
         pytest.param(lambda: parse_knot_spec("conway:" + ",".join(["9999"] * 510 + ["2", "0"])),
                      id="conway-division-by-zero"),
@@ -652,7 +675,8 @@ def _read_and_replay(mutate):
     ],
 )
 def test_errors_quote_long_input_short(run):
-    # However long a field, spec or token, the error quotes at most 12 characters of it.
+    # However long a field, spec, token or word, the error quotes at most 12
+    # characters of it (32 of a field name, and at most 3 names).
     with pytest.raises(ValueError) as err:
         run()
     assert len(str(err.value)) < 200, str(err.value)[:300]
@@ -684,6 +708,20 @@ def test_schedule_error_carries_word_and_trace():
         run.move("cancel", target, letter=1)
     assert err.value.word == parse_word("a1 a1")
     assert err.value.trace is run.trace and err.value.trace.final is None
+
+
+def test_failed_slide_quotes_its_words_short_and_carries_the_whole():
+    # At g = 8 the message quotes both words short; the error still carries
+    # the target's whole word, which the CLI prints as `offending word:`.
+    knot = parse_knot_spec(G8)
+    cx = complex_from_piece(build_pieces(knot, 1)[0])
+    run = schedules._Run(cx, knot.spec_str(), 1, "X1")
+    target, over = cx.find("B", 0, phi_image=True), cx.find("B", 0, phi_image=False)
+    word = target.word
+    with pytest.raises(ScheduleError, match=r"does not head both words \(\"a0' a1 a0' a\"\.\.\. \(148 characters\)") as err:
+        run.move("slide", target, over, shared_prefix=parse_word("a1"))
+    assert len(str(err.value)) < 200
+    assert err.value.word == word and len(word_str(word)) == 148
 
 
 def test_failed_live_letter_check_is_schedule_error(monkeypatch):

@@ -48,9 +48,10 @@ def test_surfaces_above_the_limits_are_refused(g, n, message):
 
 def test_curve_id():
     assert str(CurveId("B", 2)) == "B2"
-    assert str(CurveId("b2")) == "b2"
-    with pytest.raises(ValueError):
-        CurveId("x", 1)
+    assert str(CurveId("boundary")) == "dF"
+    for family in ("x", "a", "b2"):  # no twist curve is a vanishing cycle
+        with pytest.raises(ValueError, match="unknown curve family"):
+            CurveId(family, 1)
 
 
 S11 = FiberSurface(1, 1)

@@ -6,18 +6,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handlecalc.surfaces import CurveId, FiberSurface, beta_word, eta_word, phi_b_word, tilde_alpha_word
+from handlecalc.knots import KnotSpecError, TwoBridgeKnot
+from handlecalc.surfaces import FiberSurface, beta_word, eta_word, phi_b_word, tilde_alpha_word
 from handlecalc.twists import (
     CompiledMonodromy,
-    MonodromySpec,
-    UnsupportedTwistError,
     beta_images,
     compile_monodromy,
-    piece_monodromy,
-    stallings_monodromy,
     stallings_rules,
     ta3_power,
-    two_bridge_monodromy,
 )
 from handlecalc.words import (
     alpha,
@@ -40,38 +36,52 @@ eps_strategy = st.integers(1, 5).flatmap(
 
 def one_twist(j, sign, s):
     """The table of the single twist t_{a_j}^sign."""
-    return compile_monodromy(MonodromySpec(((CurveId("a", j), sign),)), s)
+    return compile_monodromy(((j, sign),), s)
 
 
 def sequential(twists, w, s):
-    """Reference action: one single-twist table per twist, twists[0] first."""
-    for curve, sign in twists:
-        w = one_twist(curve.index, sign, s).apply(w)
+    """Reference action: one single-twist table per (j, sign) pair, twists[0] first."""
+    for j, sign in twists:
+        w = one_twist(j, sign, s).apply(w)
     return reduce_word(w)
 
 
 def iterated_ta3(w, m, s=S21):
     """Reference t_{a3}^m: |m| single twists."""
-    return sequential([(CurveId("a", 3), 1 if m > 0 else -1)] * abs(m), w, s)
+    return sequential([(3, 1 if m > 0 else -1)] * abs(m), w, s)
+
+
+def piece(eps):
+    """The pieces' chain twists of the two-bridge knot D(eps), t_{a_2g} first."""
+    return TwoBridgeKnot.from_eps(eps).piece_twists()
+
+
+def fibration(eps):
+    """The fibration monodromy's chain twists, t_{a_1} first."""
+    return tuple(enumerate(eps, 1))
+
+
+def inverse(twists):
+    """The inverse composite: the pairs reversed, each sign negated."""
+    return tuple((j, -e) for j, e in reversed(twists))
 
 
 @st.composite
 def chain_monodromy(draw, max_g):
-    """A surface and a piece, fibration, inverse or random chain-twist monodromy on it."""
+    """A surface and the (j, sign) pairs of a piece, fibration, inverse or random chain-twist monodromy on it."""
     g = draw(st.integers(1, max_g))
     s = FiberSurface(g, draw(st.integers(1, 3)))
     eps = draw(st.tuples(*[st.sampled_from((1, -1))] * (2 * g)))
     kind = draw(st.sampled_from(("piece", "fibration", "inverse", "chain")))
     if kind == "piece":
-        twists = piece_monodromy(eps).twists
+        twists = piece(eps)
     elif kind == "fibration":
-        twists = two_bridge_monodromy(eps).twists
+        twists = fibration(eps)
     elif kind == "inverse":
-        twists = two_bridge_monodromy(eps).inverse().twists
+        twists = inverse(fibration(eps))
     else:
-        pairs = draw(st.lists(st.tuples(st.integers(1, 2 * g), st.sampled_from((1, -1))), max_size=12))
-        twists = tuple((CurveId("a", j), e) for j, e in pairs)
-    return s, MonodromySpec(twists)
+        twists = tuple(draw(st.lists(st.tuples(st.integers(1, 2 * g), st.sampled_from((1, -1))), max_size=12)))
+    return s, twists
 
 
 @st.composite
@@ -143,19 +153,19 @@ def test_rule_table_satisfies_braid_relations():
 
 def test_apply_monodromy_displayed_cases():
     s = S11
-    assert compile_monodromy(piece_monodromy((1, 1)), s).apply((alpha(0),)) == parse_word("a0 a1' a0")
-    assert compile_monodromy(piece_monodromy((-1, -1)), s).apply((alpha(0),)) == parse_word("a1")
+    assert compile_monodromy(piece((1, 1)), s).apply((alpha(0),)) == parse_word("a0 a1' a0")
+    assert compile_monodromy(piece((-1, -1)), s).apply((alpha(0),)) == parse_word("a1")
     w = parse_word("a0' a1 a2' a1")
-    assert compile_monodromy(MonodromySpec(()), s).apply(w) == w
+    assert compile_monodromy((), s).apply(w) == w
 
 
 @given(monodromy_and_word())
 def test_compiled_table_matches_sequential_twists(case):
     s, phi, w = case
     table = compile_monodromy(phi, s)
-    assert table.apply(w) == sequential(phi.twists, w, s)
+    assert table.apply(w) == sequential(phi, w, s)
     for c in s.alphabet:
-        assert table.apply((c,)) == sequential(phi.twists, (c,), s)
+        assert table.apply((c,)) == sequential(phi, (c,), s)
 
 
 @settings(deadline=None)
@@ -181,7 +191,7 @@ def test_beta_images_match_the_substituted_beta_words(case):
 def test_beta_images_reject_a_table_that_is_not_palindromic():
     # A hand-built table whose image of alpha_1 is not a palindrome does not
     # commute with reversal, so its heads cannot come from the prefix product.
-    table = compile_monodromy(piece_monodromy((1, 1)), S11)
+    table = compile_monodromy(piece((1, 1)), S11)
     images = dict(table.images)
     images[alpha(1)] = (alpha(1), alpha(2))
     images[alpha(1, -1)] = (alpha(2, -1), alpha(1, -1))
@@ -194,22 +204,24 @@ def test_word_validated_without_twists():
     with pytest.raises(ValueError, match="outside alphabet"):
         ta3_power((99,), 0, S21)
     with pytest.raises(ValueError, match="outside alphabet"):
-        compile_monodromy(MonodromySpec(()), S21).apply((99,))
+        compile_monodromy((), S21).apply((99,))
 
 
 def test_monodromy_error_kinds():
     bad_word = (99,)
-    with pytest.raises(UnsupportedTwistError):
-        compile_monodromy(MonodromySpec(((CurveId("b2"), 1),)), S21).apply(bad_word)
     with pytest.raises(ValueError, match="chain twist index 5 out of range"):
-        compile_monodromy(MonodromySpec(((CurveId("a", 5), 1),)), S21).apply(bad_word)
+        compile_monodromy(((5, 1),), S21).apply(bad_word)
+    with pytest.raises(ValueError, match="chain twist index 0 out of range"):
+        compile_monodromy(((0, 1),), S21).apply(bad_word)
     with pytest.raises(ValueError, match="twist sign must be \\+-1, got 2"):
-        compile_monodromy(MonodromySpec(((CurveId("a", 1), 1), (CurveId("a", 2), 2))), S21).apply(bad_word)
+        compile_monodromy(((1, 1), (2, 2)), S21).apply(bad_word)
+    with pytest.raises(ValueError, match="twist sign must be \\+-1, got 0"):
+        compile_monodromy(((1, 0),), S21).apply(bad_word)
     with pytest.raises(ValueError, match="outside alphabet"):
-        compile_monodromy(piece_monodromy((1, -1, 1, 1)), S21).apply(bad_word)
-    # A bad twist anywhere in the spec is reported before a bad letter.
-    with pytest.raises(UnsupportedTwistError):
-        compile_monodromy(stallings_monodromy(1), S21).apply(bad_word)
+        compile_monodromy(piece((1, -1, 1, 1)), S21).apply(bad_word)
+    # A bad twist anywhere in the sequence is reported before any is composed.
+    with pytest.raises(ValueError, match="chain twist index 5 out of range"):
+        compile_monodromy(piece((1, -1, 1, 1)) + ((5, -1),), S21).apply(bad_word)
     with pytest.raises(ValueError, match="chain twist index 3 out of range"):
         ta3_power(bad_word, 2, S11)
     with pytest.raises(ValueError, match="outside alphabet"):
@@ -217,27 +229,17 @@ def test_monodromy_error_kinds():
 
 
 def test_monodromy_orders():
-    # Fibration monodromy applies t_{a1} first; the piece monodromy the reverse.
-    phi_k = two_bridge_monodromy((1, -1))
-    assert [(str(c), e) for c, e in phi_k.twists] == [("a1", 1), ("a2", -1)]
-    assert phi_k.serialize() == "a1 a2^-1"
-    assert phi_k.composition_str() == "t_a2^-1 t_a1"
-    phi = piece_monodromy((1, -1))
-    assert [(str(c), e) for c, e in phi.twists] == [("a2", -1), ("a1", 1)]
-    with pytest.raises(ValueError):
-        two_bridge_monodromy(())
-    with pytest.raises(ValueError):
-        two_bridge_monodromy((1, -1, 1))
-    with pytest.raises(ValueError):
-        two_bridge_monodromy((2, 1))
-
-
-def test_stallings_monodromy_serialization():
-    assert stallings_monodromy(3).serialize() == "a1^-1 a2^-1 b2 a4 a3^3"
-    assert stallings_monodromy(-1).composition_str() == "t_a3^-1 t_a4 t_b2 t_a2^-1 t_a1^-1"
-    assert stallings_monodromy(0).serialize() == "a1^-1 a2^-1 b2 a4"
-    with pytest.raises(UnsupportedTwistError):
-        compile_monodromy(stallings_monodromy(1), S21).apply((alpha(0),))
+    # Fibration monodromy applies t_{a1} first and so is written last; the
+    # piece monodromy applies the same twists in the reverse order.
+    knot = TwoBridgeKnot.from_eps((1, -1))
+    assert knot.monodromy_str() == "t_a2^-1 t_a1"
+    assert knot.piece_twists() == ((2, -1), (1, 1))
+    assert TwoBridgeKnot.from_eps((-1, -1, 1, 1)).piece_twists() == ((4, 1), (3, 1), (2, -1), (1, -1))
+    for eps in ((), (1, -1, 1)):
+        with pytest.raises(KnotSpecError, match="even positive length"):
+            TwoBridgeKnot.from_eps(eps)
+    with pytest.raises(KnotSpecError, match="no fibered D-form"):
+        TwoBridgeKnot.from_eps((2, 1)).piece_twists()
 
 
 def test_ta3_images():
@@ -306,7 +308,7 @@ def test_piece_tables_fix_every_closing_arc(eps, n):
     # arc as it is: alpha_{4g+1-i} for i >= 1, the tilde-type descent for B_0.
     g = len(eps) // 2
     s = FiberSurface(g, n)
-    table = compile_monodromy(piece_monodromy(eps), s)
+    table = compile_monodromy(piece(eps), s)
     for i in range(1, 2 * g + 1):
         assert table.apply((alpha(4 * g + 1 - i),)) == (alpha(4 * g + 1 - i),)
     descent = tilde_alpha_word(FiberSurface(g, 1))
@@ -346,10 +348,9 @@ def test_image_closure_exhaustive_small():
     # alpha_{i+1} once; exhaustive for g <= 2.
     for k in (1, 2):
         for eps in itertools.product((1, -1), repeat=2 * k):
-            phi = piece_monodromy(eps)
-            s = FiberSurface(k, 1)
+            table = compile_monodromy(piece(eps), FiberSurface(k, 1))
             for i in range(2 * k):
-                w = compile_monodromy(phi, s).apply((alpha(i),))
+                w = table.apply((alpha(i),))
                 assert handle_letters(w) <= set(range(1, i + 2))
                 assert handle_occurrences(w, i + 1) == 1
 
@@ -357,10 +358,9 @@ def test_image_closure_exhaustive_small():
 @given(eps_strategy)
 def test_image_closure_random(eps):
     g = len(eps) // 2
-    phi = piece_monodromy(eps)
-    s = FiberSurface(g, 1)
+    table = compile_monodromy(piece(eps), FiberSurface(g, 1))
     for i in range(2 * g):
-        w = compile_monodromy(phi, s).apply((alpha(i),))
+        w = table.apply((alpha(i),))
         assert handle_letters(w) <= set(range(1, i + 2))
         assert handle_occurrences(w, i + 1) == 1
 
@@ -369,13 +369,11 @@ def test_image_closure_random(eps):
 def test_prefix_claim(eps):
     # Applying only the twists a_k..a_1 (a_k first) to alpha_k stays
     # inside alpha_0..alpha_k, for every prefix length k.
-    from handlecalc.surfaces import CurveId
-
     g = len(eps) // 2
     s = FiberSurface(g, 1)
     for k in range(1, 2 * g + 1):
-        twists = tuple((CurveId("a", j), eps[j - 1]) for j in range(k, 0, -1))
-        w = compile_monodromy(MonodromySpec(twists), s).apply((alpha(k),))
+        twists = tuple((j, eps[j - 1]) for j in range(k, 0, -1))
+        w = compile_monodromy(twists, s).apply((alpha(k),))
         assert handle_letters(w) <= set(range(1, k + 1))
 
 
@@ -384,6 +382,6 @@ def test_monodromy_round_trip(eps, i):
     g = len(eps) // 2
     i = i % (2 * g + 1)
     s = FiberSurface(g, 1)
-    phi = two_bridge_monodromy(eps)
-    w = compile_monodromy(phi.inverse(), s).apply(compile_monodromy(phi, s).apply((alpha(i),)))
+    phi = fibration(eps)
+    w = compile_monodromy(inverse(phi), s).apply(compile_monodromy(phi, s).apply((alpha(i),)))
     assert w == (alpha(i),)

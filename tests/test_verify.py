@@ -10,14 +10,13 @@ from handlecalc import complexes, factorization, schedules, trace, twists, verif
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.knots import TwoBridgeKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, run_schedule
-from handlecalc.twists import MonodromySpec
 from handlecalc.verify import check_piece_table, euler_char, full_report
 
 SUITES = ("twist closure suite", "twist invertibility suite")
 
 
-def _row(report, name):
-    return next(c for c in report.checks if c.name == name)
+def _row(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 def test_euler_char_examples():
@@ -47,13 +46,16 @@ def test_invertibility():
     from handlecalc.twists import compile_monodromy
     from handlecalc.words import alpha
 
-    assert compile_monodromy(MonodromySpec(()), FiberSurface(1, 1)).apply((alpha(0),)) == (alpha(0),)
+    assert compile_monodromy((), FiberSurface(1, 1)).apply((alpha(0),)) == (alpha(0),)
 
 
 def test_invertibility_suite_round_trips_the_piece_monodromy():
-    # The suite certifies the table build_pieces compiles, not the fibration order.
-    assert check_piece_table((1, -1)).knot == "piece:+,-"
-    assert check_piece_table((1, 1, -1, 1)).knot == "piece:+,+,-,+"
+    # The suite certifies the table build_pieces compiles, not the fibration
+    # order, and a two-bridge report ends with its two rows.
+    for eps in ((1, -1), (1, 1, -1, 1)):
+        checks = check_piece_table(eps)
+        assert [(c.name, c.passed) for c in checks] == [(name, True) for name in SUITES]
+        assert full_report(TwoBridgeKnot.from_eps(eps), 1).checks[-2:] == list(checks)
 
 
 def _fails_one_suite(report, suite):
@@ -68,13 +70,12 @@ def test_closure_suite_fails_on_the_fibration_order(monkeypatch, fresh_memos):
     # alpha_i reach past alpha_{i+1}: every sign sequence of genus <= 2 fails.
     # The suites read the table the pieces are built from, so the report
     # fails already at the schedule, whose phi(B0) no longer crosses a1 once.
-    monkeypatch.setattr(TwoBridgeKnot, "piece_monodromy", lambda k: twists.two_bridge_monodromy(k.eps))
+    monkeypatch.setattr(TwoBridgeKnot, "piece_twists", lambda k: tuple(enumerate(k.eps, 1)))
     report = full_report("twobridge:+,+", 1)
     assert [c.name for c in report.checks if not c.passed] == ["schedule completes"]
     for k in (1, 2):
         for eps in itertools.product((1, -1), repeat=2 * k):
-            report = check_piece_table(eps)
-            assert [c.passed for c in report.checks] == [False, True], eps
+            assert [c.passed for c in check_piece_table(eps)] == [False, True], eps
 
 
 def _counted(monkeypatch, name, modules):
@@ -114,7 +115,9 @@ def test_a_report_leaves_the_knot_as_it_was(spec):
 
 
 def test_invertibility_suite_fails_on_a_wrong_inverse(monkeypatch):
-    monkeypatch.setattr(MonodromySpec, "inverse", lambda self: self)
+    # The suites compile only the inverse: compile the table itself instead.
+    monkeypatch.setattr(verify, "compile_monodromy",
+                        lambda pairs, s: twists.compile_monodromy([(j, -e) for j, e in reversed(pairs)], s))
     _fails_one_suite(full_report("twobridge:+,+", 1), "twist invertibility suite")
 
 
