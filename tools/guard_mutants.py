@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIMEOUT = 600.0  # seconds per suite run; a disabled guard can make the suite hang
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
 
@@ -53,13 +54,13 @@ def disabled(source: bytes, guard: ast.If) -> bytes:
     return source[:begin] + b"False" + source[end:]
 
 
-def suite_passes(tree: Path, timeout: float) -> bool:
-    """Whether tier-1 passes on `tree`; a run past `timeout` seconds counts as a failure."""
+def suite_passes(tree: Path) -> bool:
+    """Whether tier-1 passes on `tree`; a run past `TIMEOUT` seconds counts as a failure."""
     # No bytecode is written: a mutant and the restored module can share a size and an mtime.
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         run = subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, timeout=timeout)
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return run.returncode == 0
@@ -68,13 +69,12 @@ def suite_passes(tree: Path, timeout: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("modules", nargs="+", help="module files, relative to the repository root")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run (default 600)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="guard-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        if not suite_passes(tree, args.timeout):
+        if not suite_passes(tree):
             print("tier-1 fails on the unmutated tree; no guard is reported", file=sys.stderr)
             return 2
         killed = survived = 0
@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
             for guard in guards(source):
                 path.write_bytes(disabled(source, guard))
                 try:
-                    caught = not suite_passes(tree, args.timeout)
+                    caught = not suite_passes(tree)
                 finally:
                     path.write_bytes(source)
                 killed += caught
