@@ -39,6 +39,7 @@ from .surfaces import BOUNDARY, CurveId, FiberSurface
 from .words import (
     Word,
     _shown,
+    _shown_set,
     concat,
     cyclic_reduce,
     handle_letters,
@@ -202,16 +203,17 @@ class HandleComplex:
                 continue
             dead = handle_letters(word) - self.one_handles
             if dead:
-                raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {sorted(dead)}", word)
+                raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {_shown_set(dead)}", word)
 
 
 def complex_from_piece(piece: LFPiece) -> HandleComplex:
     """Initial complex: the factorization's 2-handles plus the fiber boundary handle."""
     s = piece.factorization.fiber
+    prefix = piece.which.lower()
     two: list[TwoHandle] = []
     for k, vc in enumerate(piece.factorization.cycles):
-        two.append(TwoHandle(f"{piece.which.lower()}-{k:02d}", vc.curve, vc.phi_image, vc.word, vc.framing))
-    two.append(TwoHandle(f"{piece.which.lower()}-dF", BOUNDARY, False, None, "0"))
+        two.append(TwoHandle(f"{prefix}-{k:02d}", vc.curve, vc.phi_image, vc.word, vc.framing))
+    two.append(TwoHandle(f"{prefix}-dF", BOUNDARY, False, None, "0"))
     return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
 
 

@@ -56,7 +56,7 @@ from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
 from .trace import MoveTrace, execute, finish, word_state
 from .twists import ta3_power
-from .words import Word, _shown, alpha, concat
+from .words import Word, _shown, _shown_set, alpha, concat
 
 
 class ScheduleError(RuntimeError):
@@ -254,9 +254,9 @@ def run_schedule(
 def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, MoveTrace]]:
     """Run X1's schedule and derive X2's result from it by renaming handle ids.
 
-    The only caller that passes `x1` to `run_schedule`; each call still
-    builds both pieces twice, once per `run_schedule`, from the W built
-    once per surface and the monodromy images built once per knot.
+    The only caller that passes `x1` to `run_schedule`.  Both calls ask
+    `build_pieces` for the pieces, which builds them once per (knot, n):
+    the second call gets the pair the first one built.
     """
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
@@ -283,9 +283,9 @@ def assemble(x1: HandleComplex, x2: HandleComplex, n: int) -> HandleCounts:
     3-handles; both pieces must therefore arrive with none left.
     """
     if x1.one_handles:
-        raise ScheduleError(f"X1 still has 1-handles {sorted(x1.one_handles)}")
+        raise ScheduleError(f"X1 still has 1-handles {_shown_set(x1.one_handles)}")
     if x2.one_handles:
-        raise ScheduleError(f"X2 still has 1-handles {sorted(x2.one_handles)}")
+        raise ScheduleError(f"X2 still has 1-handles {_shown_set(x2.one_handles)}")
     counts = HandleCounts(
         h0=x1.zero_handles,
         h1=len(x1.one_handles),

@@ -11,12 +11,13 @@ the weak cancellations are a query on the moves (`weak_cancellations`),
 not a field.  A failed schedule writes no trace: its `ScheduleError`
 carries the message, the word and the partial trace.
 
-A file holds five kinds of record (the trace, its initial summary, a
-move, the final state and its 2-handles), each declared once as a table
-of its fields, in the order they are written, with their JSON types.
-One reader, `_read`, reads every record through its table, so a
-malformed document is refused with `MoveError` before replay, naming
-the record and the field.
+A file holds six kinds of record (the trace, its initial summary, a
+move, the final state, its surface and its 2-handles), each declared
+once as a table of its fields, in the order they are written, with their
+JSON types.  One reader, `_read`, reads every record through its table,
+so a malformed document is refused with `MoveError` before replay,
+naming the record and the field.  A value must be of its JSON type
+exactly: a bool is no int, and 1.0 is no 1.
 
 Words are tuples in memory and text only in the file.  A `Move` holds
 its relator, shared prefix and after-word as words; a `MoveTrace` holds
@@ -29,14 +30,19 @@ a file holds only the summary.
 
 `execute` applies one slide, eliminate or cancel to a complex and returns
 the move's full record; the schedules log moves only through it.  Replay
-rebuilds the initial complex from the knot spec, re-derives every move
-with `execute` from the live complex (an eliminate's relator is the word
-of the live helper it names, never a word from the trace) and requires
-each recorded move to equal the re-derived one, field for field, words
-compared as words.  The moves must finish the piece (`finish`, the end
-check the schedules make too) and the final state must be the one it
-returns, so every field a trace holds is checked.  A weak cancellation
-(see `weak_cancellations`) replays like any other.
+rebuilds the initial complex from the knot spec (`build_pieces` keeps the
+pieces of the last two (knot, n), so replaying both traces of one
+document builds them once), re-derives every move with `execute` from
+the live complex (an eliminate's relator is the word of the live helper
+it names, never a word from the trace) and requires each recorded move
+to equal the re-derived one, field for field, words compared as words.
+The moves must finish the piece (`finish`, the end check the schedules
+make too) and the final state must be the one it returns, so every field
+a trace holds is checked.  The initial summary and the final state are
+compared as values, words as words, not as JSON text.  That is as strict,
+since the reader types every value of both (the final 1-handle list is
+typed only as a list, but `finish` requires it empty).  A weak
+cancellation (see `weak_cancellations`) replays like any other.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .complexes import (
 )
 from .factorization import build_pieces
 from .knots import parse_knot_spec
-from .words import Word, _shown, handle_occurrences, parse_word, reduce_word, word_str
+from .words import Word, _shown, _shown_set, handle_occurrences, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/4"
 
@@ -75,6 +81,7 @@ _SUMMARY_FIELDS = {"digest": str, "zero_handles": int, "one_handles": int, "two_
 _MOVE_FIELDS = {"kind": str, "target": str, "over": str, "letter": int,
                 "relator": WORD, "shared_prefix": WORD, "after_word": WORD}
 _STATE_FIELDS = {"surface": dict, "zero_handles": int, "one_handles": list, "two_handles": list}
+_SURFACE_FIELDS = {"g": int, "n": int}
 _HANDLE_FIELDS = {"id": str, "origin": str, "phi": bool, "word": WORD, "framing": str}
 
 OPAQUE_TEXT = "<opaque>"
@@ -120,19 +127,17 @@ def word_state(cx: HandleComplex) -> dict:
 
 def state_text(state: dict) -> dict:
     """A word state with its words spelled as text: the form a trace file records."""
-    return {**state, "two_handles": [{name: (None if h[name] is None else word_str(h[name])) if kind is WORD
-                                      else h[name] for name, kind in _HANDLE_FIELDS.items()}
+    return {**state, "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
                                      for h in state["two_handles"]]}
 
 
-def _canonical(state: dict | None) -> str:
-    """Sorted-key JSON, equal exactly when the values and their JSON types are; a word dumps as a list."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
-
-
 def state_summary(state: dict) -> dict:
-    """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts."""
-    digest = hashlib.sha256(_canonical(state_text(state)).encode("utf-8")).hexdigest()
+    """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts.
+
+    The text form is digested as sorted-key JSON without spaces.
+    """
+    canonical = json.dumps(state_text(state), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", state["zero_handles"],
                                       len(state["one_handles"]), len(state["two_handles"]))))
 
@@ -142,13 +147,13 @@ def _read(where: str, record, fields: dict, required: int | None = None) -> dict
 
     Raises MoveError, naming `where` and the field, unless the record is an
     object that holds every field (the first `required`, if given; a field
-    left out reads as None), each of its JSON type (a bool is no int; a
-    word is text that spells one, or null), and no other key.
+    left out reads as None), each of exactly its JSON type (a bool is no
+    int; a word is text that spells one, or null), and no other key.
     """
     if not isinstance(record, dict):
         raise MoveError(f"{where} must be an object, got {type(record).__name__}")
-    unknown = sorted(record.keys() - fields.keys(), key=str)
-    if unknown:  # quote at most 3 names, each cut after 32 characters
+    if not record.keys() <= fields.keys():  # quote at most 3 names, each cut after 32 characters
+        unknown = sorted(record.keys() - fields.keys(), key=str)
         names = ", ".join(_shown(name, 32) for name in unknown[:3])
         more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
         raise MoveError(f"{where} has unknown field(s) {names}{more}")
@@ -162,7 +167,7 @@ def _read(where: str, record, fields: dict, required: int | None = None) -> dict
         json_type = str if kind is WORD else kind
         if value is None and kind is WORD:
             continue
-        if not isinstance(value, json_type) or (isinstance(value, bool) and json_type is not bool):
+        if type(value) is not json_type:  # exact, so a bool is no int
             raise MoveError(f"{where} field {name!r} must be {json_type.__name__}, got {_shown(value)}")
         if kind is WORD:
             try:
@@ -258,6 +263,7 @@ class MoveTrace:
         values["moves"] = [Move(**_read(f"move {k}", m, _MOVE_FIELDS, required=2))
                            for k, m in enumerate(values["moves"])]
         final = values["final"] = _read("final", values["final"], _STATE_FIELDS)
+        final["surface"] = _read("final surface", final["surface"], _SURFACE_FIELDS)
         final["two_handles"] = [_read(f"final 2-handle {k}", h, _HANDLE_FIELDS)
                                 for k, h in enumerate(final["two_handles"])]
         return MoveTrace(**values)
@@ -297,7 +303,7 @@ def finish(cx: HandleComplex, n: int) -> dict:
     make it a 3-handle), 6n - 1 two-handles remain and every word runs over live letters.
     """
     if cx.one_handles:
-        raise MoveError(f"piece ends with live 1-handles {sorted(cx.one_handles)}")
+        raise MoveError(f"piece ends with live 1-handles {_shown_set(cx.one_handles)}")
     expected = 6 * n - 1
     if len(cx.two_handles) != expected:
         raise MoveError(f"piece ends with {len(cx.two_handles)} 2-handles, expected {expected}")
@@ -381,7 +387,7 @@ def replay(trace: MoveTrace) -> HandleComplex:
     if spec != trace.knot:
         raise ReplayError(f"knot spec {_shown(trace.knot)} is not written as the engine writes it, {_shown(spec)}")
     cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
-    if _canonical(state_summary(word_state(cx))) != _canonical(trace.initial_summary()):
+    if state_summary(word_state(cx)) != trace.initial_summary():
         raise ReplayError(f"initial state is not that of {trace.piece} of {_shown(spec)} at n={trace.n}")
     for k, move in enumerate(trace.moves):
         try:
@@ -395,7 +401,7 @@ def replay(trace: MoveTrace) -> HandleComplex:
         final = finish(cx, trace.n)
     except MoveError as err:
         raise ReplayError(f"the moves do not finish {trace.piece}: {err}") from err
-    if _canonical(final) != _canonical(trace.final):
+    if final != trace.final:
         raise ReplayError("final complex state mismatch")
     return cx
 

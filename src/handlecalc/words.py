@@ -55,6 +55,13 @@ def _shown(value: object, limit: int = 12) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
+def _shown_set(values: Iterable[int]) -> str:
+    """A set of handles as an error message quotes it: sorted, its first 4, and its size if it has more."""
+    values = sorted(values)
+    head = ", ".join(map(str, values[:4]))
+    return f"[{head}]" if len(values) <= 4 else f"[{head}, ...] ({len(values)} in all)"
+
+
 def handle_index(c: int) -> int:
     """Index i of the handle letter alpha_i encoded by c."""
     if not is_handle(c):

@@ -8,15 +8,17 @@ from handlecalc import factorization
 def _clear_memos():
     factorization.build_W.cache_clear()
     factorization._monodromy_images.cache_clear()
+    factorization.build_pieces.cache_clear()
 
 
 @pytest.fixture
 def fresh_memos():
-    """Empty the W and monodromy memos before and after the test.
+    """Empty the W, monodromy and piece memos before and after the test.
 
     A test that patches what fills them (the twists, `concat`, a knot's
-    monodromy) takes this fixture, so that its builds run under the patch
-    and leave nothing built under it to the tests after it.
+    monodromy) or counts the builds takes this fixture, so that its builds
+    run under the patch and leave nothing built under it to the tests
+    after it.
     """
     _clear_memos()
     yield

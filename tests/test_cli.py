@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from handlecalc import cli, factorization
 from handlecalc.cli import main
 from handlecalc.knots import MAX_SWEEP_K, MAX_TWISTS, TwoBridgeKnot
-from handlecalc.schedules import ScheduleError
+from handlecalc.schedules import ScheduleError, run_both
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX
 from handlecalc.trace import MoveTrace, replay, state_text, word_state
+from handlecalc.verify import full_report
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,21 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)
         assert state_text(word_state(replay(trace))) == raw["final"]
+
+
+def test_each_knot_and_n_is_built_once(tmp_path, capsys, fresh_memos):
+    # `run_both`, `full_report` and a replay of both traces of one document
+    # each build the pieces once.
+    path = tmp_path / "trace.json"
+    assert run_cli(capsys, "cancel", "twobridge:+,-", "--n", "2", "--trace", str(path))[0] == 0
+    factorization.build_pieces.cache_clear()
+    run_both("stallings:m=3", 1)
+    assert factorization.build_pieces.cache_info().misses == 1
+    for raw in json.loads(path.read_text())["traces"]:
+        replay(MoveTrace.from_json(raw))
+    assert factorization.build_pieces.cache_info().misses == 2
+    assert full_report("twobridge:+,+", 3).passed
+    assert factorization.build_pieces.cache_info().misses == 3
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,15 @@ def test_assemble_rejects_live_one_handles():
         assemble(bad, res["X2"][0], 1)
 
 
+def test_assemble_requires_12n_minus_2_two_handles():
+    # Both pieces of n = 2 keep 22 2-handles: assembled as n = 1 or n = 3
+    # they hold the wrong number.
+    res = run_both("twobridge:+,-", 2)
+    for n in (1, 3):
+        with pytest.raises(ScheduleError, match=rf"assembled 2-handle count 22 != 12n-2 = {12 * n - 2}$"):
+            assemble(res["X1"][0], res["X2"][0], n)
+
+
 def test_run_schedule_rejects_bad_inputs():
     with pytest.raises(Exception):
         run_schedule("conway:3,2", 1, "X1")  # 5_2, not fibered
@@ -404,6 +413,15 @@ MALFORMED = [
     # An opaque 2-handle's word is null, never left out.
     pytest.param(_without_final_handle("word"), "final 2-handle 0 lacks required field 'word'",
                  id="final-handle-lacks-word"),
+    # The surface too: replay compares the final state as values, where 1.0 and True equal 1.
+    pytest.param(_edit_final(surface={"g": 1.0, "n": 1}), "final surface field 'g' must be int, got 1.0",
+                 id="final-surface-g-float"),
+    pytest.param(_edit_final(surface={"g": True, "n": 1}), "final surface field 'g' must be int, got True",
+                 id="final-surface-g-bool"),
+    pytest.param(_edit_final(surface={"g": 1}), "final surface lacks required field 'n'",
+                 id="final-surface-lacks-n"),
+    pytest.param(_edit_final(surface={"g": 1, "n": 1, "h": 0}), "final surface has unknown field\\(s\\) 'h'",
+                 id="final-surface-extra-key"),
 ]
 
 
@@ -680,6 +698,52 @@ def test_errors_quote_long_input_short(run):
     with pytest.raises(ValueError) as err:
         run()
     assert len(str(err.value)) < 200, str(err.value)[:300]
+
+
+G64 = "twobridge:" + ",".join(["+"] * 128)
+
+
+def _fresh_x1():
+    """X1's initial complex at g = 64 and n = 1: all 256 1-handles are live."""
+    return complex_from_piece(build_pieces(parse_knot_spec(G64), 1)[0])
+
+
+def _dead_letters():
+    cx = _fresh_x1()
+    cx.one_handles.clear()
+    cx.check_live_letters()
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(_read_and_replay(_set("moves", []), G64),
+                     r"do not finish X1: piece ends with live 1-handles \[1, 2, 3, 4, \.\.\.\] \(256 in all\)",
+                     id="finish"),
+        pytest.param(lambda: assemble(_fresh_x1(), _fresh_x1(), 1),
+                     r"X1 still has 1-handles \[1, 2, 3, 4, \.\.\.\] \(256 in all\)", id="assemble-x1"),
+        pytest.param(lambda: assemble(run_schedule(G64, 1, "X1")[0], _fresh_x1(), 1),
+                     r"X2 still has 1-handles \[1, 2, 3, 4, \.\.\.\] \(256 in all\)", id="assemble-x2"),
+        pytest.param(_dead_letters, r"uses dead letters \[1, 2, 3, 4, \.\.\.\] \(\d+ in all\)",
+                     id="check-live-letters"),
+    ],
+)
+def test_errors_quote_handle_lists_short(run, message):
+    # At g = 64 a piece has 256 1-handles: an error that lists handles
+    # quotes the first 4 and the count, not all of them.
+    with pytest.raises((MoveError, ScheduleError), match=message) as err:
+        run()
+    assert len(str(err.value)) < 200
+
+
+def test_finish_requires_6n_minus_1_two_handles():
+    # A finished X1 at n = 2 keeps 11 2-handles: as a piece at n = 1 or
+    # n = 3 it ends with the wrong number.
+    cx, trace = run_schedule("twobridge:+,-", 2, "X1")
+    assert finish(cx, 2) == trace.final
+    for n in (1, 3):
+        with pytest.raises(MoveError, match=rf"piece ends with 11 2-handles, expected {6 * n - 1}$"):
+            finish(cx, n)
 
 
 def test_replay_accepts_weak_cancellations(monkeypatch):
