@@ -52,27 +52,18 @@ def _knot_selection(args) -> list[Knot]:
 
 def _cmd_knot(args) -> int:
     knot = parse_knot_spec(args.spec)
-    if isinstance(knot, StallingsKnot):
-        info = {
-            "knot": str(knot),
-            "bridge_number": 3,
-            "fraction": None,
-            "fibered": True,
-            "genus": 2,
-            "monodromy": knot.monodromy_str(),
-        }
+    stallings = isinstance(knot, StallingsKnot)
+    info = {
+        "knot": str(knot),
+        "bridge_number": 3 if stallings else 2,
+        "fraction": None if stallings else str(knot.fraction()),
+        "fibered": knot.is_fibered,
+    }
+    if knot.is_fibered:
+        info["genus"] = knot.genus
+        info["monodromy"] = knot.monodromy_str()
     else:
-        info = {
-            "knot": str(knot.conway),
-            "bridge_number": 2,
-            "fraction": str(knot.fraction()),
-            "fibered": knot.is_fibered,
-        }
-        if knot.is_fibered:
-            info["genus"] = knot.genus
-            info["monodromy"] = knot.monodromy_str()
-        else:
-            info["reason"] = "D-form entries are not all +1/-1"
+        info["reason"] = "D-form entries are not all +1/-1"
     if args.json:
         _emit(info)
         return EXIT_OK

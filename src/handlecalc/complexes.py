@@ -207,13 +207,19 @@ class HandleComplex:
 
 
 def complex_from_piece(piece: LFPiece) -> HandleComplex:
-    """Initial complex: the factorization's 2-handles plus the fiber boundary handle."""
+    """Initial complex: the factorization's 2-handles plus the fiber boundary handle.
+
+    Every piece is the blocks phi(W) and W, one after the other, in either
+    order, so a handle is named by its block and its place k mod |W| in it:
+    `p07` is phi(W)'s cycle 7, `w07` is W's cycle 7 and `dF` is the fiber
+    boundary.  X1 and X2 therefore hold the same ids, in rotated order.
+    """
     s = piece.factorization.fiber
-    prefix = piece.which.lower()
-    two: list[TwoHandle] = []
-    for k, vc in enumerate(piece.factorization.cycles):
-        two.append(TwoHandle(f"{prefix}-{k:02d}", vc.curve, vc.phi_image, vc.word, vc.framing))
-    two.append(TwoHandle(f"{prefix}-dF", BOUNDARY, False, None, "0"))
+    cycles = piece.factorization.cycles
+    half = len(cycles) // 2
+    two = [TwoHandle(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word, vc.framing)
+           for k, vc in enumerate(cycles)]
+    two.append(TwoHandle("dF", BOUNDARY, False, None, "0"))
     return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
 
 

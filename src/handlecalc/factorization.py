@@ -7,9 +7,10 @@ than the fiber surface framing, so framing labels are symbolic.
 
 The rotation is load-bearing: a cyclic permutation of a positive
 factorization describes the same fibration, and `schedules.run_both`
-derives X2's schedule from X1's by renaming handle ids on the strength
-of it.  Its guard rejects any X2 whose start complex is not X1's rotated
-by |W|, so changing either order here breaks `run_both`.
+derives X2's result from X1's trace by rotation alone on the strength of
+it, since both pieces name a handle by its block and its place in it.
+Its guard rejects any X2 whose start complex is not X1's rotated by |W|,
+so changing either order here breaks `run_both`.
 
 Every B-image is spelled one way, for both knot families and every n:
 `phi_b_word(i, head, s)` with `head` the image of beta_i.  The twists fix

@@ -35,13 +35,14 @@ other 1-handles besides its letter is a legal, weak cancellation;
 the side.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
+a handle's id names its block and its place in it (`complex_from_piece`),
 and the schedule finds its handles by origin, not by position, so X2's
-run makes X1's moves on X1's words with only the handle ids changed.
-`run_both` therefore runs X1's schedule once and derives X2's complex and
-trace by renaming ids (`_derive_x2`, the one place the rotation is
-stated).  A guard first requires the X1 run to be of the same knot, n
-and piece X1, and X1's recorded initial state, rotated and renamed, to
-equal X2's start state; any mismatch raises ScheduleError.
+run makes X1's moves, with the same ids, on X1's words.  `run_both`
+therefore runs X1's schedule once and derives X2's complex and trace from
+X1's trace by rotation alone (`_derive_x2`, the one place the rotation is
+stated).  A guard first requires the X1 trace to be of the same knot, n
+and piece X1, to be finished, and its initial state, rotated, to equal
+X2's start state; any mismatch raises ScheduleError.
 `run_schedule(knot, n, "X2")` without `x1`, and `replay`, still run the
 full X2 schedule, which the tests use as the oracle for the derivation.
 """
@@ -158,56 +159,46 @@ def _phase_c(run: _Run) -> None:
         run.move("cancel", target, letter=2 * g + i)
 
 
-def _derive_x2(
-    spec: str, n: int, start2: HandleComplex, x1: tuple[HandleComplex, MoveTrace]
-) -> tuple[HandleComplex, MoveTrace]:
-    """X2's final complex and trace from X1's finished run, by renaming handle ids.
+def _derive_x2(spec: str, n: int, start2: HandleComplex, trace1: MoveTrace) -> tuple[HandleComplex, MoveTrace]:
+    """X2's final complex and trace from X1's finished trace, by rotation alone.
 
-    `start2` is X2's start complex, whose handle k is X1's handle
-    (k + |W|) mod 2|W|, the fiber boundary handle last in both.  The final
-    complex is built from X1's survivors: renaming keeps X1's finished
-    state, so `finish` is not run again.  Each renamed move shares its X1
-    move's words (`Move.renamed`).  Raises ScheduleError if X1's run
-    is not of this knot, n and piece, if X1's initial state, rotated and
-    renamed, is not X2's, or if X1's trace was read from a file, which
-    records only a summary of the initial state.
+    `start2` is X2's start complex: X1's handles rotated by |W|, the fiber
+    boundary handle last in both, under the same ids.  X2's moves are X1's
+    `Move` objects, and its survivors take X1's final words by id, so
+    `finish` is not run again.  Raises ScheduleError if X1's trace is not
+    of this knot, n and piece, if it was read from a file, which records
+    only a summary of the initial state, if it is partial, or if X1's
+    initial state, rotated, is not X2's.
     """
-    cx1, trace1 = x1
 
     def mismatch(why: str) -> ScheduleError:
         return ScheduleError(f"cannot derive X2 of {spec} at n={n} from X1: {why}")
 
     if (trace1.knot, trace1.n, trace1.piece) != (spec, n, "X1"):
-        raise mismatch(f"the given run is {trace1.piece} of {trace1.knot} at n={trace1.n}")
+        raise mismatch(f"the given trace is {trace1.piece} of {trace1.knot} at n={trace1.n}")
     if trace1.summarised:
         raise mismatch("its trace records only a summary of the initial state (a trace read from a file); "
                        "run X2's schedule instead")
-    if trace1.final is None or [h.id for h in cx1.two_handles] != [h["id"] for h in trace1.final["two_handles"]]:
-        raise mismatch("the given complex is not the final complex of its trace")
+    if trace1.final is None:
+        raise mismatch("its trace is partial: it has no final state")
     entries = trace1.initial["two_handles"]
     half = (len(entries) - 1) // 2
-    pairs = list(zip(entries[half:-1] + entries[:half] + entries[-1:], start2.two_handles))
     initial = word_state(start2)
-    if {**trace1.initial, "two_handles": [dict(h, id=h2.id) for h, h2 in pairs]} != initial:
-        raise mismatch("X1's initial state, renamed and rotated, is not X2's")
-    ids = {h["id"]: h2.id for h, h2 in pairs}
-    try:
-        moves = [m.renamed(ids) for m in trace1.moves]
-        words = {ids[h.id]: h.word for h in cx1.two_handles}
-    except KeyError as err:
-        raise mismatch(f"X1 names a handle X2 does not have ({err})") from err
+    if {**trace1.initial, "two_handles": entries[half:-1] + entries[:half] + entries[-1:]} != initial:
+        raise mismatch("X1's initial state, rotated, is not X2's")
 
+    words = {h["id"]: h["word"] for h in trace1.final["two_handles"]}
     survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id], h.framing)
                  for h in start2.two_handles if h.id in words]
-    cx = HandleComplex(start2.surface, set(cx1.one_handles), survivors, start2.zero_handles)
-    return cx, MoveTrace(spec, n, "X2", initial, moves, word_state(cx))
+    cx = HandleComplex(start2.surface, set(trace1.final["one_handles"]), survivors, start2.zero_handles)
+    return cx, MoveTrace(spec, n, "X2", initial, list(trace1.moves), word_state(cx))
 
 
 def run_schedule(
     knot: Knot | str,
     n: int = 1,
     piece: str = "X1",
-    x1: tuple[HandleComplex, MoveTrace] | None = None,
+    x1: MoveTrace | None = None,
 ) -> tuple[HandleComplex, MoveTrace]:
     """Run the full cancellation schedule for one piece.
 
@@ -216,10 +207,10 @@ def run_schedule(
     and the partial trace, if any move, single-crossing check or count
     check fails.
 
-    With `x1`, X1's finished (complex, trace) of the same knot and n, the
-    X2 result is derived from it by renaming handle ids instead of
-    running X2's schedule (see the module docstring); the result is the
-    same, byte for byte.  A mismatched `x1` raises ScheduleError.  An
+    With `x1`, X1's finished trace of the same knot and n, the X2 result
+    is derived from it by rotation instead of running X2's schedule (see
+    the module docstring); the result is the same, byte for byte.  A
+    mismatched or partial `x1` raises ScheduleError.  An
     unknown piece, n < 1 and a non-fibered knot raise ValueError, the last
     two from `build_pieces`.
     """
@@ -252,7 +243,7 @@ def run_schedule(
 
 
 def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, MoveTrace]]:
-    """Run X1's schedule and derive X2's result from it by renaming handle ids.
+    """Run X1's schedule and derive X2's result from its trace by rotation.
 
     The only caller that passes `x1` to `run_schedule`.  Both calls ask
     `build_pieces` for the pieces, which builds them once per (knot, n):
@@ -261,7 +252,7 @@ def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, Mov
     if isinstance(knot, str):
         knot = parse_knot_spec(knot)
     x1 = run_schedule(knot, n, "X1")
-    return {"X1": x1, "X2": run_schedule(knot, n, "X2", x1=x1)}
+    return {"X1": x1, "X2": run_schedule(knot, n, "X2", x1=x1[1])}
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Replayable move traces, and the one move executor.
 
-Schema "handlecalc/4": a trace file holds the knot spec, the index n,
+Schema "handlecalc/5": a trace file holds the knot spec, the index n,
 the piece, a summary of the initial complex (the SHA-256 of its
 canonical JSON and its handle counts), the move list and the final
-state, and nothing else: each fact is stated once.  The initial complex
-is rebuilt from the knot spec; a move records no digest of the target's
-word before or after it, since replay re-derives both words from the
-moves before it; the handle counts are those of the final state; and
-the weak cancellations are a query on the moves (`weak_cancellations`),
-not a field.  A failed schedule writes no trace: its `ScheduleError`
-carries the message, the word and the partial trace.
+state, and nothing else: each fact is stated once.  A 2-handle id names
+the handle's block and its place in it (`p07`, `w07`, `dF`; see
+`complex_from_piece`), so X1's and X2's traces name a handle alike;
+"handlecalc/4" named them per piece (`x1-07`, `x2-07`) and is refused.
+The initial complex is rebuilt from the knot spec; a move records no
+digest of the target's word before or after it, since replay re-derives
+both words from the moves before it; the handle counts are those of the
+final state; and the weak cancellations are a query on the moves
+(`weak_cancellations`), not a field.  A failed schedule writes no trace:
+its `ScheduleError` carries the message, the word and the partial trace.
 
 A file holds six kinds of record (the trace, its initial summary, a
 move, the final state, its surface and its 2-handles), each declared
@@ -64,7 +67,7 @@ from .factorization import build_pieces
 from .knots import parse_knot_spec
 from .words import Word, _shown, _shown_set, handle_occurrences, parse_word, reduce_word, word_str
 
-SCHEMA = "handlecalc/4"
+SCHEMA = "handlecalc/5"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -126,9 +129,13 @@ def word_state(cx: HandleComplex) -> dict:
 
 
 def state_text(state: dict) -> dict:
-    """A word state with its words spelled as text: the form a trace file records."""
-    return {**state, "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
-                                     for h in state["two_handles"]]}
+    """A word state with its words spelled as text: the form a trace file records.
+
+    It shares no container with `state`, so a change to either leaves the other as it was.
+    """
+    return {**state, "surface": dict(state["surface"]), "one_handles": list(state["one_handles"]),
+            "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
+                            for h in state["two_handles"]]}
 
 
 def state_summary(state: dict) -> dict:
@@ -207,11 +214,6 @@ class Move:
         """The digest of the target's word after the move: that of `<removed>` for a cancel."""
         return _REMOVED_DIGEST if self.after_word is None else word_digest(self.after_word)
 
-    def renamed(self, ids: dict[str, str]) -> "Move":
-        """The move with its handle ids mapped through `ids`."""
-        return Move(self.kind, ids[self.target], None if self.over is None else ids[self.over], self.letter,
-                    self.relator, self.shared_prefix, self.after_word, self.before_word)
-
     def to_json(self) -> dict:
         """The fields in `_MOVE_FIELDS` order, words as text; unset optional fields are left out."""
         out = {}
@@ -237,16 +239,16 @@ class MoveTrace:
     final: dict | None = None
 
     def to_json(self) -> dict:
-        """The file form: `schema`, then `_TRACE_FIELDS` in order, words as text.
+        """The file form: `schema`, then `_TRACE_FIELDS` in order, words as text; it shares no container with the trace.
 
         >>> from handlecalc import run_schedule
         >>> doc = run_schedule("twobridge:+,+", 1, "X1")[1].to_json()
         >>> doc["schema"], list(doc), list(doc["final"])  # doctest: +NORMALIZE_WHITESPACE
-        ('handlecalc/4', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
+        ('handlecalc/5', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
          ['surface', 'zero_handles', 'one_handles', 'two_handles'])
         """
         out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _TRACE_FIELDS}}
-        out["initial"] = self.initial_summary()
+        out["initial"] = dict(self.initial_summary())  # a read trace holds its summary as this very dict
         out["moves"] = [m.to_json() for m in self.moves]
         out["final"] = None if self.final is None else state_text(self.final)
         return out
@@ -264,6 +266,7 @@ class MoveTrace:
                            for k, m in enumerate(values["moves"])]
         final = values["final"] = _read("final", values["final"], _STATE_FIELDS)
         final["surface"] = _read("final surface", final["surface"], _SURFACE_FIELDS)
+        final["one_handles"] = list(final["one_handles"])  # the trace shares no container with `d`
         final["two_handles"] = [_read(f"final 2-handle {k}", h, _HANDLE_FIELDS)
                                 for k, h in enumerate(final["two_handles"])]
         return MoveTrace(**values)

@@ -25,8 +25,8 @@ from handlecalc.trace import state_text, word_state
 from handlecalc.verify import full_report
 
 GOLDEN = {
-    "twobridge": "048996ed6604920d6c268cd388fefea1f07f0db11d96d3dab67b92cc3a6e6e26",
-    "stallings": "19a6cc3edae37febb75d1b83845ada9f1f34cd925fbba0fcc82f7ed4b2985816",
+    "twobridge": "eeaf6c9367c32ab36d8c842ec673d50bd2b724dabfafb314f0f47004352cf329",
+    "stallings": "60a91610f914228fdb3574eee6dd1357d2abffe520b9285e20b81e25f6f1d5e4",
 }
 
 TWO_BRIDGE = [
@@ -37,8 +37,8 @@ TWO_BRIDGE = [
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
-    "twobridge": "2d96f4f8f764c04c042971ae2d01d76efae10254c6cec5b4589949d3b4491e03",
-    "stallings": "60166d49a2b767e0873f48b4e531b4f41a47763b62bbc9ecc36987eb7ac62aa4",
+    "twobridge": "9ad2b75cc30c40b03e474f7fe8b2cad6beecf5554f5a2c1c66e26805c7d726b4",
+    "stallings": "d41a6ff97ca54192453d345354586f862ff0cd99d1f42fdad3074558ed01ab13",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

@@ -143,7 +143,7 @@ _ORACLE_SPECS = [_signs(eps) for k in (1, 2) for eps in itertools.product((1, -1
 
 @pytest.mark.parametrize("spec", _ORACLE_SPECS)
 def test_derived_x2_equals_the_full_x2_run(spec):
-    # run_both renames X1's result; the full X2 schedule is the oracle.
+    # run_both rotates X1's result; the full X2 schedule is the oracle.
     for n in (1, 2, 3):
         res = run_both(spec, n)
         assert _final_bytes(res["X2"]) == _final_bytes(run_schedule(spec, n, "X2"))
@@ -151,15 +151,35 @@ def test_derived_x2_equals_the_full_x2_run(spec):
         assert not any(id(h) in x1_handles for h in res["X2"][0].two_handles)
 
 
-def test_derived_x2_renames_warning_ids(monkeypatch):
-    # Every cancel is weak, so each one listed for X2 names a renamed handle.
+def test_derived_x2_warnings_equal_x1s(monkeypatch):
+    # Every cancel is weak, and X2 lists each one as X1 does: the same ids.
     monkeypatch.setattr(trace_module, "is_isolated", lambda word, i: False)
     for spec, n in (("twobridge:+,-,+,+", 2), ("stallings:m=-2", 3)):
         res = run_both(spec, n)
         warnings = weak_cancellations(res["X2"][1].moves)
         assert len(warnings) == len(cancels(res["X2"][1])) > 0
-        assert all(" against x2-" in w for w in warnings)
+        assert warnings == weak_cancellations(res["X1"][1].moves)
         assert _final_bytes(res["X2"]) == _final_bytes(run_schedule(spec, n, "X2"))
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS)
+def test_x2_is_x1_rotated_under_the_same_ids(spec):
+    # X1 and X2 name a handle alike (`p<k>`, `w<k>` or `dF`), so X2's full
+    # schedule makes X1's moves, and the derived X2 keeps X1's 2-handles,
+    # listed in X2's start order.
+    for n in (1, 2, 3):
+        res = run_both(spec, n)
+        (_, trace1), (cx2, trace2) = res["X1"], res["X2"]
+        assert trace2.moves == run_schedule(spec, n, "X2")[1].moves == trace1.moves
+        start2 = [h["id"] for h in trace2.initial["two_handles"]]
+        final1 = {h["id"]: h for h in trace1.final["two_handles"]}
+        assert trace2.final["two_handles"] == [final1[hid] for hid in start2 if hid in final1]
+        assert [h.id for h in cx2.two_handles] == [hid for hid in start2 if hid in final1]
+        half = (len(start2) - 1) // 2
+        assert start2 == [f"w{k:02d}" for k in range(half)] + [f"p{k:02d}" for k in range(half)] + ["dF"]
+        ids = {h["id"] for h in trace1.initial["two_handles"]}
+        assert ids == set(start2)
+        assert {m.target for m in trace1.moves} | {m.over for m in trace1.moves if m.over} <= ids
 
 
 def test_derivation_rejects_an_x2_that_is_not_x1_rotated(monkeypatch):
@@ -170,30 +190,40 @@ def test_derivation_rejects_an_x2_that_is_not_x1_rotated(monkeypatch):
         return x1, replace(x2, factorization=f)
 
     monkeypatch.setattr(schedules, "build_pieces", swapped_pieces)
-    with pytest.raises(ScheduleError, match="renamed and rotated"):
+    with pytest.raises(ScheduleError, match="rotated, is not X2's"):
         run_both("twobridge:+,+", 1)
 
 
 @pytest.mark.parametrize(
-    "spec, n, relabel, start, message",
+    "spec, n, relabel, message",
     [
-        pytest.param("twobridge:+,-", 1, None, False, "is X1 of twobridge:[+],- at n=1", id="other-knot"),
-        pytest.param("twobridge:+,+", 2, None, False, "is X1 of twobridge:[+],[+] at n=2", id="other-n"),
+        pytest.param("twobridge:+,-", 1, None, "is X1 of twobridge:[+],- at n=1", id="other-knot"),
+        pytest.param("twobridge:+,+", 2, None, "is X1 of twobridge:[+],[+] at n=2", id="other-n"),
         # Relabelled, it passes the spec check; its initial state still differs.
-        pytest.param("twobridge:+,-", 1, "twobridge:+,+", False, "renamed and rotated", id="other-knot-relabelled"),
-        # X1's start complex with its finished trace.
-        pytest.param("twobridge:+,+", 1, None, True, "the given complex is not the final complex of its trace",
-                     id="start-complex"),
+        pytest.param("twobridge:+,-", 1, "twobridge:+,+", "rotated, is not X2's", id="other-knot-relabelled"),
     ],
 )
-def test_derivation_rejects_x1_of_another_run(spec, n, relabel, start, message):
-    cx, trace = run_schedule(spec, n, "X1")
+def test_derivation_rejects_x1_of_another_run(spec, n, relabel, message):
+    _, trace = run_schedule(spec, n, "X1")
     if relabel is not None:
         trace.knot = relabel
-    if start:
-        cx = complex_from_piece(build_pieces(parse_knot_spec(spec), n)[0])
     with pytest.raises(ScheduleError, match=message):
-        run_schedule("twobridge:+,+", 1, "X2", x1=(cx, trace))
+        run_schedule("twobridge:+,+", 1, "X2", x1=trace)
+
+
+def test_derivation_refuses_a_partial_x1_trace(monkeypatch):
+    # The partial trace of a failed X1 run has no final state to rotate.
+    def dead_letter(cx):
+        raise MoveError("handle p00 uses dead letters [1]")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(schedules.HandleComplex, "check_live_letters", dead_letter)
+        with pytest.raises(ScheduleError) as err:
+            run_schedule("twobridge:+,+", 1, "X1")
+    partial = err.value.trace
+    assert partial.final is None and partial.moves
+    with pytest.raises(ScheduleError, match="its trace is partial"):
+        run_schedule("twobridge:+,+", 1, "X2", x1=partial)
 
 
 @pytest.mark.parametrize("spec", ["twobridge:+,-", "twobridge:+,+,-,+", "stallings:m=-2", "stallings:m=3"])
@@ -207,7 +237,7 @@ def test_derived_x2_builds_one_complex(monkeypatch, spec):
 
     monkeypatch.setattr(schedules, "complex_from_piece", counting)
     for n in (1, 2, 3):
-        x1 = run_schedule(spec, n, "X1")
+        _, x1 = run_schedule(spec, n, "X1")
         built.clear()
         run_schedule(spec, n, "X2", x1=x1)
         assert built == ["X2"]
@@ -215,7 +245,7 @@ def test_derived_x2_builds_one_complex(monkeypatch, spec):
 
 def test_only_x2_is_derived():
     with pytest.raises(ValueError, match="only X2"):
-        run_schedule("twobridge:+,+", 1, "X1", x1=run_schedule("twobridge:+,+", 1, "X1"))
+        run_schedule("twobridge:+,+", 1, "X1", x1=run_schedule("twobridge:+,+", 1, "X1")[1])
 
 
 def test_schedule_completeness_sweep():
@@ -365,7 +395,7 @@ MALFORMED = [
     pytest.param(_without(f), f"required field '{f}'", id=f)
     for f in ("knot", "n", "piece", "initial", "moves", "final")
 ] + [
-    # A handlecalc/4 document states each fact once: the handlecalc/3 keys
+    # A trace document states each fact once: the handlecalc/3 keys
     # that repeated the final counts, the weak cancellations of the moves
     # or a ScheduleError's message are unknown fields, whatever they hold.
     pytest.param(_set("certificate", {"one_handles": 0, "two_handles": 5}),
@@ -382,7 +412,7 @@ MALFORMED = [
     pytest.param(_edit_move(letter="1"), "'letter' must be int", id="letter-not-int"),
     pytest.param(_edit_move(letter=True), "'letter' must be int", id="letter-bool"),
     pytest.param(_edit_move(target=2), "'target' must be str", id="target-not-string"),
-    pytest.param(_edit_move(over=["x1-04"]), "'over' must be str", id="over-not-string"),
+    pytest.param(_edit_move(over=["w00"]), "'over' must be str", id="over-not-string"),
     pytest.param(_set("n", "1"), "'n' must be int", id="n-not-int"),
     pytest.param(_set("comment", "ok"), "trace has unknown field\\(s\\) 'comment'", id="extra-top-level-key"),
     pytest.param(_edit_move(after="0" * 16), "move 0 has unknown field\\(s\\) 'after'", id="move-carries-after"),
@@ -463,7 +493,7 @@ def test_an_opaque_handle_round_trips_with_a_null_word():
 
 
 def test_replay_detects_tampering():
-    # A handlecalc/4 move records no digest: one that carries a `before`
+    # A move records no digest: one that carries a `before`
     # key, forged or not, is refused when the document is read.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     tampered = trace.to_json()
@@ -481,13 +511,13 @@ def _trefoil_x1():
 
 
 def _made_up_elimination():
-    # An eliminate on the untouched handle x1-02 through the made-up relator
+    # An eliminate on the untouched handle p02 through the made-up relator
     # a1 a0 a0, before any cancellation freed a1, with a final state that
     # the forged move list does reproduce.
     trace, doc, cx = _trefoil_x1()
-    h = cx.handle("x1-02")
+    h = cx.handle("p02")
     h.word = eliminate_letter(h.word, parse_word("a1 a0 a0"), 1)
-    doc["moves"].insert(0, {"kind": "eliminate", "target": "x1-02", "letter": 1, "relator": "a1 a0 a0",
+    doc["moves"].insert(0, {"kind": "eliminate", "target": "p02", "letter": 1, "relator": "a1 a0 a0",
                             "after_word": word_str(h.word)})
     for m in trace.moves:
         execute(cx, m.kind, m.target, m.over, m.letter)
@@ -541,7 +571,7 @@ def _tampered_after_word():
 
 def _slide_over_opaque():
     _, doc, _ = _trefoil_x1()
-    doc["moves"][0]["over"] = "x1-dF"
+    doc["moves"][0]["over"] = "dF"
     return doc
 
 
@@ -614,7 +644,7 @@ def _cut_before_last_cancel(spec, n):
         pytest.param(_relabelled_knot, "initial state", id="relabelled-knot"),
         pytest.param(_respelled_knot, "not written as the engine writes it", id="respelled-knot"),
         pytest.param(_tampered_after_word, "after_word", id="tampered-after-word"),
-        pytest.param(_slide_over_opaque, "opaque handle x1-dF", id="slide-over-opaque"),
+        pytest.param(_slide_over_opaque, "opaque handle dF", id="slide-over-opaque"),
         pytest.param(_slide_over_itself, "over itself", id="slide-over-itself"),
         pytest.param(_no_final_state, "final complex state", id="no-final-state"),
         pytest.param(_bad_knot_spec, "cannot rebuild", id="bad-knot-spec"),
@@ -790,12 +820,12 @@ def test_failed_slide_quotes_its_words_short_and_carries_the_whole():
 
 def test_failed_live_letter_check_is_schedule_error(monkeypatch):
     def dead_letter(cx):
-        raise MoveError("handle x1-00 uses dead letters [1]")
+        raise MoveError("handle p00 uses dead letters [1]")
 
     monkeypatch.setattr(schedules.HandleComplex, "check_live_letters", dead_letter)
     with pytest.raises(ScheduleError, match="dead letters") as err:
         run_schedule("twobridge:+,+", 1, "X1")
-    assert str(err.value) == "handle x1-00 uses dead letters [1]" and err.value.word is None
+    assert str(err.value) == "handle p00 uses dead letters [1]" and err.value.word is None
     assert err.value.trace.final is None and len(cancels(err.value.trace)) == 4
 
 
@@ -920,14 +950,24 @@ def _handlecalc_3_document(trace):
             "certificate": {"one_handles": 0, "two_handles": len(doc["final"]["two_handles"])}}
 
 
+def _handlecalc_4_document(trace):
+    # Handle ids per piece, by place in the piece: `x1-00`, ..., `x1-dF`.
+    ids = {h["id"]: f"x1-{k:02d}" for k, h in enumerate(trace.initial["two_handles"][:-1])} | {"dF": "x1-dF"}
+    doc = trace.to_json()
+    moves = [{**m, **{key: ids[m[key]] for key in ("target", "over") if key in m}} for m in doc["moves"]]
+    final = {**doc["final"], "two_handles": [{**h, "id": ids[h["id"]]} for h in doc["final"]["two_handles"]]}
+    return {**doc, "schema": "handlecalc/4", "moves": moves, "final": final}
+
+
 @pytest.mark.parametrize("old", [pytest.param(_handlecalc_1_document, id="handlecalc-1"),
                                  pytest.param(_handlecalc_2_document, id="handlecalc-2"),
-                                 pytest.param(_handlecalc_3_document, id="handlecalc-3")])
+                                 pytest.param(_handlecalc_3_document, id="handlecalc-3"),
+                                 pytest.param(_handlecalc_4_document, id="handlecalc-4")])
 def test_a_handlecalc_1_document_is_refused(old):
     # An older format is refused by name, never read as the current one.
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     doc = old(trace)
-    message = rf"unsupported trace schema '{doc['schema']}': this version reads 'handlecalc/4'"
+    message = rf"unsupported trace schema '{doc['schema']}': this version reads 'handlecalc/5'"
     with pytest.raises(MoveError, match=message):
         MoveTrace.from_json(doc)
 
@@ -943,6 +983,23 @@ def test_the_file_summarises_the_initial_state_and_leaves_out_after():
     assert parsed.initial == doc["initial"] and parsed.moves == trace.moves
     assert [m.after for m in parsed.moves] == [m.after for m in trace.moves]
     assert parsed.to_json() == doc
+
+
+def test_a_trace_shares_no_container_with_its_document():
+    # Changing the document `to_json` wrote, or the one `from_json` read,
+    # leaves the trace as it was, so the trace still replays.
+    _, trace = run_schedule("twobridge:+,+", 1, "X1")
+    written = trace.to_json()
+    written["final"]["surface"]["g"] = 9
+    written["final"]["one_handles"].append(1)
+    replay(trace)
+    read = trace.to_json()
+    parsed = MoveTrace.from_json(read)
+    read["final"]["surface"]["g"] = 9
+    read["final"]["one_handles"].append(1)
+    replay(parsed)
+    parsed.to_json()["initial"]["digest"] = "sha256:0"
+    replay(parsed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1004,12 +1061,11 @@ def test_every_slide_and_eliminate_earns_its_place(spec):
 
 def test_derivation_refuses_an_x1_trace_read_from_a_file():
     # A trace read back holds only a summary of X1's initial state, which the
-    # derivation cannot rename; it must say so rather than fail on a lookup.
-    cx, trace = run_schedule("twobridge:+,-", 2, "X1")
+    # derivation cannot rotate; it must say so rather than fail on a lookup.
+    _, trace = run_schedule("twobridge:+,-", 2, "X1")
     parsed = MoveTrace.from_json(json.loads(json.dumps(trace.to_json())))
-    for x1 in ((cx, parsed), (replay(parsed), parsed)):
-        with pytest.raises(ScheduleError, match="only a summary of the initial state"):
-            run_schedule("twobridge:+,-", 2, "X2", x1=x1)
+    with pytest.raises(ScheduleError, match="only a summary of the initial state"):
+        run_schedule("twobridge:+,-", 2, "X2", x1=parsed)
 
 
 def _unreachable(*args, **kwargs):
@@ -1107,7 +1163,7 @@ def test_every_single_field_forgery_is_refused(spec, n, piece, data):
     if path in paths:
         original = copy.deepcopy(parent[path[-1]])
         value = data.draw(st.sampled_from(_variants(original, data)))
-    else:  # absent: a handlecalc/4 trace holds none of them, whatever the value
+    else:  # absent: a trace holds none of them, whatever the value
         original = None
         value = data.draw(st.sampled_from([[], ["weak cancellation"], [""], {}, None,
                                            {"message": "x", "word": None}, {"one_handles": 0, "two_handles": 5}]))

@@ -144,7 +144,7 @@ def test_full_report_n3():
 def test_report_json_shape():
     report = full_report("twobridge:+,-", 2)
     payload = report.to_json()
-    assert payload["schema"] == "handlecalc/4"
+    assert payload["schema"] == "handlecalc/5"
     assert payload["passed"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in payload["checks"])
     # Values are JSON values, not their Python repr.
@@ -175,11 +175,11 @@ def test_failing_slide_is_a_failed_check(monkeypatch):
     assert not report.passed
     check = next(c for c in report.checks if c.name == "schedule completes")
     assert not check.passed
-    assert "cannot slide with opaque handle x1-04" in check.actual
+    assert "cannot slide with opaque handle w00" in check.actual
 
     with pytest.raises(ScheduleError) as err:
         run_schedule("twobridge:+,+", 1, "X1")
-    assert str(err.value) == "cannot slide with opaque handle x1-04"
+    assert str(err.value) == "cannot slide with opaque handle w00"
     assert err.value.word == err.value.trace.initial["two_handles"][0]["word"]
 
 
