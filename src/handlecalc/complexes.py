@@ -110,13 +110,12 @@ class TwoHandle:
     word as it was at removal.
     """
 
-    __slots__ = ("id", "origin", "phi_image", "framing", "_word", "_table", "_version")
+    __slots__ = ("id", "origin", "phi_image", "_word", "_table", "_version")
 
-    def __init__(self, id: str, origin: CurveId, phi_image: bool, word: Word | None, framing: str):
+    def __init__(self, id: str, origin: CurveId, phi_image: bool, word: Word | None):
         self.id = id
         self.origin = origin
         self.phi_image = phi_image
-        self.framing = framing
         self._word = word
         self._table: Eliminations | None = None
         self._version = 0
@@ -151,11 +150,11 @@ class HandleComplex:
     indexes in constant time.
     """
 
-    def __init__(self, surface: FiberSurface, one_handles: set[int], two_handles: list[TwoHandle],
-                 zero_handles: int = 1):
+    zero_handles = 1  # every complex has one 0-handle
+
+    def __init__(self, surface: FiberSurface, one_handles: set[int], two_handles: list[TwoHandle]):
         self.surface = surface
         self.one_handles = one_handles
-        self.zero_handles = zero_handles
         self.eliminations = Eliminations()
         self._by_id: dict[str, TwoHandle] = {}
         self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] = {}
@@ -213,13 +212,14 @@ def complex_from_piece(piece: LFPiece) -> HandleComplex:
     order, so a handle is named by its block and its place k mod |W| in it:
     `p07` is phi(W)'s cycle 7, `w07` is W's cycle 7 and `dF` is the fiber
     boundary.  X1 and X2 therefore hold the same ids, in rotated order.
+    `dF` is 0-framed and every other 2-handle is fiber-1 framed.
     """
     s = piece.factorization.fiber
     cycles = piece.factorization.cycles
     half = len(cycles) // 2
-    two = [TwoHandle(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word, vc.framing)
+    two = [TwoHandle(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word)
            for k, vc in enumerate(cycles)]
-    two.append(TwoHandle("dF", BOUNDARY, False, None, "0"))
+    two.append(TwoHandle("dF", BOUNDARY, False, None))
     return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
 
 

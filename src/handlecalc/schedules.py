@@ -168,7 +168,8 @@ def _derive_x2(spec: str, n: int, start2: HandleComplex, trace1: MoveTrace) -> t
     `finish` is not run again.  Raises ScheduleError if X1's trace is not
     of this knot, n and piece, if it was read from a file, which records
     only a summary of the initial state, if it is partial, or if X1's
-    initial state, rotated, is not X2's.
+    initial state, rotated, is not X2's.  That guard compares ids and words,
+    exactly what `execute` reads, so X2's result is then X1's rotated.
     """
 
     def mismatch(why: str) -> ScheduleError:
@@ -188,9 +189,8 @@ def _derive_x2(spec: str, n: int, start2: HandleComplex, trace1: MoveTrace) -> t
         raise mismatch("X1's initial state, rotated, is not X2's")
 
     words = {h["id"]: h["word"] for h in trace1.final["two_handles"]}
-    survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id], h.framing)
-                 for h in start2.two_handles if h.id in words]
-    cx = HandleComplex(start2.surface, set(trace1.final["one_handles"]), survivors, start2.zero_handles)
+    survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id]) for h in start2.two_handles if h.id in words]
+    cx = HandleComplex(start2.surface, set(trace1.final["one_handles"]), survivors)
     return cx, MoveTrace(spec, n, "X2", initial, list(trace1.moves), word_state(cx))
 
 

@@ -1,12 +1,13 @@
 """Replayable move traces, and the one move executor.
 
-Schema "handlecalc/5": a trace file holds the knot spec, the index n,
+Schema "handlecalc/6": a trace file holds the knot spec, the index n,
 the piece, a summary of the initial complex (the SHA-256 of its
 canonical JSON and its handle counts), the move list and the final
 state, and nothing else: each fact is stated once.  A 2-handle id names
 the handle's block and its place in it (`p07`, `w07`, `dF`; see
-`complex_from_piece`), so X1's and X2's traces name a handle alike;
-"handlecalc/4" named them per piece (`x1-07`, `x2-07`) and is refused.
+`complex_from_piece`), so X1's and X2's traces name a handle alike, and
+a state holds a 2-handle as its id and word alone: the knot and n
+rebuild its curve, block and framing.  Older schemas are refused.
 The initial complex is rebuilt from the knot spec; a move records no
 digest of the target's word before or after it, since replay re-derives
 both words from the moves before it; the handle counts are those of the
@@ -14,8 +15,8 @@ final state; and the weak cancellations are a query on the moves
 (`weak_cancellations`), not a field.  A failed schedule writes no trace:
 its `ScheduleError` carries the message, the word and the partial trace.
 
-A file holds six kinds of record (the trace, its initial summary, a
-move, the final state, its surface and its 2-handles), each declared
+A file holds five kinds of record (the trace, its initial summary, a
+move, the final state and its 2-handles), each declared
 once as a table of its fields, in the order they are written, with their
 JSON types.  One reader, `_read`, reads every record through its table,
 so a malformed document is refused with `MoveError` before replay,
@@ -67,7 +68,7 @@ from .factorization import build_pieces
 from .knots import parse_knot_spec
 from .words import Word, _shown, _shown_set, handle_occurrences, parse_word, reduce_word, word_str
 
-SCHEMA = "handlecalc/5"
+SCHEMA = "handlecalc/6"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -80,12 +81,11 @@ WORD = "word"
 #: they are written, with their JSON types.  A document is `schema`, then
 #: the trace fields; only the first two move fields are required.
 _TRACE_FIELDS = {"knot": str, "n": int, "piece": str, "initial": dict, "moves": list, "final": dict}
-_SUMMARY_FIELDS = {"digest": str, "zero_handles": int, "one_handles": int, "two_handles": int}
+_SUMMARY_FIELDS = {"digest": str, "one_handles": int, "two_handles": int}
 _MOVE_FIELDS = {"kind": str, "target": str, "over": str, "letter": int,
                 "relator": WORD, "shared_prefix": WORD, "after_word": WORD}
-_STATE_FIELDS = {"surface": dict, "zero_handles": int, "one_handles": list, "two_handles": list}
-_SURFACE_FIELDS = {"g": int, "n": int}
-_HANDLE_FIELDS = {"id": str, "origin": str, "phi": bool, "word": WORD, "framing": str}
+_STATE_FIELDS = {"one_handles": list, "two_handles": list}
+_HANDLE_FIELDS = {"id": str, "word": WORD}
 
 OPAQUE_TEXT = "<opaque>"
 REMOVED_TEXT = "<removed>"
@@ -113,18 +113,13 @@ def word_digest(w: Word | None) -> str:
 
 
 def word_state(cx: HandleComplex) -> dict:
-    """The complex's state with each 2-handle word a tuple (None if opaque): the form a trace holds.
+    """The form a trace holds: the live 1-handles, sorted, and each 2-handle's id and word (a tuple, None if opaque).
 
     Its keys are `_STATE_FIELDS` and `_HANDLE_FIELDS`, spelled out because every schedule run makes one.
     """
     return {
-        "surface": {"g": cx.surface.g, "n": cx.surface.n},
-        "zero_handles": cx.zero_handles,
         "one_handles": sorted(cx.one_handles),
-        "two_handles": [
-            {"id": h.id, "origin": str(h.origin), "phi": h.phi_image, "word": h.word, "framing": h.framing}
-            for h in cx.two_handles
-        ],
+        "two_handles": [{"id": h.id, "word": h.word} for h in cx.two_handles],
     }
 
 
@@ -133,8 +128,8 @@ def state_text(state: dict) -> dict:
 
     It shares no container with `state`, so a change to either leaves the other as it was.
     """
-    return {**state, "surface": dict(state["surface"]), "one_handles": list(state["one_handles"]),
-            "two_handles": [{**h, "word": None if h["word"] is None else word_str(h["word"])}
+    return {"one_handles": list(state["one_handles"]),
+            "two_handles": [{"id": h["id"], "word": None if h["word"] is None else word_str(h["word"])}
                             for h in state["two_handles"]]}
 
 
@@ -145,8 +140,7 @@ def state_summary(state: dict) -> dict:
     """
     canonical = json.dumps(state_text(state), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", state["zero_handles"],
-                                      len(state["one_handles"]), len(state["two_handles"]))))
+    return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", len(state["one_handles"]), len(state["two_handles"]))))
 
 
 def _read(where: str, record, fields: dict, required: int | None = None) -> dict:
@@ -244,8 +238,8 @@ class MoveTrace:
         >>> from handlecalc import run_schedule
         >>> doc = run_schedule("twobridge:+,+", 1, "X1")[1].to_json()
         >>> doc["schema"], list(doc), list(doc["final"])  # doctest: +NORMALIZE_WHITESPACE
-        ('handlecalc/5', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
-         ['surface', 'zero_handles', 'one_handles', 'two_handles'])
+        ('handlecalc/6', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
+         ['one_handles', 'two_handles'])
         """
         out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _TRACE_FIELDS}}
         out["initial"] = dict(self.initial_summary())  # a read trace holds its summary as this very dict
@@ -265,7 +259,6 @@ class MoveTrace:
         values["moves"] = [Move(**_read(f"move {k}", m, _MOVE_FIELDS, required=2))
                            for k, m in enumerate(values["moves"])]
         final = values["final"] = _read("final", values["final"], _STATE_FIELDS)
-        final["surface"] = _read("final surface", final["surface"], _SURFACE_FIELDS)
         final["one_handles"] = list(final["one_handles"])  # the trace shares no container with `d`
         final["two_handles"] = [_read(f"final 2-handle {k}", h, _HANDLE_FIELDS)
                                 for k, h in enumerate(final["two_handles"])]
@@ -289,8 +282,13 @@ def weak_cancellations(moves: list[Move]) -> list[str]:
     the freed relator rewrites every other word off the letter.  The isolated
     form the schedules aim for is tidier, not stronger.  This is the one
     query that lists them; it reads only each cancel's letter, target and
-    relator, so a trace read back gives the list its run would.
+    relator, so a trace read back gives the list its run would.  A cancel
+    read back without its letter or relator raises MoveError naming the move and the field.
     """
+    for k, m in enumerate(moves):
+        for name in ("letter", "relator") if m.kind == "cancel" else ():
+            if getattr(m, name) is None:
+                raise MoveError(f"move {k}: cancel on {m.target} lacks field {name!r}")
     return [
         f"weak cancellation of a{m.letter} against {m.target}: "
         f"word {word_str(m.relator)!r} is not over alpha_0/a{m.letter} alone"

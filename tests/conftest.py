@@ -18,8 +18,9 @@ def fresh_memos():
     A test that patches what fills them (the twists, `concat`, a knot's
     monodromy) or counts the builds takes this fixture, so that its builds
     run under the patch and leave nothing built under it to the tests
-    after it.
+    after it.  It yields the function that empties them, for a test that
+    needs them empty again between builds.
     """
     _clear_memos()
-    yield
+    yield _clear_memos
     _clear_memos()

@@ -116,7 +116,7 @@ def test_cancel_trace_file_replays(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "cancel", "twobridge:+,-", "--n", "2", "--trace", str(path))
     assert code == 0
     body = json.loads(path.read_text())
-    assert body["schema"] == "handlecalc/5"
+    assert body["schema"] == "handlecalc/6"
     assert len(body["traces"]) == 2
     for raw in body["traces"]:
         trace = MoveTrace.from_json(raw)

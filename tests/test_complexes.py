@@ -80,9 +80,9 @@ def test_is_isolated():
 def _tiny_complex():
     s = FiberSurface(1, 1)
     handles = [
-        TwoHandle("t0", CurveId("B", 1), False, parse_word("a0' a1"), "fiber-1"),
-        TwoHandle("t1", CurveId("B", 2), False, parse_word("a1 a2 a1"), "fiber-1"),
-        TwoHandle("t2", CurveId("c", 1), False, None, "fiber-1"),
+        TwoHandle("t0", CurveId("B", 1), False, parse_word("a0' a1")),
+        TwoHandle("t1", CurveId("B", 2), False, parse_word("a1 a2 a1")),
+        TwoHandle("t2", CurveId("c", 1), False, None),
     ]
     return HandleComplex(s, {1, 2, 3, 4}, handles)
 
@@ -101,9 +101,9 @@ def test_cancel_minimal():
 
 def test_cancels_compose_into_one_table():
     s = FiberSurface(1, 1)
-    u = TwoHandle("u", CurveId("B", 1), False, parse_word("a1 a2'"), "fiber-1")  # a1 = a2
-    v = TwoHandle("v", CurveId("B", 2), False, parse_word("a2 a0'"), "fiber-1")  # a2 = a0
-    w = TwoHandle("w", CurveId("B", 3), False, parse_word("a1 a3 a2'"), "fiber-1")
+    u = TwoHandle("u", CurveId("B", 1), False, parse_word("a1 a2'"))  # a1 = a2
+    v = TwoHandle("v", CurveId("B", 2), False, parse_word("a2 a0'"))  # a2 = a0
+    w = TwoHandle("w", CurveId("B", 3), False, parse_word("a1 a3 a2'"))
     cx = HandleComplex(s, {1, 2, 3, 4}, [u, v, w])
     cancel(cx, 1, "u")
     cancel(cx, 2, "v")
@@ -132,7 +132,7 @@ def test_cancels_compose_into_one_table():
     ],
 )
 def test_cancel_needs_one_cyclic_crossing(word, i, relator):
-    h = TwoHandle("t0", CurveId("B", 1), False, parse_word(word), "fiber-1")
+    h = TwoHandle("t0", CurveId("B", 1), False, parse_word(word))
     cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, [h])
     if relator is None:
         message = f"2-handle t0 (B1) word {word!r} does not cross a{i} exactly once"
@@ -174,7 +174,7 @@ def test_complex_from_piece_counts_and_boundary():
         assert euler_char(cx.counts().values()) == 6 * n
         boundary = cx.two_handles[-1]
         assert boundary.origin == CurveId("boundary") and boundary.word is None
-        assert boundary.framing == "0"
+        assert boundary.id == "dF"
         cx.check_live_letters()
         with pytest.raises(MoveError, match="no 2-handle for c9"):
             cx.find("c", 9, phi_image=False)
@@ -193,7 +193,7 @@ def test_remove_keeps_order_and_indexes(case):
     # removal order.  After each removal the survivors keep their order and
     # `handle`, `find`, the counts and the Euler characteristic agree with them.
     k, order, count = case
-    handles = [TwoHandle(f"t{j}", CurveId("B", j % 3), j % 2 == 0, (alpha(1),), "fiber-1") for j in range(k)]
+    handles = [TwoHandle(f"t{j}", CurveId("B", j % 3), j % 2 == 0, (alpha(1),)) for j in range(k)]
     cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, list(handles))
     removed = set()
     for j in order[:count]:

@@ -25,8 +25,8 @@ from handlecalc.trace import state_text, word_state
 from handlecalc.verify import full_report
 
 GOLDEN = {
-    "twobridge": "eeaf6c9367c32ab36d8c842ec673d50bd2b724dabfafb314f0f47004352cf329",
-    "stallings": "60a91610f914228fdb3574eee6dd1357d2abffe520b9285e20b81e25f6f1d5e4",
+    "twobridge": "21335aa9fc39ebd145c81984ff6804a4eadd24af3252e62dee918161caaf75ec",
+    "stallings": "1e82aa72300b234c3fc0ce6fbf9f50eab39ebb404b1efd13e22357f0b596e6ca",
 }
 
 TWO_BRIDGE = [
@@ -37,8 +37,8 @@ TWO_BRIDGE = [
 STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
-    "twobridge": "9ad2b75cc30c40b03e474f7fe8b2cad6beecf5554f5a2c1c66e26805c7d726b4",
-    "stallings": "d41a6ff97ca54192453d345354586f862ff0cd99d1f42fdad3074558ed01ab13",
+    "twobridge": "f5e3884a3b249c7b7c7266f878c99729a64aacd0a15b17b1f9984d93605601a8",
+    "stallings": "3a8d608545c0e93113e62e4e71103ec3b3be7db843542dc0be0d2c78aa345d01",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

@@ -236,24 +236,33 @@ def test_cyclic_reduce_of_conjugate_is_a_rotation(w, g):
     assert handle_letters(conjugated) == handle_letters(v)
 
 
-def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
-    """Every part the pipeline multiplies is freely reduced, as concat requires.
-
-    The memos start empty, so W and each monodromy table are built under the guard."""
+def _wrap_concat(monkeypatch, before):
+    """Bind every module's `concat` to one that calls `before(parts)` first; the engine's modules must be among them."""
     original = handlecalc.words.concat
 
-    def checked(*ws):
-        for w in ws:
-            if reduce_word(w) != w:
-                raise AssertionError(f"concat was handed the unreduced part {word_str(w)!r}")
+    def wrapped(*ws):
+        before(ws)
         return original(*ws)
 
     patched = set()
     for name, mod in list(sys.modules.items()):
         if name.startswith("handlecalc.") and getattr(mod, "concat", None) is original:
-            monkeypatch.setattr(mod, "concat", checked)
+            monkeypatch.setattr(mod, "concat", wrapped)
             patched.add(name.rpartition(".")[2])
     assert {"words", "complexes", "twists", "surfaces", "schedules"} <= patched
+
+
+def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
+    """Every part the pipeline multiplies is freely reduced, as concat requires.
+
+    The memos start empty, so W and each monodromy table are built under the guard."""
+
+    def check(ws):
+        for w in ws:
+            if reduce_word(w) != w:
+                raise AssertionError(f"concat was handed the unreduced part {word_str(w)!r}")
+
+    _wrap_concat(monkeypatch, check)
 
     genus_3 = ",".join(random.Random(3).choice("+-") for _ in range(6))
     specs = ["twobridge:+,+", "twobridge:+,-,+,+", f"twobridge:{genus_3}"]
@@ -263,3 +272,37 @@ def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
             for _, trace in run_both(spec, n).values():
                 replay(MoveTrace.from_json(json.loads(json.dumps(trace.to_json()))))
             assert full_report(spec, n).passed
+
+
+def test_letters_through_concat_grow_as_the_complexity_claims(monkeypatch, fresh_memos):
+    """Letters passed to `concat` by one `run_both`, every memo emptied first, on three ladders.
+
+    The heads take O(g^2) letters, and the rest is linear in n and in m:
+    each doubling of g may at most multiply the count by 4.2, and each
+    doubling of n or m by 2.1.  The ceilings bound growth only, so a
+    saving passes and a blow-up fails.
+    """
+    letters = 0
+
+    def tally(ws):
+        nonlocal letters
+        letters += sum(map(len, ws))
+
+    def count(spec, n):
+        nonlocal letters
+        fresh_memos()
+        letters = 0
+        run_both(spec, n)
+        return letters
+
+    _wrap_concat(monkeypatch, tally)
+
+    signs = [random.Random(11).choice("+-") for _ in range(64)]
+    ladders = {
+        "g": ([count("twobridge:" + ",".join(signs[:2 * g]), 1) for g in (8, 16, 32)], 4.2),
+        "n": ([count("twobridge:+,-,+,+,-,+,-,-", n) for n in (50, 100, 200)], 2.1),
+        "m": ([count(f"stallings:m={m}", 2) for m in (100, 200, 400)], 2.1),
+    }
+    for name, (counts, ceiling) in ladders.items():
+        ratios = [b / a for a, b in zip(counts, counts[1:])]
+        assert all(1 < r <= ceiling for r in ratios), f"{name} ladder {counts}: growth per doubling {ratios}"
