@@ -1,9 +1,12 @@
 """handlecalc: symbolic handle calculus for knot-surgery Lefschetz pieces.
 
 Builds the monodromy factorization of each Lefschetz piece of the
-knot-surgered elliptic surface, runs the handle-slide and cancellation
-schedules at the free-homotopy word level, and certifies the resulting
-decomposition with no 1- or 3-handles.
+knot-surgered elliptic surface, runs the paper's handle-slide and
+cancellation schedules at the free-homotopy word level, and checks the
+resulting decomposition with no 1- or 3-handles (`full_report`).  A
+trace file certifies less: a legal collapse of the rebuilt piece at the
+level of the fundamental group, by whatever moves it lists, not the
+paper's schedule (`replay`).
 """
 
 from .complexes import (

@@ -145,9 +145,10 @@ class HandleComplex:
     A schedule run owns its complex exclusively; distinct runs are
     independent.  Word values themselves stay immutable tuples.  The
     complex binds its 2-handles to its elimination table and indexes them
-    by id (in their given order) and by (origin, phi_image) at
-    construction; remove handles only through `remove`, which keeps both
-    indexes in constant time.
+    by id (in their given order) at construction, and by (origin,
+    phi_image) on the first `find`, which only the schedules call; remove
+    handles only through `remove`, which keeps both indexes in constant
+    time.
     """
 
     zero_handles = 1  # every complex has one 0-handle
@@ -157,11 +158,10 @@ class HandleComplex:
         self.one_handles = one_handles
         self.eliminations = Eliminations()
         self._by_id: dict[str, TwoHandle] = {}
-        self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] = {}
+        self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] | None = None
         for h in two_handles:
             h._table, h._version = self.eliminations, 0
             self._by_id[h.id] = h
-            self._by_origin.setdefault((h.origin, h.phi_image), []).append(h)
 
     @property
     def two_handles(self) -> list[TwoHandle]:
@@ -176,6 +176,10 @@ class HandleComplex:
 
     def find(self, family: str, index: int, phi_image: bool) -> TwoHandle:
         """First live 2-handle of the given origin."""
+        if self._by_origin is None:
+            self._by_origin = {}
+            for h in self._by_id.values():
+                self._by_origin.setdefault((h.origin, h.phi_image), []).append(h)
         matches = self._by_origin.get((CurveId(family, index), phi_image))
         if not matches:
             raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image})")
@@ -184,7 +188,8 @@ class HandleComplex:
     def remove(self, h: TwoHandle) -> None:
         """Drop a 2-handle from the complex; its word stays as it reads now."""
         del self._by_id[h.id]
-        self._by_origin[(h.origin, h.phi_image)].remove(h)  # the few handles of one origin
+        if self._by_origin is not None:
+            self._by_origin[(h.origin, h.phi_image)].remove(h)  # the few handles of one origin
         h._word, h._table = h.word, None
 
     def counts(self) -> dict[str, int]:
@@ -205,8 +210,8 @@ class HandleComplex:
                 raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {_shown_set(dead)}", word)
 
 
-def complex_from_piece(piece: LFPiece) -> HandleComplex:
-    """Initial complex: the factorization's 2-handles plus the fiber boundary handle.
+def start_handles(piece: LFPiece) -> list[tuple[str, CurveId, bool, Word | None]]:
+    """The piece's 2-handles as (id, origin, phi_image, word): the factorization's, then the fiber boundary.
 
     Every piece is the blocks phi(W) and W, one after the other, in either
     order, so a handle is named by its block and its place k mod |W| in it:
@@ -214,13 +219,18 @@ def complex_from_piece(piece: LFPiece) -> HandleComplex:
     boundary.  X1 and X2 therefore hold the same ids, in rotated order.
     `dF` is 0-framed and every other 2-handle is fiber-1 framed.
     """
-    s = piece.factorization.fiber
     cycles = piece.factorization.cycles
     half = len(cycles) // 2
-    two = [TwoHandle(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word)
-           for k, vc in enumerate(cycles)]
-    two.append(TwoHandle("dF", BOUNDARY, False, None))
-    return HandleComplex(s, set(range(1, s.num_handles + 1)), two)
+    handles = [(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word)
+               for k, vc in enumerate(cycles)]
+    handles.append(("dF", BOUNDARY, False, None))
+    return handles
+
+
+def complex_from_piece(piece: LFPiece) -> HandleComplex:
+    """Initial complex: every 1-handle live, and the 2-handles `start_handles` names."""
+    s = piece.factorization.fiber
+    return HandleComplex(s, set(range(1, s.num_handles + 1)), [TwoHandle(*h) for h in start_handles(piece)])
 
 
 def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> Word:
@@ -313,6 +323,7 @@ __all__ = [
     "Eliminations",
     "TwoHandle",
     "HandleComplex",
+    "start_handles",
     "complex_from_piece",
     "slide_words",
     "relator_solution",

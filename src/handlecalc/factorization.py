@@ -9,7 +9,7 @@ The rotation is load-bearing: a cyclic permutation of a positive
 factorization describes the same fibration, and `schedules.run_both`
 derives X2's result from X1's trace by rotation alone on the strength of
 it, since both pieces name a handle by its block and its place in it.
-Its guard rejects any X2 whose start complex is not X1's rotated by |W|,
+Its guard rejects any X2 whose start state is not X1's rotated by |W|,
 so changing either order here breaks `run_both`.
 
 Every B-image is spelled one way, for both knot families and every n:

@@ -35,27 +35,28 @@ other 1-handles besides its letter is a legal, weak cancellation;
 the side.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
-a handle's id names its block and its place in it (`complex_from_piece`),
+a handle's id names its block and its place in it (`start_handles`),
 and the schedule finds its handles by origin, not by position, so X2's
 run makes X1's moves, with the same ids, on X1's words.  `run_both`
 therefore runs X1's schedule once and derives X2's complex and trace from
-X1's trace by rotation alone (`_derive_x2`, the one place the rotation is
-stated).  A guard first requires the X1 trace to be of the same knot, n
-and piece X1, to be finished, and its initial state, rotated, to equal
-X2's start state; any mismatch raises ScheduleError.
-`run_schedule(knot, n, "X2")` without `x1`, and `replay`, still run the
-full X2 schedule, which the tests use as the oracle for the derivation.
+X1's trace by rotation alone (`_derive_x2`, through `trace.rotate_x1`, the
+one place the rotation is stated; `replay` rotates an accepted X1 replay
+through it too).  A guard first requires the X1 trace to be of the same
+knot, n and piece X1, to be finished, and its initial state, rotated, to
+equal X2's start state; any mismatch raises ScheduleError.
+`run_schedule(knot, n, "X2")` without `x1` still runs the full X2
+schedule, which the tests use as the oracle for the derivation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece
-from .factorization import build_pieces
+from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, start_handles
+from .factorization import LFPiece, build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import eta_word
-from .trace import MoveTrace, execute, finish, word_state
+from .trace import MoveTrace, complex_of_state, execute, finish, rotate_x1, word_state
 from .twists import ta3_power
 from .words import Word, _shown, _shown_set, alpha, concat
 
@@ -159,17 +160,19 @@ def _phase_c(run: _Run) -> None:
         run.move("cancel", target, letter=2 * g + i)
 
 
-def _derive_x2(spec: str, n: int, start2: HandleComplex, trace1: MoveTrace) -> tuple[HandleComplex, MoveTrace]:
+def _derive_x2(spec: str, n: int, piece2: LFPiece, trace1: MoveTrace) -> tuple[HandleComplex, MoveTrace]:
     """X2's final complex and trace from X1's finished trace, by rotation alone.
 
-    `start2` is X2's start complex: X1's handles rotated by |W|, the fiber
-    boundary handle last in both, under the same ids.  X2's moves are X1's
-    `Move` objects, and its survivors take X1's final words by id, so
-    `finish` is not run again.  Raises ScheduleError if X1's trace is not
-    of this knot, n and piece, if it was read from a file, which records
-    only a summary of the initial state, if it is partial, or if X1's
-    initial state, rotated, is not X2's.  That guard compares ids and words,
-    exactly what `execute` reads, so X2's result is then X1's rotated.
+    X2's start state is read off its piece (`start_handles`): X1's handles
+    rotated by |W|, the fiber boundary handle last in both, under the same
+    ids.  No start complex is built.  X2's moves are X1's `Move` objects,
+    which are frozen, and its one complex holds X1's survivors with their
+    final words, in the order `rotate_x1` gives, so `finish` is not run
+    again.  Raises ScheduleError if X1's trace is not of this knot, n and
+    piece, if it was read from a file, which records only a summary of the
+    initial state, if it is partial, or if X1's initial state, rotated, is
+    not X2's.  That guard compares ids and words, exactly what `execute`
+    reads, so X2's result is then X1's rotated.
     """
 
     def mismatch(why: str) -> ScheduleError:
@@ -182,15 +185,15 @@ def _derive_x2(spec: str, n: int, start2: HandleComplex, trace1: MoveTrace) -> t
                        "run X2's schedule instead")
     if trace1.final is None:
         raise mismatch("its trace is partial: it has no final state")
-    entries = trace1.initial["two_handles"]
-    half = (len(entries) - 1) // 2
-    initial = word_state(start2)
-    if {**trace1.initial, "two_handles": entries[half:-1] + entries[:half] + entries[-1:]} != initial:
+    s = piece2.factorization.fiber
+    handles = start_handles(piece2)
+    initial = {"one_handles": list(range(1, s.num_handles + 1)),
+               "two_handles": [{"id": hid, "word": word} for hid, _, _, word in handles]}
+    rotated, final = rotate_x1(trace1.initial, trace1.final)
+    if rotated != initial:
         raise mismatch("X1's initial state, rotated, is not X2's")
 
-    words = {h["id"]: h["word"] for h in trace1.final["two_handles"]}
-    survivors = [TwoHandle(h.id, h.origin, h.phi_image, words[h.id]) for h in start2.two_handles if h.id in words]
-    cx = HandleComplex(start2.surface, set(trace1.final["one_handles"]), survivors)
+    cx = complex_of_state(s, final, handles)
     return cx, MoveTrace(spec, n, "X2", initial, list(trace1.moves), word_state(cx))
 
 
@@ -222,9 +225,9 @@ def run_schedule(
         raise ValueError(f"only X2 is derived from X1, got piece {_shown(piece)}")
 
     piece1, piece2 = build_pieces(knot, n)
-    cx = complex_from_piece(piece1 if piece == "X1" else piece2)
     if x1 is not None:
-        return _derive_x2(knot.spec_str(), n, cx, x1)
+        return _derive_x2(knot.spec_str(), n, piece2, x1)
+    cx = complex_from_piece(piece1 if piece == "X1" else piece2)
     run = _Run(cx, knot.spec_str(), n, piece)
 
     if isinstance(knot, StallingsKnot):

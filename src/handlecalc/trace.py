@@ -5,7 +5,7 @@ the piece, a summary of the initial complex (the SHA-256 of its
 canonical JSON and its handle counts), the move list and the final
 state, and nothing else: each fact is stated once.  A 2-handle id names
 the handle's block and its place in it (`p07`, `w07`, `dF`; see
-`complex_from_piece`), so X1's and X2's traces name a handle alike, and
+`start_handles`), so X1's and X2's traces name a handle alike, and
 a state holds a 2-handle as its id and word alone: the knot and n
 rebuild its curve, block and framing.  Older schemas are refused.
 The initial complex is rebuilt from the knot spec; a move records no
@@ -47,25 +47,45 @@ compared as values, words as words, not as JSON text.  That is as strict,
 since the reader types every value of both (the final 1-handle list is
 typed only as a list, but `finish` requires it empty).  A weak
 cancellation (see `weak_cancellations`) replays like any other.
+
+X2 is replayed by rotation where it follows its X1.  On accepting an X1
+trace, replay keeps a one-slot record of it, as values only: the knot
+spec and n, the moves (a `Move` is frozen), X1's rebuilt start state in
+text form, and its final state.  Starting an X1 replay empties the
+record; nothing else fills it, not `run_schedule` nor `run_both`, so
+the checker never trusts the engine.  An X2 trace of
+that knot and n whose moves equal the record's, while `build_pieces`
+gives X2's cycles as X1's rotated by |W|, is checked without a move: the
+digest of X1's start text, rotated (`rotate_x1`), must be X2's recorded
+summary, and X1's survivors, in X2's order, its recorded `final`.  This is
+sound because `execute` reads only handle ids, words and live letters,
+and X2's start is X1's under the same ids in another order: the moves
+that re-derived on X1's rebuilt complex re-derive identically on its
+rotation, and `finish` passes on it as it did on X1.  So such an X2 trace
+is accepted, or refused with the same message, exactly as the full
+replay would; any other X2 trace gets the full replay.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import (
     HandleComplex,
     MoveError,
+    TwoHandle,
     cancel,
     complex_from_piece,
     eliminate_letter,
     is_isolated,
     slide_words,
+    start_handles,
 )
-from .factorization import build_pieces
+from .factorization import LFPiece, build_pieces
 from .knots import parse_knot_spec
+from .surfaces import FiberSurface
 from .words import Word, _shown, _shown_set, handle_occurrences, parse_word, reduce_word, word_str
 
 SCHEMA = "handlecalc/6"
@@ -134,13 +154,40 @@ def state_text(state: dict) -> dict:
 
 
 def state_summary(state: dict) -> dict:
-    """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts.
+    """A word state as a trace file records its initial one: SHA-256 digest of its text form, and counts."""
+    return _text_summary(state_text(state))
 
-    The text form is digested as sorted-key JSON without spaces.
-    """
-    canonical = json.dumps(state_text(state), sort_keys=True, separators=(",", ":"))
+
+def _text_summary(text: dict) -> dict:
+    """The summary of a word state's text form, digested as sorted-key JSON without spaces."""
+    canonical = json.dumps(text, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", len(state["one_handles"]), len(state["two_handles"]))))
+    return dict(zip(_SUMMARY_FIELDS, (f"sha256:{digest}", len(text["one_handles"]), len(text["two_handles"]))))
+
+
+def rotate_x1(initial: dict, final: dict) -> tuple[dict, dict]:
+    """X2's initial and final states from X1's: the one statement of the rotation by |W|.
+
+    X2's factorization is X1's rotated by |W| and a handle's id names its
+    block and its place in it, so X2 starts with X1's 2-handles rotated by
+    |W|, the fiber boundary `dF` last in both, under the same ids; making
+    X1's moves, it keeps X1's survivors with their final words, in that
+    order.  Either state may be a word state or its text form; the states
+    returned share their 2-handle entries with the ones given.
+    """
+    entries = initial["two_handles"]
+    half = (len(entries) - 1) // 2
+    start = entries[half:-1] + entries[:half] + entries[-1:]
+    survivors = {h["id"]: h for h in final["two_handles"]}
+    kept = [survivors[h["id"]] for h in start if h["id"] in survivors]
+    return {**initial, "two_handles": start}, {**final, "two_handles": kept}
+
+
+def complex_of_state(surface: FiberSurface, state: dict, handles: list) -> HandleComplex:
+    """A new complex that holds a word state, each 2-handle with the origin of its id among a piece's `start_handles`."""
+    labels = {hid: (origin, phi) for hid, origin, phi, _ in handles}
+    survivors = [TwoHandle(h["id"], *labels[h["id"]], h["word"]) for h in state["two_handles"]]
+    return HandleComplex(surface, set(state["one_handles"]), survivors)
 
 
 def _read(where: str, record, fields: dict, required: int | None = None) -> dict:
@@ -179,9 +226,9 @@ def _read(where: str, record, fields: dict, required: int | None = None) -> dict
     return values
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Move:
-    """One replayable move, its words held as tuples.
+    """One replayable move, its words held as tuples; frozen, so a move cannot change once made or read.
 
     `relator`, `shared_prefix` and `after_word` are words, or None where
     the move has none.  Two moves are equal when every field a file
@@ -365,6 +412,48 @@ def execute(
     return Move(kind, target, over, letter, helper.word, before_word=before, after_word=h.word)
 
 
+@dataclass(frozen=True, slots=True)
+class _AcceptedX1:
+    """The X1 replay last accepted, as values that nothing else holds.
+
+    `start` is X1's rebuilt start state in text form and `final` its final
+    word state.
+    """
+
+    knot: str
+    n: int
+    moves: tuple[Move, ...]
+    start: dict
+    final: dict
+
+
+#: The one-slot record: only `replay` fills it, on accepting an X1 trace, and it empties it on starting one.
+_accepted_x1: _AcceptedX1 | None = None
+
+
+def _is_rotation(x1: LFPiece, x2: LFPiece) -> bool:
+    """Whether X2's factorization is X1's rotated by |W|, on the same fiber."""
+    f = x1.factorization
+    half = len(f.cycles) // 2
+    return x2.factorization == replace(f, cycles=f.cycles[half:] + f.cycles[:half])
+
+
+def _rederive(cx: HandleComplex, trace: MoveTrace) -> dict:
+    """Re-derive the trace's moves on `cx`, each to equal its record, and return the state `finish` gives."""
+    for k, move in enumerate(trace.moves):
+        try:
+            got = execute(cx, move.kind, move.target, move.over, move.letter, move.shared_prefix)
+        except MoveError as err:
+            raise ReplayError(f"move {k}: {err}") from err
+        if got != move:
+            wrong = ", ".join(name for name in _MOVE_FIELDS if getattr(got, name) != getattr(move, name))
+            raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
+    try:
+        return finish(cx, trace.n)
+    except MoveError as err:
+        raise ReplayError(f"the moves do not finish {trace.piece}: {err}") from err
+
+
 def replay(trace: MoveTrace) -> HandleComplex:
     """Rebuild the trace's piece from its knot spec and re-derive every move.
 
@@ -375,9 +464,17 @@ def replay(trace: MoveTrace) -> HandleComplex:
     must finish the piece, and the final state must be the one `finish`
     returns.  Weak cancellations replay like any other.  Any mismatch, or
     a move the executor rejects, raises ReplayError.
+
+    An X2 trace of the knot and n of the X1 replay just accepted, with
+    that replay's moves, is checked against that replay rotated, and no
+    move is made again (see the module docstring).  It is accepted or
+    refused, with the same message, exactly as the full replay would.
     """
+    global _accepted_x1
     if trace.piece not in ("X1", "X2"):
         raise ReplayError(f"unknown piece {_shown(trace.piece)}")
+    if trace.piece == "X1":
+        _accepted_x1 = None
     try:
         knot = parse_knot_spec(trace.knot)
         x1, x2 = build_pieces(knot, trace.n)
@@ -387,23 +484,24 @@ def replay(trace: MoveTrace) -> HandleComplex:
     spec = knot.spec_str()
     if spec != trace.knot:
         raise ReplayError(f"knot spec {_shown(trace.knot)} is not written as the engine writes it, {_shown(spec)}")
-    cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
-    if state_summary(word_state(cx)) != trace.initial_summary():
+    record = _accepted_x1  # None for an X1 trace, which emptied it
+    rotated = (record is not None and (record.knot, record.n) == (spec, trace.n)
+               and record.moves == tuple(trace.moves) and _is_rotation(x1, x2))
+    if rotated:
+        start, final = rotate_x1(record.start, record.final)
+    else:
+        cx = complex_from_piece(x1 if trace.piece == "X1" else x2)
+        start = state_text(word_state(cx))
+    if _text_summary(start) != trace.initial_summary():
         raise ReplayError(f"initial state is not that of {trace.piece} of {_shown(spec)} at n={trace.n}")
-    for k, move in enumerate(trace.moves):
-        try:
-            got = execute(cx, move.kind, move.target, move.over, move.letter, move.shared_prefix)
-        except MoveError as err:
-            raise ReplayError(f"move {k}: {err}") from err
-        if got != move:
-            wrong = ", ".join(name for name in _MOVE_FIELDS if getattr(got, name) != getattr(move, name))
-            raise ReplayError(f"move {k}: {move.kind} on {move.target} does not reproduce its {wrong}")
-    try:
-        final = finish(cx, trace.n)
-    except MoveError as err:
-        raise ReplayError(f"the moves do not finish {trace.piece}: {err}") from err
+    if rotated:
+        cx = complex_of_state(x2.factorization.fiber, final, start_handles(x2))
+    else:
+        final = _rederive(cx, trace)
     if final != trace.final:
         raise ReplayError("final complex state mismatch")
+    if trace.piece == "X1":
+        _accepted_x1 = _AcceptedX1(spec, trace.n, tuple(trace.moves), start, final)
     return cx
 
 

@@ -232,19 +232,22 @@ def test_derivation_refuses_a_partial_x1_trace(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["twobridge:+,-", "twobridge:+,+,-,+", "stallings:m=-2", "stallings:m=3"])
 def test_derived_x2_builds_one_complex(monkeypatch, spec):
-    # The derivation builds X2's start complex only; X1's comes from its trace.
+    # The derivation builds no start complex: X1's comes from its trace and
+    # X2's state from its piece.  Its one complex is the result.
     built = []
 
-    def counting(piece):
-        built.append(piece.which)
-        return complex_from_piece(piece)
+    class Counting(trace_module.HandleComplex):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
 
-    monkeypatch.setattr(schedules, "complex_from_piece", counting)
+    x1 = {n: run_schedule(spec, n, "X1")[1] for n in (1, 2, 3)}
+    monkeypatch.setattr(schedules, "complex_from_piece", lambda piece: built.append(piece.which))
+    monkeypatch.setattr(trace_module, "HandleComplex", Counting)
     for n in (1, 2, 3):
-        _, x1 = run_schedule(spec, n, "X1")
         built.clear()
-        run_schedule(spec, n, "X2", x1=x1)
-        assert built == ["X2"]
+        cx, _ = run_schedule(spec, n, "X2", x1=x1[n])
+        assert built == [cx]
 
 
 def test_only_x2_is_derived():
