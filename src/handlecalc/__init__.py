@@ -48,7 +48,6 @@ from .surfaces import (
     tilde_alpha_word,
 )
 from .trace import MoveTrace, ReplayError, replay
-from .twists import stallings_rules
 from .verify import VerificationReport, check_piece_table, euler_char, full_report
 from .words import (
     Word,

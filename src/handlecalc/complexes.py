@@ -2,9 +2,9 @@
 
 A complex is one 0-handle, a live set of 1-handles, and the 2-handles
 with their attaching words.  Opaque 2-handles (unknown attaching word:
-the n = 1 chain handle, Stallings phi-images of chain handles, and the
-fiber boundary handle) are carried through untouched and are never used
-as cancellation helpers.
+the n = 1 chain handle c1 and its image phi(c1), and the fiber boundary
+handle dF) are carried through untouched and are never used as
+cancellation helpers.
 
 Moves:
   * slide       -- multiply the target word by the inverse of the word it

@@ -12,16 +12,17 @@ it, since both pieces name a handle by its block and its place in it.
 Its guard rejects any X2 whose start state is not X1's rotated by |W|,
 so changing either order here breaks `run_both`.
 
-Every B-image is spelled one way, for both knot families and every n:
-`phi_b_word(i, head, s)` with `head` the image of beta_i.  The twists fix
-the closing arcs, so this is the image of the whole curve.  The heads are
-computed once per knot: the Stallings heads for K_m, and
-`twists.beta_images` of the compiled table for a two-bridge knot.  Every
-image in that table is a palindrome, so the table commutes with reversing
-a word; as beta_i is alpha_0^-1 U_i rho(U_{i-1}) alpha_0^-1 with U_i a
-prefix of one alternating word, all 2g + 1 heads come from one running
-prefix product instead of one substitution of each beta_i.  The c-images
-still go through `CompiledMonodromy.apply`.
+Both knot families apply their monodromy one way: `knot.piece_twists()`
+compiled into one table (`twists.compile_monodromy`), with no branch on
+the family.  Every B-image is spelled `phi_b_word(i, head, s)` with
+`head` the image of beta_i, for every n.  The twists fix the closing
+arcs, so this is the image of the whole curve.  The heads are the
+table's `twists.beta_images`, computed once per knot: for a two-bridge
+knot every image in the table is a palindrome, so all 2g + 1 heads come
+from one running prefix product; K_m's table is not palindromic, and its
+five beta_i are substituted.  The c-images go through
+`CompiledMonodromy.apply`, so the only opaque cycles are n = 1's c1 and
+phi(c1).
 
 Three memos, each of pure and immutable values, so that nothing is
 built twice: W once per surface (`build_W` keeps the last 16), the
@@ -38,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .knots import Knot, StallingsKnot
+from .knots import Knot
 from .surfaces import CurveId, FiberSurface, b_word, c_word, phi_b_word
-from .twists import CompiledMonodromy, beta_images, compile_monodromy, stallings_rules
+from .twists import CompiledMonodromy, beta_images, compile_monodromy
 from .words import Word, word_str
 
 FRAMING = "fiber-1"
@@ -103,32 +104,28 @@ def build_W(s: FiberSurface) -> Factorization:
     return Factorization(tuple(cycles), s)
 
 
-def _phi_cycle(
-    vc: VanishingCycle, phi: CompiledMonodromy | None, heads: tuple[Word, ...], s: FiberSurface
-) -> VanishingCycle:
+def _phi_cycle(vc: VanishingCycle, phi: CompiledMonodromy, heads: tuple[Word, ...], s: FiberSurface) -> VanishingCycle:
     if vc.curve.family == "B":
         # At n >= 2 the stored spelling is basepoint-rotated, so the letter
         # rules would not be the twist action on it; map the beta part only.
         i = vc.curve.index
         return VanishingCycle(vc.curve, phi_b_word(i, heads[i], s), True, vc.framing)
-    if vc.word is None or phi is None:
-        # No letterwise rules for t_{b2}; Stallings c-images stay opaque.
+    if vc.word is None:
+        # The n = 1 curve c_1 has no word, so neither has its image.
         return VanishingCycle(vc.curve, None, True, vc.framing)
     return VanishingCycle(vc.curve, phi.apply(vc.word), True, vc.framing)
 
 
 @lru_cache(maxsize=4)
-def _monodromy_images(knot: Knot) -> tuple[CompiledMonodromy | None, tuple[Word, ...]]:
+def _monodromy_images(knot: Knot) -> tuple[CompiledMonodromy, tuple[Word, ...]]:
     """The knot's piece monodromy as (table, images of beta_0..beta_{2g}).
 
-    For a two-bridge knot the table is compiled at FiberSurface(g, 1) and
-    the heads are its `beta_images`; K_m has no letterwise table and its
-    heads are `stallings_rules(m)`.  Neither depends on n.  Kept for the
-    last 4 knots, keyed by the knot's value: a two-bridge knot of genus
-    MAX_GENUS holds up to about 10 MB, K_m at |m| = MAX_TWISTS about 0.7 MB.
+    The table is `knot.piece_twists()` compiled at FiberSurface(g, 1), for
+    both knot families, and the heads are its `beta_images`.  Neither
+    depends on n.  Kept for the last 4 knots, keyed by the knot's value: a
+    two-bridge knot of genus MAX_GENUS holds up to about 10 MB, K_m at
+    |m| = MAX_TWISTS about 2.3 MB (measured with tracemalloc).
     """
-    if isinstance(knot, StallingsKnot):
-        return None, stallings_rules(knot.m)
     table = compile_monodromy(knot.piece_twists(), FiberSurface(knot.genus, 1))
     return table, beta_images(table)
 
@@ -141,12 +138,11 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     the knot's value, and the same frozen pair is handed to every caller.
     A two-bridge build at g = MAX_GENUS and n = MAX_INDEX holds about 5 MB
     besides the W it shares (measured with tracemalloc), a K_m build at
-    |m| = MAX_TWISTS and n = MAX_INDEX about 1.2 MB.
+    |m| = MAX_TWISTS and n = MAX_INDEX about 1.7 MB.
     W is built once per surface and the monodromy images once per knot
     (`build_W`, `_monodromy_images`), and shared by every cycle: the
-    images of beta_0..beta_{2g} (the Stallings heads, or `beta_images` of
-    the compiled two-bridge table) and, for a two-bridge knot, the
-    compiled table that maps the c-curves, read at this surface.
+    images of beta_0..beta_{2g} (`beta_images` of the compiled table) and
+    the table itself, which maps the c-curves, read at this surface.
     A non-fibered knot (`TwoBridgeKnot.genus`) and n < 1 (`FiberSurface`)
     raise ValueError.
     """
@@ -154,7 +150,7 @@ def build_pieces(knot: Knot, n: int) -> tuple[LFPiece, LFPiece]:
     base = build_W(s)
     table, heads = _monodromy_images(knot)
     # `apply` checks a word against the alphabet at n, wider than the table's.
-    phi = None if table is None else CompiledMonodromy(table.images, s)
+    phi = CompiledMonodromy(table.images, s)
     phi_block = tuple(_phi_cycle(vc, phi, heads, s) for vc in base.cycles)
     x1 = Factorization(phi_block + base.cycles, s)
     x2 = Factorization(base.cycles + phi_block, s)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .surfaces import MAX_GENUS
-from .words import _shown
+from .surfaces import MAX_GENUS, b2_curve, chain_curve
+from .words import Word, _shown
 
 
 #: The largest |m| of a Stallings knot K_m, so that a knot spec or a trace
@@ -189,22 +189,23 @@ class TwoBridgeKnot:
     def fraction(self) -> KnotFraction:
         return continued_fraction(self.conway)
 
-    def piece_twists(self) -> tuple[tuple[int, int], ...]:
-        """The pieces' monodromy as chain twists (j, eps_j), t_{a_2g} applied first.
+    def piece_twists(self) -> tuple[tuple[Word, int], ...]:
+        """The pieces' monodromy as chain twists (a_j, eps_j), t_{a_2g} applied first.
 
         The fibration monodromy has the same twists in the opposite order,
         t_{a_1} first.  In this order the image of alpha_i is a word over
         alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.
         """
         eps = self._fibered_eps()
-        return tuple((j, eps[j - 1]) for j in range(len(eps), 0, -1))
+        return tuple((chain_curve(j), eps[j - 1]) for j in range(len(eps), 0, -1))
 
     def monodromy_str(self) -> str:
         """The fibration monodromy in composition notation, rightmost twist applied first.
 
         t_{a_1} acts first and so is written last: the piece twists' order.
         """
-        return " ".join(f"t_a{j}" if e == 1 else f"t_a{j}^-1" for j, e in self.piece_twists())
+        eps = self._fibered_eps()
+        return " ".join(f"t_a{j}" if eps[j - 1] == 1 else f"t_a{j}^-1" for j in range(len(eps), 0, -1))
 
     def spec_str(self) -> str:
         if self.eps is not None:
@@ -233,6 +234,14 @@ class StallingsKnot:
     @property
     def is_fibered(self) -> bool:
         return True
+
+    def piece_twists(self) -> tuple[tuple[Word, int], ...]:
+        """phi_m = t_{a3}^m t_{a4} t_{b2} t_{a2}^-1 t_{a1}^-1 as twists, t_{a1}^-1 applied first.
+
+        m enters only as the exponent of (a3, m), so its images cost O(|m|) letters.
+        """
+        return ((chain_curve(1), -1), (chain_curve(2), -1), (b2_curve(), 1), (chain_curve(4), 1),
+                (chain_curve(3), self.m))
 
     def monodromy_str(self) -> str:
         """phi_m = t_{a3}^m t_{a4} t_{b2} t_{a2}^-1 t_{a1}^-1, t_{a1}^-1 applied first."""

@@ -55,9 +55,9 @@ from dataclasses import dataclass
 from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, start_handles
 from .factorization import LFPiece, build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
-from .surfaces import eta_word
+from .surfaces import chain_curve, eta_word
 from .trace import MoveTrace, complex_of_state, execute, finish, rotate_x1, word_state
-from .twists import ta3_power
+from .twists import twist_images
 from .words import Word, _shown, _shown_set, alpha, concat
 
 
@@ -121,7 +121,8 @@ def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
     # H_2 (conjugated by alpha_0 when n >= 2); the double slides run along
     # that subpath, not along a common suffix.
     conj = () if s.n == 1 else (alpha(0),)
-    prefix = concat(conj, eta_word(), ta3_power((alpha(3),), knot.m, s))
+    t_a3 = dict(twist_images(chain_curve(3), knot.m))  # the piece twist (a3, m)
+    prefix = concat(conj, eta_word(), t_a3[alpha(3)])
     run.move("slide", h1, h2, shared_prefix=prefix)  # the H_{1,2} double slide
     run.move("slide", h3, h2, shared_prefix=prefix)  # the H_{3,2} double slide
 

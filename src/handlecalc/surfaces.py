@@ -4,7 +4,11 @@ The fiber of the genus 2g+n-1 Lefschetz fibration carries one 0-handle and
 N = 4g+2n-2 one-handles with cores alpha_1..alpha_N; alpha_0 is the
 connector arc through the 0-handle and alpha-tilde the boundary arc used
 when n = 1.  This module produces the canonical words for the reference
-paths beta_i, eta, alpha-tilde and the vanishing-cycle curves B_i, c_i.
+paths beta_i, eta, alpha-tilde and the vanishing-cycle curves B_i, c_i,
+and names the twist curves the monodromies are written in: the chain
+curves a_j and the Stallings curve b2, each crossing every arc it meets
+once.  The only curves without a word are c_1 at n = 1 (and so its
+monodromy image) and the fiber boundary dF.
 
 Two spelling conventions coexist on purpose.  For n = 1 every B_i word
 starts with alpha_0^-1 (the beta-path convention); for n >= 2 the B_i
@@ -186,6 +190,26 @@ def eta_word() -> Word:
     return (alpha(0, -1), alpha(1), alpha(2, -1), alpha(3), alpha(4, -1))
 
 
+def chain_curve(j: int) -> Word:
+    """The chain curve a_j = alpha_j^-1 alpha_{j-1}, j >= 1.
+
+    It crosses the arcs alpha_{j-1} and alpha_j once each.
+
+    >>> from .words import word_str
+    >>> word_str(chain_curve(3))
+    "a3' a2"
+    """
+    return (alpha(j, -1), alpha(j - 1))
+
+
+def b2_curve() -> Word:
+    """The genus-2 curve b2 = alpha_3^-1 alpha_2 alpha_1^-1 alpha_0 of the Stallings twist.
+
+    It crosses alpha_0..alpha_3 once each.
+    """
+    return (alpha(3, -1), alpha(2), alpha(1, -1), alpha(0))
+
+
 def validate_word(w: Word, s: FiberSurface) -> None:
     """Reject letters outside this surface's alphabet.
 
@@ -216,5 +240,7 @@ __all__ = [
     "phi_b_word",
     "c_word",
     "eta_word",
+    "chain_curve",
+    "b2_curve",
     "validate_word",
 ]

@@ -92,6 +92,15 @@ def test_factorize_text(capsys):
     assert "<opaque>" in out
 
 
+def test_factorize_prints_the_phi_c_words_of_k_m(capsys):
+    # The K_m table maps the c-curves too: at n = 2 no image is opaque.
+    code, out, _ = run_cli(capsys, "factorize", "stallings:m=3", "--n", "2")
+    assert code == 0
+    assert "<opaque>" not in out
+    assert out.count("phi(c1)  [fiber-1]  a9 a0' a1 a2' a3 a4' a3 a2'\n") == 4  # both pieces
+    assert "phi(c3)  [fiber-1]  a4' a3 a2' a1 a0' a2 a3' a4 a3' a2 a1' a0 a9' a4 a3' a2 a1' a0\n" in out
+
+
 def test_cancel_single(capsys):
     code, out, _ = run_cli(capsys, "cancel", "twobridge:+,+", "--n", "1")
     assert code == 0

@@ -110,12 +110,11 @@ def test_stallings_piece_opacity():
     x1, _ = build_pieces(StallingsKnot(1), 1)
     opaque = [vc.label() for vc in x1.factorization.cycles if vc.word is None]
     assert opaque == ["phi(c1)", "c1"]
-    x1, _ = build_pieces(StallingsKnot(1), 2)
-    # phi images of every chain handle stay opaque (no letterwise t_{b2} rule).
-    assert all(
-        (vc.word is None) == (vc.phi_image and vc.curve.family == "c")
-        for vc in x1.factorization.cycles
-    )
+    # At n >= 2 every c_i has a word, and so has its image under phi_m.
+    for m in (-3, 0, 1, 7):
+        for n in (2, 3):
+            x1, _ = build_pieces(StallingsKnot(m), n)
+            assert all(vc.word is not None for vc in x1.factorization.cycles), (m, n)
 
 
 def test_conjugating_x1_by_inverse_gives_w_phi_inverse_w():

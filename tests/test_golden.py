@@ -26,7 +26,7 @@ from handlecalc.verify import full_report
 
 GOLDEN = {
     "twobridge": "21335aa9fc39ebd145c81984ff6804a4eadd24af3252e62dee918161caaf75ec",
-    "stallings": "1e82aa72300b234c3fc0ce6fbf9f50eab39ebb404b1efd13e22357f0b596e6ca",
+    "stallings": "3a7c797acf7bc61ae031b06ed5afe63573f217083488b52914ba52304e3ec012",
 }
 
 TWO_BRIDGE = [
@@ -38,7 +38,7 @@ STALLINGS = [f"stallings:m={m}" for m in (*range(-3, 4), -60, 120)]
 
 LONG_WORDS_GOLDEN = {
     "twobridge": "f5e3884a3b249c7b7c7266f878c99729a64aacd0a15b17b1f9984d93605601a8",
-    "stallings": "3a8d608545c0e93113e62e4e71103ec3b3be7db843542dc0be0d2c78aa345d01",
+    "stallings": "233d12cd690c466bd6c303098ef7ab007eed7261b547f6cf0936b05f74b651a0",
 }
 LONG_WORDS = [("twobridge:+,-,+,+,-,+,-,-,+,-,+,-,+,+,-,-", 3), ("stallings:m=-90", 2)]
 

@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from handlecalc import trace as trace_module
-from handlecalc.complexes import complex_from_piece, is_isolated
+from handlecalc.complexes import complex_from_piece, is_isolated, start_handles
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
 from handlecalc.schedules import run_both, run_schedule
@@ -23,6 +23,7 @@ from handlecalc.trace import (
     execute,
     finish,
     replay,
+    state_summary,
     weak_cancellations,
     word_state,
 )
@@ -173,6 +174,26 @@ def test_x2_is_rotated_only_where_the_pieces_are(monkeypatch):
     replay(MoveTrace.from_json(doc1))
     with pytest.raises(ReplayError, match="initial state is not that of X2"):
         replay(MoveTrace.from_json(doc2))
+
+
+def test_replay_refuses_a_km_document_whose_phi_c_words_are_null():
+    # Before K_m had a compiled table its phi(c) handles at n >= 2 were
+    # opaque.  Such a document makes the same moves, but its initial digest
+    # is taken over a start state with those words null, which is not the
+    # state the rebuilt piece starts from.
+    spec = "stallings:m=3"
+    x1, _ = build_pieces(parse_knot_spec(spec), 2)
+    phi_c = {hid for hid, curve, phi_image, _ in start_handles(x1) if phi_image and curve.family == "c"}
+    assert len(phi_c) == 5
+    start = word_state(complex_from_piece(x1))
+    for h in start["two_handles"]:
+        h["word"] = None if h["id"] in phi_c else h["word"]
+    doc = _documents(spec, 2)[0]
+    doc["initial"] = state_summary(start)
+    for h in doc["final"]["two_handles"]:
+        h["word"] = None if h["id"] in phi_c else h["word"]
+    with pytest.raises(ReplayError, match=r"initial state is not that of X1 of 'stallings:m='\.\.\. \(13 characters\) at n=2"):
+        replay(MoveTrace.from_json(doc))
 
 
 def test_only_an_accepted_x1_replay_fills_the_record(fresh_memos):

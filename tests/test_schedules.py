@@ -120,11 +120,11 @@ def test_opaque_conservation():
     opaque_initial = sum(1 for h in trace.initial["two_handles"] if h["word"] is None)
     opaque_final = sum(1 for h in cx.two_handles if h.word is None)
     assert opaque_initial == opaque_final == 3  # c1, phi(c1), boundary
-    # Stallings at n=2: the whole phi image of the chain block stays opaque.
+    # Stallings at n=2: the phi images of the chain block have words too.
     cx, trace = run_schedule(StallingsKnot(1), 2, "X1")
     opaque_initial = sum(1 for h in trace.initial["two_handles"] if h["word"] is None)
     opaque_final = sum(1 for h in cx.two_handles if h.word is None)
-    assert opaque_initial == opaque_final == 6  # 5 phi(c_i) copies + boundary
+    assert opaque_initial == opaque_final == 1  # boundary
 
 
 def test_x2_matches_x1_counts():
@@ -1110,7 +1110,7 @@ def test_replay_refuses_inputs_above_the_limits(monkeypatch, field, value, messa
     _, trace = run_schedule("twobridge:+,+", 1, "X1")
     doc = {**trace.to_json(), field: value}
     monkeypatch.setattr(factorization, "build_W", _unreachable)
-    monkeypatch.setattr(factorization, "stallings_rules", _unreachable)
+    monkeypatch.setattr(factorization, "compile_monodromy", _unreachable)
     with pytest.raises(ReplayError, match=f"cannot rebuild X1 .*{message}"):
         replay(MoveTrace.from_json(doc))
 

@@ -10,6 +10,7 @@ from handlecalc import complexes, factorization, schedules, trace, twists, verif
 from handlecalc.factorization import Factorization, LFPiece
 from handlecalc.knots import TwoBridgeKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, run_schedule
+from handlecalc.surfaces import chain_curve
 from handlecalc.verify import check_piece_table, euler_char, full_report
 
 SUITES = ("twist closure suite", "twist invertibility suite")
@@ -70,7 +71,8 @@ def test_closure_suite_fails_on_the_fibration_order(monkeypatch, fresh_memos):
     # alpha_i reach past alpha_{i+1}: every sign sequence of genus <= 2 fails.
     # The suites read the table the pieces are built from, so the report
     # fails already at the schedule, whose phi(B0) no longer crosses a1 once.
-    monkeypatch.setattr(TwoBridgeKnot, "piece_twists", lambda k: tuple(enumerate(k.eps, 1)))
+    monkeypatch.setattr(TwoBridgeKnot, "piece_twists",
+                        lambda k: tuple((chain_curve(j), e) for j, e in enumerate(k.eps, 1)))
     report = full_report("twobridge:+,+", 1)
     assert [c.name for c in report.checks if not c.passed] == ["schedule completes"]
     for k in (1, 2):
@@ -95,14 +97,16 @@ def _counted(monkeypatch, name, modules):
 def test_a_report_compiles_the_piece_table_once(monkeypatch, fresh_memos):
     # Both builds of a report and its suites read one table per knot; only
     # the suites' inverse is compiled apart, so another n compiles just that.
+    # K_m has no suites: its first report compiles its table, another n none.
     compiled = _counted(monkeypatch, "compile_monodromy", (factorization, verify))
-    rules = _counted(monkeypatch, "stallings_rules", (factorization,))
     assert full_report("twobridge:+,-,+,+", 2).passed
     assert len(compiled) == 2
     assert full_report("twobridge:+,-,+,+", 3).passed
     assert len(compiled) == 3
     assert full_report("stallings:m=-3", 2).passed
-    assert len(rules) == 1 and len(compiled) == 3
+    assert len(compiled) == 4
+    assert full_report("stallings:m=-3", 3).passed
+    assert len(compiled) == 4
 
 
 @pytest.mark.parametrize("spec", ["twobridge:+,-", "stallings:m=2"])
