@@ -28,11 +28,16 @@ where it is read: one substitution through the table, one free
 reduction, written back.  Free reduction commutes with a substitution
 homomorphism, so every word read equals, letter for letter, the word
 that rewriting every survivor at each cancellation would give.
+
+The schedules find a 2-handle by its origin: `HandleComplex.find` reads
+an index keyed by the plain tuple (family, index, phi_image), so a
+lookup builds no `CurveId`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .factorization import LFPiece
 from .surfaces import BOUNDARY, CurveId, FiberSurface
@@ -66,9 +71,9 @@ class Eliminations:
     """The composed eliminations of a complex's cancellations.
 
     `images` maps the signed code of every cancelled letter to a reduced
-    word over live letters; `users` maps a letter code to the cancelled
-    codes whose images have mentioned it; `version` counts the
-    cancellations.
+    word over live letters; `users` maps a letter code other than
+    alpha_0's to the cancelled codes whose images have mentioned it;
+    `version` counts the cancellations.
     """
 
     __slots__ = ("images", "users", "version")
@@ -88,17 +93,26 @@ class Eliminations:
     def add(self, i: int, sign: int, repl: Word) -> None:
         """Compose the elimination alpha_i^sign = repl into the table."""
         code = i + 1
-        pos = repl if sign == 1 else invert(repl)
-        step = {code: pos, -code: invert(pos)}
+        inv = invert(repl)
+        pos, neg = (repl, inv) if sign == 1 else (inv, repl)
+        step = {code: pos, -code: neg}
+        images = self.images
         for user in self.users.pop(code, ()):
-            self._set(user, concat(*[step.get(c, (c,)) for c in self.images[user]]))
-        self._set(code, pos)
+            image = concat(*[step.get(c, (c,)) for c in images[user]])
+            self._set(user, image, invert(image))
+        self._set(code, pos, neg)
         self.version += 1
 
-    def _set(self, code: int, image: Word) -> None:
-        self.images[code], self.images[-code] = image, invert(image)
+    def _set(self, code: int, image: Word, inverse: Word) -> None:
+        """Store both signs of a letter's image; `inverse` must be invert(image).
+
+        alpha_0 (codes +-1) is never cancelled, so no user set is kept for it.
+        """
+        self.images[code], self.images[-code] = image, inverse
+        users = self.users
         for c in image:
-            self.users.setdefault(abs(c), set()).add(code)
+            if c != 1 and c != -1:
+                users.setdefault(abs(c), set()).add(code)
 
 
 class TwoHandle:
@@ -145,10 +159,10 @@ class HandleComplex:
     A schedule run owns its complex exclusively; distinct runs are
     independent.  Word values themselves stay immutable tuples.  The
     complex binds its 2-handles to its elimination table and indexes them
-    by id (in their given order) at construction, and by (origin,
-    phi_image) on the first `find`, which only the schedules call; remove
-    handles only through `remove`, which keeps both indexes in constant
-    time.
+    by id (in their given order) at construction, and by the plain key
+    (family, index, phi_image) of their origin on the first `find`, which
+    only the schedules call; remove handles only through `remove`, which
+    keeps both indexes in constant time.
     """
 
     zero_handles = 1  # every complex has one 0-handle
@@ -158,7 +172,7 @@ class HandleComplex:
         self.one_handles = one_handles
         self.eliminations = Eliminations()
         self._by_id: dict[str, TwoHandle] = {}
-        self._by_origin: dict[tuple[CurveId, bool], list[TwoHandle]] | None = None
+        self._by_origin: dict[tuple[str, int, bool], list[TwoHandle]] | None = None
         for h in two_handles:
             h._table, h._version = self.eliminations, 0
             self._by_id[h.id] = h
@@ -175,12 +189,12 @@ class HandleComplex:
         return h
 
     def find(self, family: str, index: int, phi_image: bool) -> TwoHandle:
-        """First live 2-handle of the given origin."""
+        """First live 2-handle of the given origin, looked up by the plain key (family, index, phi_image)."""
         if self._by_origin is None:
             self._by_origin = {}
             for h in self._by_id.values():
-                self._by_origin.setdefault((h.origin, h.phi_image), []).append(h)
-        matches = self._by_origin.get((CurveId(family, index), phi_image))
+                self._by_origin.setdefault((h.origin.family, h.origin.index, h.phi_image), []).append(h)
+        matches = self._by_origin.get((family, index, phi_image))
         if not matches:
             raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image})")
         return matches[0]
@@ -189,7 +203,7 @@ class HandleComplex:
         """Drop a 2-handle from the complex; its word stays as it reads now."""
         del self._by_id[h.id]
         if self._by_origin is not None:
-            self._by_origin[(h.origin, h.phi_image)].remove(h)  # the few handles of one origin
+            self._by_origin[(h.origin.family, h.origin.index, h.phi_image)].remove(h)  # the few of one origin
         h._word, h._table = h.word, None
 
     def counts(self) -> dict[str, int]:
@@ -210,6 +224,12 @@ class HandleComplex:
                 raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {_shown_set(dead)}", word)
 
 
+@lru_cache(maxsize=16)
+def _block_ids(half: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ids of W's cycles and of phi(W)'s, by place, for |W| = half; kept for the last 16 |W|."""
+    return tuple(f"w{k:02d}" for k in range(half)), tuple(f"p{k:02d}" for k in range(half))
+
+
 def start_handles(piece: LFPiece) -> list[tuple[str, CurveId, bool, Word | None]]:
     """The piece's 2-handles as (id, origin, phi_image, word): the factorization's, then the fiber boundary.
 
@@ -217,12 +237,15 @@ def start_handles(piece: LFPiece) -> list[tuple[str, CurveId, bool, Word | None]
     order, so a handle is named by its block and its place k mod |W| in it:
     `p07` is phi(W)'s cycle 7, `w07` is W's cycle 7 and `dF` is the fiber
     boundary.  X1 and X2 therefore hold the same ids, in rotated order.
-    `dF` is 0-framed and every other 2-handle is fiber-1 framed.
+    The ids depend on |W| alone, so they come from a table built once per
+    |W| (`_block_ids`, which keeps the last 16, like `build_W`), not
+    formatted for each piece.  `dF` is 0-framed and every other 2-handle
+    is fiber-1 framed.
     """
     cycles = piece.factorization.cycles
     half = len(cycles) // 2
-    handles = [(f"{'p' if vc.phi_image else 'w'}{k % half:02d}", vc.curve, vc.phi_image, vc.word)
-               for k, vc in enumerate(cycles)]
+    ids = _block_ids(half)
+    handles = [(ids[vc.phi_image][k % half], vc.curve, vc.phi_image, vc.word) for k, vc in enumerate(cycles)]
     handles.append(("dF", BOUNDARY, False, None))
     return handles
 
@@ -254,11 +277,16 @@ def slide_words(target: Word, over: Word, shared_prefix: Word | None = None) -> 
 
 
 def _solve(relator: Word, j: int) -> tuple[int, Word]:
-    """(e, u^-1 v^-1) for a relator u alpha_j^e v that crosses alpha_j exactly once."""
+    """(e, u^-1 v^-1) for a relator u alpha_j^e v that crosses alpha_j exactly once.
+
+    The relator must be cyclically reduced: then v u is reduced, with no
+    cancellation where v's last letter meets u's first, and u^-1 v^-1 is
+    its inverse, computed with one inversion.
+    """
     code = j + 1
     pos = relator.index(code) if code in relator else relator.index(-code)
     sign = 1 if relator[pos] > 0 else -1
-    return sign, concat(invert(relator[:pos]), invert(relator[pos + 1 :]))
+    return sign, invert(relator[pos + 1 :] + relator[:pos])
 
 
 def relator_solution(helper: Word, j: int) -> tuple[int, Word]:

@@ -91,14 +91,14 @@ class _Run:
     ) -> None:
         """Apply one move through the shared executor and log its record.
 
-        A move the executor rejects fails the run with the target's word
-        as it was before the move.
+        A move the executor rejects changes nothing, so the target's word,
+        read only after the failure, is its word before the move; the run
+        fails with it.
         """
-        word = target.word
         try:
             record = execute(self.cx, kind, target.id, None if over is None else over.id, letter, shared_prefix)
         except MoveError as err:
-            raise self.fail(str(err), word) from err
+            raise self.fail(str(err), target.word) from err
         self.trace.moves.append(record)
 
 

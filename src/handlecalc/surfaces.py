@@ -20,7 +20,7 @@ cyclic_reduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .words import Word, _shown, alpha, concat, handle_index, is_handle
 
@@ -190,10 +190,13 @@ def eta_word() -> Word:
     return (alpha(0, -1), alpha(1), alpha(2, -1), alpha(3), alpha(4, -1))
 
 
+@lru_cache(maxsize=2 * MAX_GENUS)
 def chain_curve(j: int) -> Word:
     """The chain curve a_j = alpha_j^-1 alpha_{j-1}, j >= 1.
 
-    It crosses the arcs alpha_{j-1} and alpha_j once each.
+    It crosses the arcs alpha_{j-1} and alpha_j once each.  Kept for the
+    last 2 * MAX_GENUS indices, every a_j a two-bridge knot's piece twists
+    name: a report compiles them twice, forward and inverse.
 
     >>> from .words import word_str
     >>> word_str(chain_curve(3))

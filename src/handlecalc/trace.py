@@ -382,15 +382,16 @@ def execute(
     Raises MoveError on an opaque target or helper, on a slide or
     eliminate that names no helper, on a cancel or eliminate that names
     no letter, on an eliminate whose target does not cross its letter,
-    and on a handle moved over itself.
+    and on a handle moved over itself.  A rejected move leaves the
+    complex as it was.
     """
     h = cx.handle(target)
-    before = h.word
+    word = h.word
     if kind == "cancel":
         if letter is None:
             raise MoveError(f"cancel on {target} names no letter")
         result = cancel(cx, letter, target)
-        return Move(kind, target, letter=letter, relator=result.relator, before_word=before)
+        return Move(kind, target, letter=letter, relator=result.relator, before_word=word)
     if kind not in ("slide", "eliminate"):
         raise MoveError(f"unknown move kind {_shown(kind)}")
     if over is None:
@@ -398,18 +399,19 @@ def execute(
     helper = cx.handle(over)
     if helper is h:
         raise MoveError(f"cannot {kind} handle {target} over itself")
-    if h.word is None or helper.word is None:
-        raise MoveError(f"cannot {kind} with opaque handle {target if h.word is None else over}")
+    over_word = helper.word
+    if word is None or over_word is None:
+        raise MoveError(f"cannot {kind} with opaque handle {target if word is None else over}")
     if kind == "slide":
-        h.word = slide_words(h.word, helper.word, shared_prefix)
+        after = h.word = slide_words(word, over_word, shared_prefix)
         prefix = None if shared_prefix is None else reduce_word(shared_prefix)
-        return Move(kind, target, over, shared_prefix=prefix, before_word=before, after_word=h.word)
+        return Move(kind, target, over, shared_prefix=prefix, before_word=word, after_word=after)
     if letter is None:
         raise MoveError(f"eliminate on {target} names no letter")
-    if not handle_occurrences(h.word, letter):  # a repeated eliminate would change nothing
+    if not handle_occurrences(word, letter):  # a repeated eliminate would change nothing
         raise MoveError(f"eliminate on {target}: its word does not cross a{_shown(letter)}")
-    h.word = eliminate_letter(h.word, helper.word, letter)
-    return Move(kind, target, over, letter, helper.word, before_word=before, after_word=h.word)
+    after = h.word = eliminate_letter(word, over_word, letter)
+    return Move(kind, target, over, letter, over_word, before_word=word, after_word=after)
 
 
 @dataclass(frozen=True, slots=True)

@@ -79,6 +79,8 @@ def check_piece_table(eps: Sequence[int]) -> tuple[CheckResult, CheckResult]:
     alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.  Invertibility:
     the table, then the inverse's table, fixes alpha_0..alpha_{2g}.  The
     table is the knot's, compiled once; only the inverse is compiled here.
+    The forward image of each single letter is read from the table as it
+    stands, a reduced word, with no `apply`.
 
     >>> [(c.name, c.actual) for c in check_piece_table((1, 1))]
     [('twist closure suite', True), ('twist invertibility suite', True)]
@@ -87,7 +89,7 @@ def check_piece_table(eps: Sequence[int]) -> tuple[CheckResult, CheckResult]:
     forward, _ = _monodromy_images(knot)
     g = forward.surface.g
     backward = compile_monodromy([(j, -e) for j, e in reversed(knot.piece_twists())], forward.surface)
-    images = [forward.apply((alpha(i),)) for i in range(2 * g + 1)]
+    images = [forward.images.get(a, (a,)) for a in map(alpha, range(2 * g + 1))]
     closed = all(
         handle_letters(w) <= set(range(1, i + 2)) and handle_occurrences(w, i + 1) == 1
         for i, w in enumerate(images[:-1])

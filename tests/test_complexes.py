@@ -20,7 +20,7 @@ from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
 from handlecalc.surfaces import CurveId, FiberSurface
 from handlecalc.verify import euler_char
-from handlecalc.words import alpha, parse_word, substitute
+from handlecalc.words import alpha, cyclic_reduce, handle_letters, invert, parse_word, reduce_word, substitute
 
 
 def test_slide_phi_b0_over_b0_both_signs():
@@ -56,6 +56,49 @@ def test_relator_solution():
         relator_solution(parse_word("a1 a0 a1"), 1)
     with pytest.raises(MoveError):
         relator_solution(parse_word("a0 a0"), 1)
+
+
+def _words_without(code):
+    """Reduced words over alpha_0..alpha_4 (codes +-1..+-5) without the letter code `code`, of either sign."""
+    letters = [c for c in range(-5, 6) if c and abs(c) != code]
+    return st.lists(st.sampled_from(letters), max_size=8).map(reduce_word)
+
+
+@st.composite
+def _one_crossing_relators(draw):
+    """(relator, j): a cyclically reduced word over alpha_0..alpha_4 crossing alpha_j exactly once."""
+    j = draw(st.integers(1, 4))
+    letter = draw(st.sampled_from((j + 1, -j - 1)))
+    return cyclic_reduce(draw(_words_without(j + 1)) + (letter,) + draw(_words_without(j + 1))), j
+
+
+@given(_one_crossing_relators())
+def test_relator_solution_kills_its_relator(case):
+    # alpha_j^e = u^-1 v^-1 for the relator u alpha_j^e v, computed as one
+    # inversion of v u: substituting it makes the relator trivial.
+    relator, j = case
+    assert substitute(relator, j, *relator_solution(relator, j)) == ()
+
+
+@given(st.lists(_one_crossing_relators(), min_size=1, max_size=6))
+def test_cancels_keep_every_image_the_inverse_of_its_opposite(cases):
+    # Handle t_k starts as the k-th relator and cancels its letter, in order,
+    # where it still crosses it once.  After every cancel both signs of each
+    # image are inverses, each image runs over live letters, and every
+    # relator freed so far reads as the empty word through the table.
+    handles = [TwoHandle(f"t{k}", CurveId("B", k), False, relator) for k, (relator, _) in enumerate(cases)]
+    cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, handles)
+    freed = []
+    for h, (_, j) in zip(handles, cases):
+        try:
+            freed.append(cancel(cx, j, h.id).relator)
+        except MoveError:
+            continue
+        images = cx.eliminations.images
+        assert all(images[-c] == invert(image) for c, image in images.items())
+        assert all(handle_letters(image) <= cx.one_handles for image in images.values())
+        assert [cx.eliminations.apply(r) for r in freed] == [()] * len(freed)
+    assert freed  # the first handle always cancels
 
 
 def test_eliminate_letter_examples():

@@ -823,6 +823,23 @@ def test_failed_slide_quotes_its_words_short_and_carries_the_whole():
     assert err.value.word == word and len(word_str(word)) == 148
 
 
+def test_rejected_eliminate_carries_the_target_word_before_it():
+    # After the first slide phi(B_0) no longer crosses a2, so eliminating a2
+    # from it is refused; the error carries its word, which the refusal left
+    # as it was, and the trace holds the slide alone.
+    knot = parse_knot_spec("twobridge:+,+")
+    cx = complex_from_piece(build_pieces(knot, 1)[0])
+    run = schedules._Run(cx, knot.spec_str(), 1, "X1")
+    target, over = cx.find("B", 0, phi_image=True), cx.find("B", 0, phi_image=False)
+    run.move("slide", target, over)
+    word = target.word
+    assert handle_letters(word) == {1}
+    with pytest.raises(ScheduleError, match=r"^eliminate on p00: its word does not cross a2$") as err:
+        run.move("eliminate", target, over, letter=2)
+    assert err.value.word == word and target.word == word
+    assert [m.kind for m in err.value.trace.moves] == ["slide"]
+
+
 def test_failed_live_letter_check_is_schedule_error(monkeypatch):
     def dead_letter(cx):
         raise MoveError("handle p00 uses dead letters [1]")
