@@ -45,6 +45,7 @@ from .words import (
     Word,
     _shown,
     _shown_set,
+    apply_images,
     concat,
     cyclic_reduce,
     handle_letters,
@@ -84,11 +85,8 @@ class Eliminations:
         self.version = 0
 
     def apply(self, w: Word) -> Word:
-        """w with every cancelled letter replaced by its image, reduced."""
-        images = self.images
-        if images.keys().isdisjoint(w):
-            return w
-        return concat(*[images.get(c, (c,)) for c in w])
+        """w with every cancelled letter replaced by its image, reduced (`apply_images`); w itself if it has none."""
+        return apply_images(w, self.images)
 
     def add(self, i: int, sign: int, repl: Word) -> None:
         """Compose the elimination alpha_i^sign = repl into the table."""
@@ -98,7 +96,7 @@ class Eliminations:
         step = {code: pos, -code: neg}
         images = self.images
         for user in self.users.pop(code, ()):
-            image = concat(*[step.get(c, (c,)) for c in images[user]])
+            image = apply_images(images[user], step)
             self._set(user, image, invert(image))
         self._set(code, pos, neg)
         self.version += 1
@@ -214,10 +212,18 @@ class HandleComplex:
         }
 
     def check_live_letters(self) -> None:
-        """Every non-opaque word runs only over live 1-handles."""
+        """Every non-opaque word runs only over live 1-handles.
+
+        A word passes by one set test against the live codes (alpha_0's
+        among them); only a word that fails it has its dead letters listed.
+        """
+        live = {1, -1}
+        for i in self.one_handles:
+            live.add(i + 1)
+            live.add(-i - 1)
         for h in self._by_id.values():
             word = h.word
-            if word is None:
+            if word is None or live.issuperset(word):
                 continue
             dead = handle_letters(word) - self.one_handles
             if dead:

@@ -64,6 +64,19 @@ that re-derived on X1's rebuilt complex re-derive identically on its
 rotation, and `finish` passes on it as it did on X1.  So such an X2 trace
 is accepted, or refused with the same message, exactly as the full
 replay would; any other X2 trace gets the full replay.
+
+X2 is written by rotation where it follows its X1, as the file lists
+them.  `to_json` of a finished X1 trace that holds its full initial
+state keeps a one-slot record of the document, as values that nothing
+else holds: the knot spec and n, the moves, copies of X1's initial and
+final word states, their text forms, and the move records written.
+Writing any other X1 trace empties it.  An X2 trace of that knot and n
+whose moves equal the record's, and whose initial and final states are
+X1's rotated by `rotate_x1`, words compared as words, is written from
+the record: the summary of X1's start text, rotated, copies of X1's move
+records, and X1's final text, rotated.  The text of a word is a function
+of the word, so the document is the one spelled from X2's own state,
+byte for byte; any other trace is spelled from its own state.
 """
 
 from __future__ import annotations
@@ -151,6 +164,11 @@ def state_text(state: dict) -> dict:
     return {"one_handles": list(state["one_handles"]),
             "two_handles": [{"id": h["id"], "word": None if h["word"] is None else word_str(h["word"])}
                             for h in state["two_handles"]]}
+
+
+def _state_copy(state: dict) -> dict:
+    """A word state or text form with new containers: its lists and 2-handle entries copied, its words shared."""
+    return {"one_handles": list(state["one_handles"]), "two_handles": [dict(h) for h in state["two_handles"]]}
 
 
 def state_summary(state: dict) -> dict:
@@ -280,7 +298,13 @@ class MoveTrace:
     final: dict | None = None
 
     def to_json(self) -> dict:
-        """The file form: `schema`, then `_TRACE_FIELDS` in order, words as text; it shares no container with the trace.
+        """The file form: `schema`, then `_TRACE_FIELDS` in order, words as text.
+
+        It shares no container with the trace, nor with the record of the
+        last X1 document written: a finished X1 trace that holds its full
+        initial state leaves that record, and an X2 trace that is its
+        rotation is written from it (see the module docstring), with the
+        same text as spelled from its own state.
 
         >>> from handlecalc import run_schedule
         >>> doc = run_schedule("twobridge:+,+", 1, "X1")[1].to_json()
@@ -288,10 +312,27 @@ class MoveTrace:
         ('handlecalc/6', ['schema', 'knot', 'n', 'piece', 'initial', 'moves', 'final'],
          ['one_handles', 'two_handles'])
         """
+        global _written_x1
         out = {"schema": SCHEMA, **{name: getattr(self, name) for name in _TRACE_FIELDS}}
-        out["initial"] = dict(self.initial_summary())  # a read trace holds its summary as this very dict
+        record = _written_x1
+        if self.piece == "X2" and record is not None and record.rotates_to(self):
+            start, final = rotate_x1(record.initial_text, record.final_text)
+            out["initial"] = _text_summary(start)
+            out["moves"] = [dict(m) for m in record.move_docs]
+            out["final"] = _state_copy(final)
+            return out
+        full = self.final is not None and not self.summarised
+        if full:
+            initial_text = state_text(self.initial)
+            out["initial"] = _text_summary(initial_text)
+        else:
+            out["initial"] = dict(self.initial_summary())  # a read trace holds its summary as this very dict
         out["moves"] = [m.to_json() for m in self.moves]
         out["final"] = None if self.final is None else state_text(self.final)
+        if self.piece == "X1":
+            _written_x1 = None if not full else _WrittenX1(
+                self.knot, self.n, tuple(self.moves), _state_copy(self.initial), _state_copy(self.final),
+                initial_text, _state_copy(out["final"]), tuple(dict(m) for m in out["moves"]))
         return out
 
     @staticmethod
@@ -319,6 +360,33 @@ class MoveTrace:
     def initial_summary(self) -> dict:
         """The `initial` field as the file records it."""
         return self.initial if self.summarised else state_summary(self.initial)
+
+
+@dataclass(frozen=True, slots=True)
+class _WrittenX1:
+    """The X1 document last written, as values that nothing else holds.
+
+    `initial` and `final` are copies of X1's word states, `initial_text`
+    and `final_text` their text forms, and `move_docs` its move records.
+    """
+
+    knot: str
+    n: int
+    moves: tuple[Move, ...]
+    initial: dict
+    final: dict
+    initial_text: dict
+    final_text: dict
+    move_docs: tuple[dict, ...]
+
+    def rotates_to(self, trace: MoveTrace) -> bool:
+        """Whether `trace` has this X1's knot, n and moves, and its states rotated by `rotate_x1`, words compared as words."""
+        return ((self.knot, self.n, self.moves) == (trace.knot, trace.n, tuple(trace.moves))
+                and rotate_x1(self.initial, self.final) == (trace.initial, trace.final))
+
+
+#: The one-slot record: `MoveTrace.to_json` fills it on writing an X1 trace, or empties it.
+_written_x1: _WrittenX1 | None = None
 
 
 def weak_cancellations(moves: list[Move]) -> list[str]:

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .surfaces import FiberSurface, beta_word, validate_word
-from .words import Word, _shown, alpha, concat, invert, reduce_word, word_str
+from .words import Word, _shown, alpha, apply_images, concat, invert, reduce_word, word_str
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,16 @@ class CompiledMonodromy:
     surface: FiberSurface
 
     def apply(self, w: Word) -> Word:
-        """Image of w: validate it once, substitute every letter, reduce."""
+        """Image of w, reduced: validate it once, then substitute every letter (`apply_images`).
+
+        w need not be freely reduced: a word the table moves no letter of
+        is reduced as it stands, and any other is reduced by the substitution.
+        """
         validate_word(w, self.surface)
         images = self.images
-        return concat(*[images.get(c, (c,)) for c in w])
+        if images.keys().isdisjoint(w):
+            return reduce_word(w)
+        return apply_images(w, images)
 
 
 @lru_cache(maxsize=256)
@@ -96,7 +102,7 @@ def compile_monodromy(twists: Sequence[tuple[Word, int]], s: FiberSurface) -> Co
     twist inwards, R_j = R_{j+1} ∘ t_j with R_N = id: t_j moves only the
     generators of its curve, so each step rewrites their entries (both
     signs of each): a copy of an entry of R_{j+1} where the image is one
-    letter, else one concat of entries of R_{j+1}.
+    letter, else the image read through R_{j+1}'s table (`apply_images`).
     """
     rules = []
     for curve, k in twists:
@@ -114,7 +120,7 @@ def compile_monodromy(twists: Sequence[tuple[Word, int]], s: FiberSurface) -> Co
                 c = img[0]
                 step.append((code, get(c, img), get(-c, (-c,))))
             else:
-                new = concat(*[get(c, (c,)) for c in img])
+                new = apply_images(img, images)
                 step.append((code, new, invert(new)))
         for code, pos, neg in step:
             images[code], images[-code] = pos, neg

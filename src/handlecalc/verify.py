@@ -72,8 +72,8 @@ def euler_char(counts: Sequence[int]) -> int:
     return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
 
 
-def check_piece_table(eps: Sequence[int]) -> tuple[CheckResult, CheckResult]:
-    """The rule suites of the pieces' monodromy, the table `build_pieces` reads.
+def check_piece_table(knot: TwoBridgeKnot) -> tuple[CheckResult, CheckResult]:
+    """The rule suites of a two-bridge knot's piece monodromy, the table `build_pieces` reads.
 
     Closure: for i < 2g the image of alpha_i is a word over
     alpha_0..alpha_{i+1} crossing alpha_{i+1} exactly once.  Invertibility:
@@ -82,10 +82,9 @@ def check_piece_table(eps: Sequence[int]) -> tuple[CheckResult, CheckResult]:
     The forward image of each single letter is read from the table as it
     stands, a reduced word, with no `apply`.
 
-    >>> [(c.name, c.actual) for c in check_piece_table((1, 1))]
+    >>> [(c.name, c.actual) for c in check_piece_table(TwoBridgeKnot.from_eps((1, 1)))]
     [('twist closure suite', True), ('twist invertibility suite', True)]
     """
-    knot = TwoBridgeKnot.from_eps(eps)
     forward, _ = _monodromy_images(knot)
     g = forward.surface.g
     backward = compile_monodromy([(j, -e) for j, e in reversed(knot.piece_twists())], forward.surface)
@@ -130,7 +129,7 @@ def full_report(knot: Knot | str, n: int) -> VerificationReport:
     report.add("b1 (no 1-handles, no generators)", 0, counts.h1)
 
     if isinstance(knot, TwoBridgeKnot):
-        report.checks += check_piece_table(knot.eps)
+        report.checks += check_piece_table(knot)
     return report
 
 

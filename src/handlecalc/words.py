@@ -11,7 +11,9 @@ reduce_word freely reduces any sequence of letters; every word from
 outside the engine passes through it (or cyclic_reduce).  The other
 functions return freely reduced words when their inputs are: concat
 multiplies freely reduced words, so it cancels only where one part meets
-the next (Lyndon and Schupp, Combinatorial Group Theory I.1).  No cyclic
+the next (Lyndon and Schupp, Combinatorial Group Theory I.1), and
+apply_images, the one substitution kernel, maps a reduced word through a
+table of reduced letter images in one such pass.  No cyclic
 reduction is ever applied implicitly; use cyclic_reduce where a
 conjugation-invariant form is needed (e.g. cancellation tests).
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from operator import neg
-from typing import Iterable, Tuple
+from typing import Iterable, Mapping, Tuple
 
 Word = Tuple[int, ...]
 
@@ -152,14 +154,52 @@ def handle_occurrences(w: Iterable[int], i: int) -> int:
 
 def handle_letters(w: Iterable[int]) -> set[int]:
     """Set of handle indices occurring in the word (either sign)."""
-    return {abs(c) - 1 for c in w if is_handle(c)}
+    return {c - 1 for c in map(abs, w) if c > 1}
+
+
+def apply_images(w: Word, images: Mapping[int, Word]) -> Word:
+    """The reduced image of the reduced word w under a letter table.
+
+    `images` maps a letter code to its reduced image; a letter it does not
+    hold is kept.  One pass pushes each image onto the output, cancelling
+    only where it meets the output's tail, as concat does with its parts;
+    a kept letter and a one-letter image are pushed as one letter, with no
+    part built, so the image is reduced even where w is not.  A word the
+    table moves no letter of is returned as it is.
+
+    >>> word_str(apply_images(parse_word("a1 a2 a0'"), {3: (1,), -3: (-1,)}))  # a2 -> a0
+    'a1'
+    """
+    if images.keys().isdisjoint(w):
+        return w
+    out: list[int] = []
+    push, pop = out.append, out.pop
+    get = images.get
+    for c in w:
+        image = get(c)
+        if image is not None:
+            if len(image) != 1:
+                k, n = 0, len(image)
+                while k < n and out and out[-1] == -image[k]:
+                    pop()
+                    k += 1
+                out.extend(image[k:])
+                continue
+            c = image[0]
+        if out and out[-1] == -c:
+            pop()
+        else:
+            push(c)
+    return tuple(out)
 
 
 def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable[int]) -> Word:
     """Replace alpha_i^sign_target by `replacement` throughout, reduced.
 
     Occurrences of the opposite sign get the inverted replacement, so the
-    substitution is a homomorphism on the letter alpha_i.
+    substitution is a homomorphism on the letter alpha_i: `w` goes through
+    `apply_images` as a two-entry table, and is reduced as it stands if it
+    does not use alpha_i.
 
     >>> word_str(substitute(parse_word("a2' a1"), 2, 1, parse_word("a0' a3")))
     "a3' a0 a1"
@@ -172,8 +212,9 @@ def substitute(w: Iterable[int], i: int, sign_target: int, replacement: Iterable
     pos = reduce_word(replacement)
     if sign_target == -1:
         pos = invert(pos)
+    w = tuple(w)
     images = {code: pos, -code: invert(pos)}
-    return concat(*[images.get(c, (c,)) for c in w])
+    return reduce_word(w) if images.keys().isdisjoint(w) else apply_images(w, images)
 
 
 #: The most digits of a token's index: no alphabet has more than 4 * 256 + 2 * 1000 - 2

@@ -18,7 +18,7 @@ from handlecalc.complexes import (
 )
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
-from handlecalc.surfaces import CurveId, FiberSurface
+from handlecalc.surfaces import BOUNDARY, CurveId, FiberSurface
 from handlecalc.verify import euler_char
 from handlecalc.words import alpha, cyclic_reduce, handle_letters, invert, parse_word, reduce_word, substitute
 
@@ -259,3 +259,20 @@ def test_remove_keeps_order_and_indexes(case):
                         cx.find("B", index, phi)
                 else:
                     assert cx.find("B", index, phi) is first
+
+
+def test_a_word_over_a_dead_letter_is_refused_by_name():
+    # The live-letter check tests each word against the live codes as a set;
+    # a word that fails is still refused with its dead letters named.
+    s = FiberSurface(1, 1)
+    words = {"h1": parse_word("a0' a1 a2' a1 a0"), "h2": parse_word("a3 a0' a4 a2' a4'")}
+    handles = [TwoHandle(hid, CurveId("B", k), False, w) for k, (hid, w) in enumerate(words.items())]
+    cx = HandleComplex(s, {1, 2, 3, 4}, handles + [TwoHandle("dF", BOUNDARY, False, None)])
+    cx.check_live_letters()
+    cx.one_handles.discard(4)
+    with pytest.raises(MoveError, match=re.escape("handle h2 (B1) uses dead letters [4]")) as err:
+        cx.check_live_letters()
+    assert err.value.word == words["h2"]
+    cx.one_handles -= {1, 3}
+    with pytest.raises(MoveError, match=re.escape("handle h1 (B0) uses dead letters [1]")):
+        cx.check_live_letters()

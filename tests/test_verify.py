@@ -30,18 +30,18 @@ def test_euler_char_examples():
 
 
 def test_image_closure_suite_sign_cases():
-    assert _row(check_piece_table((1, 1)), "twist closure suite").passed
-    assert _row(check_piece_table((-1, -1)), "twist closure suite").passed
+    assert _row(check_piece_table(TwoBridgeKnot.from_eps((1, 1))), "twist closure suite").passed
+    assert _row(check_piece_table(TwoBridgeKnot.from_eps((-1, -1))), "twist closure suite").passed
 
 
 def test_image_closure_suite_exhaustive_length4():
     for eps in itertools.product((1, -1), repeat=4):
-        assert _row(check_piece_table(eps), "twist closure suite").passed, eps
+        assert _row(check_piece_table(TwoBridgeKnot.from_eps(eps)), "twist closure suite").passed, eps
 
 
 def test_invertibility():
-    assert _row(check_piece_table((1, -1)), "twist invertibility suite").passed
-    assert _row(check_piece_table((1, 1, -1, 1)), "twist invertibility suite").passed
+    assert _row(check_piece_table(TwoBridgeKnot.from_eps((1, -1))), "twist invertibility suite").passed
+    assert _row(check_piece_table(TwoBridgeKnot.from_eps((1, 1, -1, 1))), "twist invertibility suite").passed
     # empty spec round trip is trivially fine at the word level
     from handlecalc.surfaces import FiberSurface
     from handlecalc.twists import compile_monodromy
@@ -54,7 +54,7 @@ def test_invertibility_suite_round_trips_the_piece_monodromy():
     # The suite certifies the table build_pieces compiles, not the fibration
     # order, and a two-bridge report ends with its two rows.
     for eps in ((1, -1), (1, 1, -1, 1)):
-        checks = check_piece_table(eps)
+        checks = check_piece_table(TwoBridgeKnot.from_eps(eps))
         assert [(c.name, c.passed) for c in checks] == [(name, True) for name in SUITES]
         assert full_report(TwoBridgeKnot.from_eps(eps), 1).checks[-2:] == list(checks)
 
@@ -77,7 +77,7 @@ def test_closure_suite_fails_on_the_fibration_order(monkeypatch, fresh_memos):
     assert [c.name for c in report.checks if not c.passed] == ["schedule completes"]
     for k in (1, 2):
         for eps in itertools.product((1, -1), repeat=2 * k):
-            assert [c.passed for c in check_piece_table(eps)] == [False, True], eps
+            assert [c.passed for c in check_piece_table(TwoBridgeKnot.from_eps(eps))] == [False, True], eps
 
 
 def _counted(monkeypatch, name, modules):

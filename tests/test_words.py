@@ -16,6 +16,7 @@ from handlecalc.trace import MoveTrace, replay
 from handlecalc.verify import full_report
 from handlecalc.words import (
     alpha,
+    apply_images,
     concat,
     cyclic_reduce,
     handle_index,
@@ -217,11 +218,38 @@ def test_concat_is_the_reduced_product_of_reduced_parts(parts):
     assert reduce_word(got) == got
 
 
+# A letter table: some letters of the pool, each mapped to a reduced image, empty, one letter or long;
+# or, so that images often cancel against the output, a table over alpha_0..alpha_2 only.
+_few = st.lists(st.sampled_from(LETTER_POOL[:6]), max_size=16).map(reduce_word)
+_tables = st.dictionaries(st.sampled_from(LETTER_POOL), _part, max_size=12)
+_few_tables = st.dictionaries(st.sampled_from(LETTER_POOL[:6]), _few, max_size=6)
+
+
+@given(st.one_of(st.tuples(reduced_strategy, _tables), st.tuples(_few, _few_tables)))
+def test_apply_images_is_the_substitution_idiom(case):
+    w, table = case
+    # The idiom the kernel replaces is its oracle: one part per letter, a kept letter as itself.
+    assert apply_images(w, table) == concat(*[table.get(c, (c,)) for c in w])
+
+
+@given(words_strategy)
+def test_handle_letters_reads_each_letter(w):
+    assert handle_letters(w) == {abs(c) - 1 for c in w if abs(c) > 1}
+
+
 @given(words_strategy, st.integers(1, 10), words_strategy)
 def test_substitution_removes_letter(w, i, repl):
     if handle_occurrences(repl, i):
         repl = tuple(c for c in repl if abs(c) != i + 1)
     assert handle_occurrences(substitute(reduce_word(w), i, 1, repl), i) == 0
+
+
+@given(words_strategy, st.integers(1, 10), words_strategy)
+def test_substitute_reduces_any_word(w, i, repl):
+    # A homomorphism: the image of w is that of its reduced form, reduced, whether or not w uses alpha_i.
+    got = substitute(w, i, 1, repl)
+    assert got == substitute(reduce_word(w), i, 1, repl)
+    assert reduce_word(got) == got
 
 
 def _rotations(w):
@@ -236,33 +264,49 @@ def test_cyclic_reduce_of_conjugate_is_a_rotation(w, g):
     assert handle_letters(conjugated) == handle_letters(v)
 
 
-def _wrap_concat(monkeypatch, before):
-    """Bind every module's `concat` to one that calls `before(parts)` first; the engine's modules must be among them."""
-    original = handlecalc.words.concat
+def _wrap_kernels(monkeypatch, before):
+    """Bind every module's `concat` and `apply_images` to ones that call `before(parts, word)` first.
 
-    def wrapped(*ws):
-        before(ws)
-        return original(*ws)
+    For `concat` the parts are its arguments and `word` is None.  For
+    `apply_images(w, images)` the parts are the image of each letter of `w`
+    (a kept letter as a one-letter part), what the substitution idiom
+    `concat(*[images.get(c, (c,)) for c in w])` multiplied, and `word` is
+    `w`; a word the table moves no letter of is returned as it is, with no
+    part.  The engine's modules must be among those patched.
+    """
+    originals = {"concat": handlecalc.words.concat, "apply_images": handlecalc.words.apply_images}
 
-    patched = set()
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("handlecalc.") and getattr(mod, "concat", None) is original:
-            monkeypatch.setattr(mod, "concat", wrapped)
-            patched.add(name.rpartition(".")[2])
-    assert {"words", "complexes", "twists", "surfaces", "schedules"} <= patched
+    def concat(*ws):
+        before(ws, None)
+        return originals["concat"](*ws)
+
+    def apply_images(w, images):
+        before(() if images.keys().isdisjoint(w) else [images.get(c, (c,)) for c in w], w)
+        return originals["apply_images"](w, images)
+
+    wrappers = {"concat": concat, "apply_images": apply_images}
+    patched = {name: set() for name in originals}
+    for modname, mod in list(sys.modules.items()):
+        for name, original in originals.items():
+            if modname.startswith("handlecalc.") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrappers[name])
+                patched[name].add(modname.rpartition(".")[2])
+    assert {"words", "complexes", "twists", "surfaces", "schedules"} <= patched["concat"]
+    assert {"words", "complexes", "twists"} <= patched["apply_images"]
 
 
 def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
-    """Every part the pipeline multiplies is freely reduced, as concat requires.
+    """Every part the pipeline multiplies is freely reduced, as concat and apply_images require.
 
-    The memos start empty, so W and each monodromy table are built under the guard."""
+    So is every word the substitution kernel reads.  The memos start
+    empty, so W and each monodromy table are built under the guard."""
 
-    def check(ws):
-        for w in ws:
+    def check(ws, word):
+        for w in ws if word is None else [word, *ws]:
             if reduce_word(w) != w:
-                raise AssertionError(f"concat was handed the unreduced part {word_str(w)!r}")
+                raise AssertionError(f"a kernel was handed the unreduced part {word_str(w)!r}")
 
-    _wrap_concat(monkeypatch, check)
+    _wrap_kernels(monkeypatch, check)
 
     genus_3 = ",".join(random.Random(3).choice("+-") for _ in range(6))
     specs = ["twobridge:+,+", "twobridge:+,-,+,+", f"twobridge:{genus_3}"]
@@ -275,7 +319,11 @@ def test_engine_hands_concat_only_reduced_parts(monkeypatch, fresh_memos):
 
 
 def test_letters_through_concat_grow_as_the_complexity_claims(monkeypatch, fresh_memos):
-    """Letters passed to `concat` by one `run_both`, every memo emptied first, on three ladders.
+    """Letters passed to `concat` and `apply_images` by one `run_both`, every memo emptied first, on three ladders.
+
+    `apply_images` counts, for each letter of a word it substitutes, the
+    length of that letter's image (1 for a kept letter), and nothing for
+    a word it returns as it is.
 
     The heads take O(g^2) letters, and the rest is linear in n and in m:
     each doubling of g may at most multiply the count by 4.2, and each
@@ -284,7 +332,7 @@ def test_letters_through_concat_grow_as_the_complexity_claims(monkeypatch, fresh
     """
     letters = 0
 
-    def tally(ws):
+    def tally(ws, _word):
         nonlocal letters
         letters += sum(map(len, ws))
 
@@ -295,7 +343,7 @@ def test_letters_through_concat_grow_as_the_complexity_claims(monkeypatch, fresh
         run_both(spec, n)
         return letters
 
-    _wrap_concat(monkeypatch, tally)
+    _wrap_kernels(monkeypatch, tally)
 
     signs = [random.Random(11).choice("+-") for _ in range(64)]
     ladders = {
