@@ -29,9 +29,10 @@ reduction, written back.  Free reduction commutes with a substitution
 homomorphism, so every word read equals, letter for letter, the word
 that rewriting every survivor at each cancellation would give.
 
-The schedules find a 2-handle by its origin: `HandleComplex.find` reads
-an index keyed by the plain tuple (family, index, phi_image), so a
-lookup builds no `CurveId`.
+A 2-handle is its id and its word, nothing else: the id names its block
+and its place in it (`start_handles`), so the schedules name every
+handle they move by id alone (`schedules.plan`) and no handle carries
+its curve.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .factorization import LFPiece
-from .surfaces import BOUNDARY, CurveId, FiberSurface
+from .surfaces import FiberSurface
 from .words import (
     Word,
     _shown,
@@ -114,7 +115,7 @@ class Eliminations:
 
 
 class TwoHandle:
-    """A 2-handle; handles compare by identity.
+    """A 2-handle: its id (see `start_handles`) and its word; handles compare by identity.
 
     The stored word is read through the elimination table of the complex
     the handle belongs to: the first read after a cancellation applies
@@ -122,12 +123,10 @@ class TwoHandle:
     word as it was at removal.
     """
 
-    __slots__ = ("id", "origin", "phi_image", "_word", "_table", "_version")
+    __slots__ = ("id", "_word", "_table", "_version")
 
-    def __init__(self, id: str, origin: CurveId, phi_image: bool, word: Word | None):
+    def __init__(self, id: str, word: Word | None):
         self.id = id
-        self.origin = origin
-        self.phi_image = phi_image
         self._word = word
         self._table: Eliminations | None = None
         self._version = 0
@@ -147,9 +146,6 @@ class TwoHandle:
         if self._table is not None:
             self._version = self._table.version
 
-    def label(self) -> str:
-        return f"phi({self.origin})" if self.phi_image else str(self.origin)
-
 
 class HandleComplex:
     """One piece's handle data; mutated in place by moves.
@@ -157,10 +153,8 @@ class HandleComplex:
     A schedule run owns its complex exclusively; distinct runs are
     independent.  Word values themselves stay immutable tuples.  The
     complex binds its 2-handles to its elimination table and indexes them
-    by id (in their given order) at construction, and by the plain key
-    (family, index, phi_image) of their origin on the first `find`, which
-    only the schedules call; remove handles only through `remove`, which
-    keeps both indexes in constant time.
+    by id, in their given order, at construction; remove handles only
+    through `remove`, which keeps the index in constant time.
     """
 
     zero_handles = 1  # every complex has one 0-handle
@@ -170,7 +164,6 @@ class HandleComplex:
         self.one_handles = one_handles
         self.eliminations = Eliminations()
         self._by_id: dict[str, TwoHandle] = {}
-        self._by_origin: dict[tuple[str, int, bool], list[TwoHandle]] | None = None
         for h in two_handles:
             h._table, h._version = self.eliminations, 0
             self._by_id[h.id] = h
@@ -186,22 +179,9 @@ class HandleComplex:
             raise MoveError(f"no 2-handle with id {_shown(hid)}")
         return h
 
-    def find(self, family: str, index: int, phi_image: bool) -> TwoHandle:
-        """First live 2-handle of the given origin, looked up by the plain key (family, index, phi_image)."""
-        if self._by_origin is None:
-            self._by_origin = {}
-            for h in self._by_id.values():
-                self._by_origin.setdefault((h.origin.family, h.origin.index, h.phi_image), []).append(h)
-        matches = self._by_origin.get((family, index, phi_image))
-        if not matches:
-            raise MoveError(f"no 2-handle for {family}{index} (phi={phi_image})")
-        return matches[0]
-
     def remove(self, h: TwoHandle) -> None:
         """Drop a 2-handle from the complex; its word stays as it reads now."""
         del self._by_id[h.id]
-        if self._by_origin is not None:
-            self._by_origin[(h.origin.family, h.origin.index, h.phi_image)].remove(h)  # the few of one origin
         h._word, h._table = h.word, None
 
     def counts(self) -> dict[str, int]:
@@ -227,7 +207,7 @@ class HandleComplex:
                 continue
             dead = handle_letters(word) - self.one_handles
             if dead:
-                raise MoveError(f"handle {h.id} ({h.label()}) uses dead letters {_shown_set(dead)}", word)
+                raise MoveError(f"handle {h.id} uses dead letters {_shown_set(dead)}", word)
 
 
 @lru_cache(maxsize=16)
@@ -236,8 +216,8 @@ def _block_ids(half: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(f"w{k:02d}" for k in range(half)), tuple(f"p{k:02d}" for k in range(half))
 
 
-def start_handles(piece: LFPiece) -> list[tuple[str, CurveId, bool, Word | None]]:
-    """The piece's 2-handles as (id, origin, phi_image, word): the factorization's, then the fiber boundary.
+def start_handles(piece: LFPiece) -> list[tuple[str, Word | None]]:
+    """The piece's 2-handles as (id, word) pairs: the factorization's, then the fiber boundary.
 
     Every piece is the blocks phi(W) and W, one after the other, in either
     order, so a handle is named by its block and its place k mod |W| in it:
@@ -245,14 +225,15 @@ def start_handles(piece: LFPiece) -> list[tuple[str, CurveId, bool, Word | None]
     boundary.  X1 and X2 therefore hold the same ids, in rotated order.
     The ids depend on |W| alone, so they come from a table built once per
     |W| (`_block_ids`, which keeps the last 16, like `build_W`), not
-    formatted for each piece.  `dF` is 0-framed and every other 2-handle
-    is fiber-1 framed.
+    formatted for each piece; `schedules.plan` names its handles from the
+    same table.  `dF` is 0-framed and every other 2-handle is fiber-1
+    framed.
     """
     cycles = piece.factorization.cycles
     half = len(cycles) // 2
     ids = _block_ids(half)
-    handles = [(ids[vc.phi_image][k % half], vc.curve, vc.phi_image, vc.word) for k, vc in enumerate(cycles)]
-    handles.append(("dF", BOUNDARY, False, None))
+    handles = [(ids[vc.phi_image][k % half], vc.word) for k, vc in enumerate(cycles)]
+    handles.append(("dF", None))
     return handles
 
 
@@ -345,7 +326,7 @@ def cancel(complex_: HandleComplex, i: int, hid: str) -> CancelResult:
         raise MoveError(f"opaque 2-handle {h.id} cannot cancel a 1-handle")
     relator = cyclic_reduce(word)
     if handle_occurrences(relator, i) != 1:
-        raise MoveError(f"2-handle {h.id} ({h.label()}) word {_shown(word_str(word))} does not cross a{i} exactly once")
+        raise MoveError(f"2-handle {h.id} word {_shown(word_str(word))} does not cross a{i} exactly once")
     complex_.one_handles.remove(i)
     complex_.remove(h)
     complex_.eliminations.add(i, *_solve(relator, i))

@@ -1,6 +1,13 @@
 """Cancellation schedules: drive each piece to a complex with no 1-handles.
 
-Three phases, executed per piece:
+A schedule is a plan (`plan(knot, n)`): a tuple of steps, each a phase
+and the arguments of one `trace.execute` call.  Its shape depends on the
+knot family, g and n alone, and it names every handle by id
+(`start_handles`): `wKK` is W's cycle at place KK and `pKK` its image
+under phi, so the ids follow from places in W.  With base = 4n - 4, W's
+B_i sits at place base + i, and c_j first occurs at place 2n - 2 - j.
+No step reads a word; the only word a plan holds is K_m's shared
+prefix.  Four phases, in this order:
 
   Phase A (two-bridge): for i = 1..2g, slide the image handle phi(B_{i-1})
   over B_{i-1}; the shared closing arc cancels and the remainder crosses
@@ -14,30 +21,36 @@ Three phases, executed per piece:
   phi_m(B_4) over B_4; B_4 later cancels alpha_5, which erases that
   slide from every surviving word, so the script leaves it out.
 
-  Chain phase (n >= 2): the 2-handles of c_1, c_2, ..., c_{2n-2} cancel
-  alpha_{4g+2n-3}, then the even letters downward and the odd letters
-  below.
+  Chain phase (n >= 2): the 2-handles of c_1, c_2, ..., c_{2n-2}, each
+  at its first place in W, cancel alpha_{4g+2n-3}, then the even letters
+  downward and the odd letters below: c_j cancels alpha_{4g+2n-j}, less
+  2 for odd j.
 
   Phase C: for i = 1..2g, the untouched B_{2g+1-i} handle crosses
   alpha_{2g+i} once; cancel.
 
+`run_schedule` executes the plan step by step through `execute`, the
+call replay makes too (`trace._rederive`), and logs each move it returns.
 Every cancellation composes the relator it frees into the complex's
 elimination table (`complexes.cancel`), and a word is brought up to date
 through that table where it is read, so no word as read mentions a
 cancelled letter: the "slide over the earlier helpers" steps of the
 later phases are done by the cancellations themselves and the trace
-records only the moves the schedule makes.  A failed move or
+records only the moves the schedule makes.  A failed step or
 single-crossing check aborts with a ScheduleError that carries the
 offending word and the partial trace: that is the falsification channel
-for the underlying curve computations.  A cancel whose relator crosses
+for the underlying curve computations.  A failed step's message begins
+`phase <P>, step <k>:`, k its index in the plan and so in the trace,
+and its word is the target's as the failure left it, None if no live
+handle has the target's id.  A cancel whose relator crosses
 other 1-handles besides its letter is a legal, weak cancellation;
 `trace.weak_cancellations(moves)` lists them, and no run keeps them on
 the side.
 
 X2 from X1: X2's factorization W.phi(W) is X1's phi(W).W rotated by |W|,
-a handle's id names its block and its place in it (`start_handles`),
-and the schedule finds its handles by origin, not by position, so X2's
-run makes X1's moves, with the same ids, on X1's words.  `run_both`
+and a handle's id names its block and its place in it, so both pieces
+execute the one plan: X2's run makes X1's moves, with the same ids, on
+X1's words.  `run_both`
 therefore runs X1's schedule once and derives X2's complex and trace from
 X1's trace by rotation alone (`_derive_x2`, through `trace.rotate_x1`, the
 one place the rotation is stated; `replay` rotates an accepted X1 replay
@@ -51,8 +64,9 @@ schedule, which the tests use as the oracle for the derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .complexes import HandleComplex, MoveError, TwoHandle, complex_from_piece, start_handles
+from .complexes import HandleComplex, MoveError, _block_ids, complex_from_piece, start_handles
 from .factorization import LFPiece, build_pieces
 from .knots import Knot, StallingsKnot, parse_knot_spec
 from .surfaces import chain_curve, eta_word
@@ -70,95 +84,72 @@ class ScheduleError(RuntimeError):
         self.trace = trace
 
 
-class _Run:
-    """Mutable schedule state: the complex and the move log."""
+class Step(NamedTuple):
+    """One step of a plan: its phase (A, Stallings, chain or C), then `execute`'s arguments after the complex."""
 
-    def __init__(self, cx: HandleComplex, knot_spec: str, n: int, piece: str):
-        self.cx = cx
-        self.trace = MoveTrace(knot=knot_spec, n=n, piece=piece, initial=word_state(cx))
-
-    def fail(self, message: str, word: Word | None) -> ScheduleError:
-        """The error that ends the run, with the moves made so far."""
-        return ScheduleError(message, word=word, trace=self.trace)
-
-    def move(
-        self,
-        kind: str,
-        target: TwoHandle,
-        over: TwoHandle | None = None,
-        letter: int | None = None,
-        shared_prefix: Word | None = None,
-    ) -> None:
-        """Apply one move through the shared executor and log its record.
-
-        A move the executor rejects changes nothing, so the target's word,
-        read only after the failure, is its word before the move; the run
-        fails with it.
-        """
-        try:
-            record = execute(self.cx, kind, target.id, None if over is None else over.id, letter, shared_prefix)
-        except MoveError as err:
-            raise self.fail(str(err), target.word) from err
-        self.trace.moves.append(record)
+    phase: str
+    kind: str
+    target: str
+    over: str | None = None
+    letter: int | None = None
+    shared_prefix: Word | None = None
 
 
-def _phase_a(run: _Run) -> None:
-    g = run.cx.surface.g
-    for i in range(1, 2 * g + 1):
-        target = run.cx.find("B", i - 1, phi_image=True)
-        over = run.cx.find("B", i - 1, phi_image=False)
-        run.move("slide", target, over)
-        run.move("cancel", target, letter=i)
-
-
-def _stallings_script(run: _Run, knot: StallingsKnot) -> None:
-    s = run.cx.surface
-    h0, h1, h2, h3 = (run.cx.find("B", i, phi_image=True) for i in range(4))
-    for i, h in enumerate((h0, h1, h2, h3)):
-        run.move("slide", h, run.cx.find("B", i, phi_image=False))
+def _stallings_script(knot: StallingsKnot, n: int, h: tuple[str, ...], b: tuple[str, ...]) -> list[Step]:
+    """K_m's steps in place of Phase A; `h` holds the ids of phi_m(B_0)..phi_m(B_3), `b` those of B_0..B_3."""
+    h0, h1, h2, h3 = h
 
     # H_1 and H_3 share the initial subpath eta * t_{a3}^m(alpha_3) with
     # H_2 (conjugated by alpha_0 when n >= 2); the double slides run along
     # that subpath, not along a common suffix.
-    conj = () if s.n == 1 else (alpha(0),)
+    conj = () if n == 1 else (alpha(0),)
     t_a3 = dict(twist_images(chain_curve(3), knot.m))  # the piece twist (a3, m)
     prefix = concat(conj, eta_word(), t_a3[alpha(3)])
-    run.move("slide", h1, h2, shared_prefix=prefix)  # the H_{1,2} double slide
-    run.move("slide", h3, h2, shared_prefix=prefix)  # the H_{3,2} double slide
-
-    run.move("cancel", h1, letter=2)
-
-    # Sliding over the H_{3,2} double slide eliminates its single alpha_4
-    # crossing; each cancellation has already rewritten the cancelled
-    # letters out of every surviving word.
-    run.move("eliminate", h0, h3, letter=4)
-    run.move("cancel", h0, letter=3)
-
-    run.move("eliminate", h2, h3, letter=4)
-    run.move("cancel", h2, letter=1)
-
-    run.move("cancel", h3, letter=4)
+    return [Step("Stallings", "slide", *pair) for pair in zip(h, b)] + [
+        Step("Stallings", "slide", h1, h2, shared_prefix=prefix),  # the H_{1,2} double slide
+        Step("Stallings", "slide", h3, h2, shared_prefix=prefix),  # the H_{3,2} double slide
+        Step("Stallings", "cancel", h1, letter=2),
+        # Sliding over the H_{3,2} double slide eliminates its single alpha_4
+        # crossing; each cancellation has already rewritten the cancelled
+        # letters out of every surviving word.
+        Step("Stallings", "eliminate", h0, h3, 4),
+        Step("Stallings", "cancel", h0, letter=3),
+        Step("Stallings", "eliminate", h2, h3, 4),
+        Step("Stallings", "cancel", h2, letter=1),
+        Step("Stallings", "cancel", h3, letter=4),
+    ]
 
 
-def _chain_phase(run: _Run) -> None:
-    s = run.cx.surface
-    g, n = s.g, s.n
+def plan(knot: Knot, n: int) -> tuple[Step, ...]:
+    """The steps of the knot's schedule at n, the same for both pieces (see the module docstring).
 
-    def step(c_index: int, letter: int) -> None:
-        run.move("cancel", run.cx.find("c", c_index, phi_image=False), letter=letter)
+    Computed from ids alone: no complex is built and no word is read,
+    except that K_m's double slides hold their shared prefix.  The knot
+    and n must be ones `build_pieces` accepts.
+    """
+    g = knot.genus
+    w, p = _block_ids(2 * g + 4 * n - 2)
+    base = 4 * n - 4  # W's place of B_0
+    if isinstance(knot, StallingsKnot):
+        steps = _stallings_script(knot, n, p[base : base + 4], w[base : base + 4])
+    else:
+        steps = []
+        for i in range(1, 2 * g + 1):
+            steps += [Step("A", "slide", p[base + i - 1], w[base + i - 1]),
+                      Step("A", "cancel", p[base + i - 1], letter=i)]
+    # c_j first occurs at place 2n - 2 - j and cancels alpha_{4g+2n-j}, less 2 for odd j.
+    steps += [Step("chain", "cancel", w[2 * n - 2 - j], letter=4 * g + 2 * n - j - 2 * (j % 2))
+              for j in range(1, 2 * n - 1)]
+    steps += [Step("C", "cancel", w[base + 2 * g + 1 - i], letter=2 * g + i) for i in range(1, 2 * g + 1)]
+    return tuple(steps)
 
-    step(1, 4 * g + 2 * n - 3)
-    for i in range(1, n):
-        step(2 * i, 4 * g + 2 * n - 2 * i)
-        if i <= n - 2:
-            step(2 * i + 1, 4 * g + 2 * n - 2 * i - 3)
 
-
-def _phase_c(run: _Run) -> None:
-    g = run.cx.surface.g
-    for i in range(1, 2 * g + 1):
-        target = run.cx.find("B", 2 * g + 1 - i, phi_image=False)
-        run.move("cancel", target, letter=2 * g + i)
+def _live_word(cx: HandleComplex, hid: str) -> Word | None:
+    """The word of the live 2-handle `hid`, None if no live handle has that id."""
+    try:
+        return cx.handle(hid).word
+    except MoveError:
+        return None
 
 
 def _derive_x2(spec: str, n: int, piece2: LFPiece, trace1: MoveTrace) -> tuple[HandleComplex, MoveTrace]:
@@ -187,14 +178,13 @@ def _derive_x2(spec: str, n: int, piece2: LFPiece, trace1: MoveTrace) -> tuple[H
     if trace1.final is None:
         raise mismatch("its trace is partial: it has no final state")
     s = piece2.factorization.fiber
-    handles = start_handles(piece2)
     initial = {"one_handles": list(range(1, s.num_handles + 1)),
-               "two_handles": [{"id": hid, "word": word} for hid, _, _, word in handles]}
+               "two_handles": [{"id": hid, "word": word} for hid, word in start_handles(piece2)]}
     rotated, final = rotate_x1(trace1.initial, trace1.final)
     if rotated != initial:
         raise mismatch("X1's initial state, rotated, is not X2's")
 
-    cx = complex_of_state(s, final, handles)
+    cx = complex_of_state(s, final)
     return cx, MoveTrace(spec, n, "X2", initial, list(trace1.moves), word_state(cx))
 
 
@@ -208,8 +198,9 @@ def run_schedule(
 
     Returns the final complex (no 1-handles, 6n-1 two-handles) and the
     replayable trace.  Raises ScheduleError, carrying the offending word
-    and the partial trace, if any move, single-crossing check or count
-    check fails.
+    and the partial trace, if any step of `plan(knot, n)`, single-crossing
+    check or count check fails; a failed step's message names its phase
+    and its index in the plan.
 
     With `x1`, X1's finished trace of the same knot and n, the X2 result
     is derived from it by rotation instead of running X2's schedule (see
@@ -229,21 +220,17 @@ def run_schedule(
     if x1 is not None:
         return _derive_x2(knot.spec_str(), n, piece2, x1)
     cx = complex_from_piece(piece1 if piece == "X1" else piece2)
-    run = _Run(cx, knot.spec_str(), n, piece)
-
-    if isinstance(knot, StallingsKnot):
-        _stallings_script(run, knot)
-    else:
-        _phase_a(run)
-    if n >= 2:
-        _chain_phase(run)
-    _phase_c(run)
-
+    trace = MoveTrace(knot.spec_str(), n, piece, word_state(cx))
+    for k, step in enumerate(plan(knot, n)):
+        try:
+            trace.moves.append(execute(cx, *step[1:]))
+        except MoveError as err:  # a rejected move changed nothing
+            raise ScheduleError(f"phase {step.phase}, step {k}: {err}", _live_word(cx, step.target), trace) from err
     try:
-        run.trace.final = finish(cx, n)
+        trace.final = finish(cx, n)
     except MoveError as err:
-        raise run.fail(str(err), err.word) from err
-    return cx, run.trace
+        raise ScheduleError(str(err), err.word, trace) from err
+    return cx, trace
 
 
 def run_both(knot: Knot | str, n: int = 1) -> dict[str, tuple[HandleComplex, MoveTrace]]:
@@ -295,6 +282,8 @@ def assemble(x1: HandleComplex, x2: HandleComplex, n: int) -> HandleCounts:
 
 __all__ = [
     "ScheduleError",
+    "Step",
+    "plan",
     "run_schedule",
     "run_both",
     "HandleCounts",

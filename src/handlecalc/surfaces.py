@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 from .words import Word, _shown, alpha, concat, handle_index, is_handle
 
-CURVE_FAMILIES = ("B", "c", "boundary")
+CURVE_FAMILIES = ("B", "c")
 
 #: The largest knot genus g (a two-bridge sign sequence of 2g signs) and
 #: elliptic index n a surface admits, so that a knot spec or a trace cannot
@@ -67,20 +67,17 @@ class FiberSurface:
 
 @dataclass(frozen=True)
 class CurveId:
-    """Identifier of a vanishing-cycle curve: family B/c/boundary plus index."""
+    """Identifier of a vanishing-cycle curve: family B or c, plus index."""
 
     family: str
-    index: int = 0
+    index: int
 
     def __post_init__(self):
         if self.family not in CURVE_FAMILIES:
             raise ValueError(f"unknown curve family {self.family!r}")
 
     def __str__(self):
-        return "dF" if self.family == "boundary" else f"{self.family}{self.index}"
-
-
-BOUNDARY = CurveId("boundary")
+        return f"{self.family}{self.index}"
 
 
 def beta_word(i: int, s: FiberSurface) -> Word:
@@ -235,7 +232,6 @@ __all__ = [
     "MAX_INDEX",
     "FiberSurface",
     "CurveId",
-    "BOUNDARY",
     "beta_word",
     "tilde_alpha_word",
     "middle_detour_word",

@@ -33,7 +33,8 @@ trace a schedule returns holds its full initial state; a trace read from
 a file holds only the summary.
 
 `execute` applies one slide, eliminate or cancel to a complex and returns
-the move's full record; the schedules log moves only through it.  Replay
+the move's full record; a schedule makes each step of its plan
+(`schedules.plan`) through it, and makes no move otherwise.  Replay
 rebuilds the initial complex from the knot spec (`build_pieces` keeps the
 pieces of the last two (knot, n), so replaying both traces of one
 document builds them once), re-derives every move with `execute` from
@@ -94,7 +95,6 @@ from .complexes import (
     eliminate_letter,
     is_isolated,
     slide_words,
-    start_handles,
 )
 from .factorization import LFPiece, build_pieces
 from .knots import parse_knot_spec
@@ -201,10 +201,9 @@ def rotate_x1(initial: dict, final: dict) -> tuple[dict, dict]:
     return {**initial, "two_handles": start}, {**final, "two_handles": kept}
 
 
-def complex_of_state(surface: FiberSurface, state: dict, handles: list) -> HandleComplex:
-    """A new complex that holds a word state, each 2-handle with the origin of its id among a piece's `start_handles`."""
-    labels = {hid: (origin, phi) for hid, origin, phi, _ in handles}
-    survivors = [TwoHandle(h["id"], *labels[h["id"]], h["word"]) for h in state["two_handles"]]
+def complex_of_state(surface: FiberSurface, state: dict) -> HandleComplex:
+    """A new complex on `surface` that holds a word state: its live 1-handles and its 2-handles, in order."""
+    survivors = [TwoHandle(h["id"], h["word"]) for h in state["two_handles"]]
     return HandleComplex(surface, set(state["one_handles"]), survivors)
 
 
@@ -565,7 +564,7 @@ def replay(trace: MoveTrace) -> HandleComplex:
     if _text_summary(start) != trace.initial_summary():
         raise ReplayError(f"initial state is not that of {trace.piece} of {_shown(spec)} at n={trace.n}")
     if rotated:
-        cx = complex_of_state(x2.factorization.fiber, final, start_handles(x2))
+        cx = complex_of_state(x2.factorization.fiber, final)
     else:
         final = _rederive(cx, trace)
     if final != trace.final:

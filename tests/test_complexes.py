@@ -18,7 +18,7 @@ from handlecalc.complexes import (
 )
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
-from handlecalc.surfaces import BOUNDARY, CurveId, FiberSurface
+from handlecalc.surfaces import FiberSurface
 from handlecalc.verify import euler_char
 from handlecalc.words import alpha, cyclic_reduce, handle_letters, invert, parse_word, reduce_word, substitute
 
@@ -86,7 +86,7 @@ def test_cancels_keep_every_image_the_inverse_of_its_opposite(cases):
     # where it still crosses it once.  After every cancel both signs of each
     # image are inverses, each image runs over live letters, and every
     # relator freed so far reads as the empty word through the table.
-    handles = [TwoHandle(f"t{k}", CurveId("B", k), False, relator) for k, (relator, _) in enumerate(cases)]
+    handles = [TwoHandle(f"t{k}", relator) for k, (relator, _) in enumerate(cases)]
     cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, handles)
     freed = []
     for h, (_, j) in zip(handles, cases):
@@ -123,9 +123,9 @@ def test_is_isolated():
 def _tiny_complex():
     s = FiberSurface(1, 1)
     handles = [
-        TwoHandle("t0", CurveId("B", 1), False, parse_word("a0' a1")),
-        TwoHandle("t1", CurveId("B", 2), False, parse_word("a1 a2 a1")),
-        TwoHandle("t2", CurveId("c", 1), False, None),
+        TwoHandle("t0", parse_word("a0' a1")),
+        TwoHandle("t1", parse_word("a1 a2 a1")),
+        TwoHandle("t2", None),
     ]
     return HandleComplex(s, {1, 2, 3, 4}, handles)
 
@@ -144,9 +144,9 @@ def test_cancel_minimal():
 
 def test_cancels_compose_into_one_table():
     s = FiberSurface(1, 1)
-    u = TwoHandle("u", CurveId("B", 1), False, parse_word("a1 a2'"))  # a1 = a2
-    v = TwoHandle("v", CurveId("B", 2), False, parse_word("a2 a0'"))  # a2 = a0
-    w = TwoHandle("w", CurveId("B", 3), False, parse_word("a1 a3 a2'"))
+    u = TwoHandle("u", parse_word("a1 a2'"))  # a1 = a2
+    v = TwoHandle("v", parse_word("a2 a0'"))  # a2 = a0
+    w = TwoHandle("w", parse_word("a1 a3 a2'"))
     cx = HandleComplex(s, {1, 2, 3, 4}, [u, v, w])
     cancel(cx, 1, "u")
     cancel(cx, 2, "v")
@@ -159,8 +159,8 @@ def test_cancels_compose_into_one_table():
     with pytest.raises(MoveError):
         cx.handle("u")
     with pytest.raises(MoveError):
-        cx.find("B", 2, phi_image=False)
-    assert cx.find("B", 3, phi_image=False) is w
+        cx.handle("v")
+    assert cx.handle("w") is w
 
 
 @pytest.mark.parametrize(
@@ -175,10 +175,10 @@ def test_cancels_compose_into_one_table():
     ],
 )
 def test_cancel_needs_one_cyclic_crossing(word, i, relator):
-    h = TwoHandle("t0", CurveId("B", 1), False, parse_word(word))
+    h = TwoHandle("t0", parse_word(word))
     cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, [h])
     if relator is None:
-        message = f"2-handle t0 (B1) word {word!r} does not cross a{i} exactly once"
+        message = f"2-handle t0 word {word!r} does not cross a{i} exactly once"
         with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
             cancel(cx, i, "t0")
         assert cx.one_handles == {1, 2, 3, 4} and [h.id for h in cx.two_handles] == ["t0"]
@@ -216,11 +216,8 @@ def test_complex_from_piece_counts_and_boundary():
         assert cx.counts()["one_handles"] == cx.surface.num_handles
         assert euler_char(cx.counts().values()) == 6 * n
         boundary = cx.two_handles[-1]
-        assert boundary.origin == CurveId("boundary") and boundary.word is None
-        assert boundary.id == "dF"
+        assert boundary.id == "dF" and boundary.word is None
         cx.check_live_letters()
-        with pytest.raises(MoveError, match="no 2-handle for c9"):
-            cx.find("c", 9, phi_image=False)
 
 
 def test_live_letter_invariant_detects_dead_words():
@@ -232,11 +229,11 @@ def test_live_letter_invariant_detects_dead_words():
 
 @given(st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.permutations(range(k)), st.integers(0, k))))
 def test_remove_keeps_order_and_indexes(case):
-    # Handles of three origins, both phi flags; a random prefix of a random
-    # removal order.  After each removal the survivors keep their order and
-    # `handle`, `find`, the counts and the Euler characteristic agree with them.
+    # A random prefix of a random removal order.  After each removal the
+    # survivors keep their order and `handle`, the counts and the Euler
+    # characteristic agree with them.
     k, order, count = case
-    handles = [TwoHandle(f"t{j}", CurveId("B", j % 3), j % 2 == 0, (alpha(1),)) for j in range(k)]
+    handles = [TwoHandle(f"t{j}", (alpha(1),)) for j in range(k)]
     cx = HandleComplex(FiberSurface(1, 1), {1, 2, 3, 4}, list(handles))
     removed = set()
     for j in order[:count]:
@@ -251,14 +248,6 @@ def test_remove_keeps_order_and_indexes(case):
                     cx.handle(h.id)
             else:
                 assert cx.handle(h.id) is h
-        for index in range(3):
-            for phi in (False, True):
-                first = next((h for h in live if h.origin == CurveId("B", index) and h.phi_image == phi), None)
-                if first is None:
-                    with pytest.raises(MoveError, match="no 2-handle for"):
-                        cx.find("B", index, phi)
-                else:
-                    assert cx.find("B", index, phi) is first
 
 
 def test_a_word_over_a_dead_letter_is_refused_by_name():
@@ -266,13 +255,13 @@ def test_a_word_over_a_dead_letter_is_refused_by_name():
     # a word that fails is still refused with its dead letters named.
     s = FiberSurface(1, 1)
     words = {"h1": parse_word("a0' a1 a2' a1 a0"), "h2": parse_word("a3 a0' a4 a2' a4'")}
-    handles = [TwoHandle(hid, CurveId("B", k), False, w) for k, (hid, w) in enumerate(words.items())]
-    cx = HandleComplex(s, {1, 2, 3, 4}, handles + [TwoHandle("dF", BOUNDARY, False, None)])
+    handles = [TwoHandle(hid, w) for hid, w in words.items()]
+    cx = HandleComplex(s, {1, 2, 3, 4}, handles + [TwoHandle("dF", None)])
     cx.check_live_letters()
     cx.one_handles.discard(4)
-    with pytest.raises(MoveError, match=re.escape("handle h2 (B1) uses dead letters [4]")) as err:
+    with pytest.raises(MoveError, match=re.escape("handle h2 uses dead letters [4]")) as err:
         cx.check_live_letters()
     assert err.value.word == words["h2"]
     cx.one_handles -= {1, 3}
-    with pytest.raises(MoveError, match=re.escape("handle h1 (B0) uses dead letters [1]")):
+    with pytest.raises(MoveError, match=re.escape("handle h1 uses dead letters [1]")):
         cx.check_live_letters()

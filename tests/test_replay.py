@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from handlecalc import trace as trace_module
-from handlecalc.complexes import complex_from_piece, is_isolated, start_handles
+from handlecalc.complexes import complex_from_piece, is_isolated
 from handlecalc.factorization import build_pieces
 from handlecalc.knots import parse_knot_spec
 from handlecalc.schedules import run_both, run_schedule
@@ -59,7 +59,7 @@ def executed(monkeypatch):
 
 def _shape(cx):
     """Everything a replayed complex holds: its live 1-handles and its 2-handles, in order."""
-    return sorted(cx.one_handles), [(h.id, h.origin, h.phi_image, h.word) for h in cx.two_handles]
+    return sorted(cx.one_handles), [(h.id, h.word) for h in cx.two_handles]
 
 
 def _refusal(doc):
@@ -183,7 +183,8 @@ def test_replay_refuses_a_km_document_whose_phi_c_words_are_null():
     # state the rebuilt piece starts from.
     spec = "stallings:m=3"
     x1, _ = build_pieces(parse_knot_spec(spec), 2)
-    phi_c = {hid for hid, curve, phi_image, _ in start_handles(x1) if phi_image and curve.family == "c"}
+    phi_block = x1.factorization.cycles[: len(x1.factorization.cycles) // 2]  # X1 starts with phi(W)
+    phi_c = {f"p{k:02d}" for k, vc in enumerate(phi_block) if vc.curve.family == "c"}
     assert len(phi_c) == 5
     start = word_state(complex_from_piece(x1))
     for h in start["two_handles"]:

@@ -20,7 +20,7 @@ from handlecalc.complexes import (
     slide_words,
 )
 from handlecalc.factorization import build_pieces
-from handlecalc.knots import MAX_TWISTS, StallingsKnot, parse_knot_spec
+from handlecalc.knots import MAX_TWISTS, StallingsKnot, TwoBridgeKnot, parse_knot_spec
 from handlecalc.schedules import ScheduleError, assemble, run_both, run_schedule
 from handlecalc.trace import (
     Move,
@@ -34,7 +34,7 @@ from handlecalc.trace import (
     word_state,
 )
 from handlecalc.surfaces import MAX_GENUS, MAX_INDEX, validate_word
-from handlecalc.verify import euler_char
+from handlecalc.verify import euler_char, full_report
 from handlecalc.words import handle_letters, parse_word, substitute, word_str
 
 
@@ -44,6 +44,23 @@ def cancels(trace):
 
 def _signs(eps):
     return "twobridge:" + ",".join("+" if e > 0 else "-" for e in eps)
+
+
+def _labels(piece):
+    """Each start id of the piece mapped to the label of its curve (`B0`, `phi(B0)`, `c1`, ...), and `dF` to itself.
+
+    An id names its block and its place in it, so this reads the piece's
+    cycles alone: `pKK` is phi(W)'s cycle at place KK, `wKK` W's.
+    """
+    cycles = piece.factorization.cycles
+    half = len(cycles) // 2
+    return {f"{'p' if vc.phi_image else 'w'}{k % half:02d}": vc.label() for k, vc in enumerate(cycles)} | {"dF": "dF"}
+
+
+def _with_plan(monkeypatch, edit):
+    """Make `run_schedule` execute `edit(steps)` in place of each plan's steps."""
+    plan = schedules.plan
+    monkeypatch.setattr(schedules, "plan", lambda knot, n: edit(plan(knot, n)))
 
 
 def test_trefoil_e1():
@@ -56,7 +73,8 @@ def test_trefoil_e1():
 
 def test_leftover_handles_trefoil():
     cx, _ = run_schedule("twobridge:+,+", 1, "X1")
-    leftovers = sorted(h.label() for h in cx.two_handles)
+    labels = _labels(build_pieces(parse_knot_spec("twobridge:+,+"), 1)[0])
+    leftovers = sorted(labels[h.id] for h in cx.two_handles)
     assert leftovers == ["B0", "c1", "dF", "phi(B2)", "phi(c1)"]
     # Every surviving known word runs over the connector only.
     for h in cx.two_handles:
@@ -81,17 +99,92 @@ def test_stallings_cancel_order():
 def test_stallings_script_slides_each_of_b0_to_b3_once():
     # phi(B_i) slides over B_i for i = 0..3 only: the paper's slide of
     # phi(B_4) over B_4 is erased by B_4's cancel of alpha_5, so it is left out.
-    singles = [((f"B{i}", True), (f"B{i}", False)) for i in range(4)]
-    doubles = [(("B1", True), ("B2", True)), (("B3", True), ("B2", True))]
+    singles = [(f"phi(B{i})", f"B{i}") for i in range(4)]
+    doubles = [("phi(B1)", "phi(B2)"), ("phi(B3)", "phi(B2)")]
     for m in range(-5, 6):
         for n in (1, 2, 3):
             pieces = dict(zip(("X1", "X2"), build_pieces(StallingsKnot(m), n)))
             for _, trace in run_both(StallingsKnot(m), n).values():
-                start = complex_from_piece(pieces[trace.piece])
-                origin = {h.id: (str(h.origin), h.phi_image) for h in start.two_handles}
+                origin = _labels(pieces[trace.piece])
                 slides = [mv for mv in trace.moves if mv.kind == "slide"]
                 assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix is None] == singles
                 assert [(origin[mv.target], origin[mv.over]) for mv in slides if mv.shared_prefix is not None] == doubles
+
+
+def _paper_curves(knot, n):
+    """(phase, kind, target curve, helper curve) of each step of the schedule, as the paper names the curves."""
+    g = knot.genus
+    if isinstance(knot, StallingsKnot):
+        h = [f"phi(B{i})" for i in range(4)]
+        first = [("Stallings", "slide", h[i], f"B{i}") for i in range(4)] + [
+            ("Stallings", "slide", h[1], h[2]), ("Stallings", "slide", h[3], h[2]),
+            ("Stallings", "cancel", h[1], None),
+            ("Stallings", "eliminate", h[0], h[3]), ("Stallings", "cancel", h[0], None),
+            ("Stallings", "eliminate", h[2], h[3]), ("Stallings", "cancel", h[2], None),
+            ("Stallings", "cancel", h[3], None),
+        ]
+    else:
+        first = [step for i in range(2 * g)
+                 for step in (("A", "slide", f"phi(B{i})", f"B{i}"), ("A", "cancel", f"phi(B{i})", None))]
+    chain = [("chain", "cancel", f"c{j}", None) for j in range(1, 2 * n - 1)]
+    return first + chain + [("C", "cancel", f"B{2 * g + 1 - i}", None) for i in range(1, 2 * g + 1)]
+
+
+@pytest.mark.parametrize("spec", ["twobridge:+,-", "twobridge:-,-,+,-", "twobridge:+,+,-,+,-,-",
+                                  "stallings:m=-3", "stallings:m=0", "stallings:m=5"])
+def test_each_step_names_the_curve_the_paper_moves(spec):
+    # The plan names handles by id alone; in each piece the cycle at each
+    # step's target and helper places is the curve the paper names.  A
+    # chain step takes c_j at its first place in W, and no step names a
+    # handle that an earlier cancel removed.
+    knot = parse_knot_spec(spec)
+    for n in (1, 2, 3, 4):
+        steps = schedules.plan(knot, n)
+        for piece in build_pieces(knot, n):
+            labels = _labels(piece)
+            named = [(st.phase, st.kind, labels[st.target], st.over and labels[st.over]) for st in steps]
+            assert named == _paper_curves(knot, n)
+            w_block = [labels[f"w{k:02d}"] for k in range(len(piece.factorization.cycles) // 2)]
+            for st in steps:
+                if st.phase == "chain":
+                    assert int(st.target[1:]) == w_block.index(labels[st.target])
+        removed = set()
+        for st in steps:
+            assert st.target not in removed and st.over not in removed
+            if st.kind == "cancel":
+                removed.add(st.target)
+
+
+@pytest.fixture
+def no_schedule_runs(monkeypatch):
+    """Make building a piece or a complex, or making a move, fail inside `schedules`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan property ran part of a schedule")
+
+    for name in ("build_pieces", "complex_from_piece", "execute"):
+        monkeypatch.setattr(schedules, name, refuse)
+
+
+def test_two_bridge_knots_of_one_genus_and_n_share_one_plan(no_schedule_runs):
+    # The plan takes no piece, so X1 and X2 execute it alike; and every
+    # fibered two-bridge knot of one (g, n) has the same one, which cancels
+    # each of the 4g + 2n - 2 one-handles once.
+    for g in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            plans = {schedules.plan(TwoBridgeKnot.from_eps(eps), n) for eps in itertools.product((1, -1), repeat=2 * g)}
+            assert len(plans) == 1
+            letters = sorted(st.letter for st in plans.pop() if st.kind == "cancel")
+            assert letters == list(range(1, 4 * g + 2 * n - 1))
+
+
+def test_km_plans_differ_only_in_the_shared_prefix(no_schedule_runs):
+    # K_m's plan at n is one list of moves for every m; m enters only the
+    # shared prefix of the two double slides, t_{a3}^m(alpha_3) among it.
+    for n in (1, 2, 3, 4):
+        plans = [schedules.plan(StallingsKnot(m), n) for m in range(-40, 41)]
+        assert len({tuple(st._replace(shared_prefix=None) for st in steps) for steps in plans}) == 1
+        assert all([k for k, st in enumerate(steps) if st.shared_prefix is not None] == [4, 5] for steps in plans)
+        assert len({steps[4].shared_prefix for steps in plans}) == 81
 
 
 def test_two_bridge_cancel_order_n2():
@@ -686,7 +779,7 @@ G8 = "twobridge:" + ",".join(["+"] * 16)
 def _cancel_off_its_letter():
     """Cancel a1 against X1's phi(B0) at g = 8, whose word of 36 letters does not cross a1."""
     cx = complex_from_piece(build_pieces(parse_knot_spec(G8), 1)[0])
-    cancel(cx, 1, cx.find("B", 0, phi_image=True).id)
+    cancel(cx, 1, "p00")
 
 
 @pytest.mark.parametrize(
@@ -791,53 +884,59 @@ def test_replay_accepts_weak_cancellations(monkeypatch):
     assert len(weak_cancellations(parsed.moves)) == len(cancels(trace)) > 0
 
 
-def test_schedule_error_carries_word_and_trace():
-    # Corrupt a piece so the first single-crossing assertion fails.
-    from handlecalc import schedules as sched
-    from handlecalc.complexes import complex_from_piece
-    from handlecalc.factorization import build_pieces
-
-    knot = parse_knot_spec("twobridge:+,+")
-    x1, _ = build_pieces(knot, 1)
-    cx = complex_from_piece(x1)
-    run = sched._Run(cx, knot.spec_str(), 1, "X1")
-    target = cx.find("B", 0, phi_image=True)
-    target.word = parse_word("a1 a1")  # two crossings: not a cancelling word
-    with pytest.raises(ScheduleError) as err:
-        run.move("cancel", target, letter=1)
-    assert err.value.word == parse_word("a1 a1")
-    assert err.value.trace is run.trace and err.value.trace.final is None
+def test_schedule_error_carries_word_and_trace(monkeypatch):
+    # Drop Phase A's first slide, so phi(B_0)'s cancel meets its start
+    # word, which crosses a1 twice: the first single-crossing check fails.
+    _with_plan(monkeypatch, lambda steps: steps[1:])
+    word = parse_word("a0' a1 a0' a4 a3' a2 a1' a0")
+    assert complex_from_piece(build_pieces(parse_knot_spec("twobridge:+,+"), 1)[0]).handle("p00").word == word
+    message = "phase A, step 0: 2-handle p00 word \"a0' a1 a0' a\"... (27 characters) does not cross a1 exactly once"
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$") as err:
+        run_schedule("twobridge:+,+", 1, "X1")
+    assert err.value.word == word
+    assert err.value.trace.moves == [] and err.value.trace.final is None
 
 
-def test_failed_slide_quotes_its_words_short_and_carries_the_whole():
+def test_failed_slide_quotes_its_words_short_and_carries_the_whole(monkeypatch):
     # At g = 8 the message quotes both words short; the error still carries
     # the target's whole word, which the CLI prints as `offending word:`.
-    knot = parse_knot_spec(G8)
-    cx = complex_from_piece(build_pieces(knot, 1)[0])
-    run = schedules._Run(cx, knot.spec_str(), 1, "X1")
-    target, over = cx.find("B", 0, phi_image=True), cx.find("B", 0, phi_image=False)
-    word = target.word
-    with pytest.raises(ScheduleError, match=r"does not head both words \(\"a0' a1 a0' a\"\.\.\. \(148 characters\)") as err:
-        run.move("slide", target, over, shared_prefix=parse_word("a1"))
+    _with_plan(monkeypatch, lambda steps: (steps[0]._replace(shared_prefix=parse_word("a1")),) + steps[1:])
+    word = complex_from_piece(build_pieces(parse_knot_spec(G8), 1)[0]).handle("p00").word
+    with pytest.raises(ScheduleError, match=r"^phase A, step 0: shared prefix 'a1' does not head both words "
+                                            r"\(\"a0' a1 a0' a\"\.\.\. \(148 characters\)") as err:
+        run_schedule(G8, 1, "X1")
     assert len(str(err.value)) < 200
     assert err.value.word == word and len(word_str(word)) == 148
 
 
-def test_rejected_eliminate_carries_the_target_word_before_it():
+def test_rejected_eliminate_carries_the_target_word_before_it(monkeypatch):
     # After the first slide phi(B_0) no longer crosses a2, so eliminating a2
-    # from it is refused; the error carries its word, which the refusal left
-    # as it was, and the trace holds the slide alone.
-    knot = parse_knot_spec("twobridge:+,+")
-    cx = complex_from_piece(build_pieces(knot, 1)[0])
-    run = schedules._Run(cx, knot.spec_str(), 1, "X1")
-    target, over = cx.find("B", 0, phi_image=True), cx.find("B", 0, phi_image=False)
-    run.move("slide", target, over)
-    word = target.word
-    assert handle_letters(word) == {1}
-    with pytest.raises(ScheduleError, match=r"^eliminate on p00: its word does not cross a2$") as err:
-        run.move("eliminate", target, over, letter=2)
-    assert err.value.word == word and target.word == word
-    assert [m.kind for m in err.value.trace.moves] == ["slide"]
+    # from it, made next, is refused; the error carries its word, which the
+    # refusal left as the slide made it, and the trace holds the slide alone.
+    _with_plan(monkeypatch, lambda steps: steps[:1] + (steps[0]._replace(kind="eliminate", letter=2),) + steps[1:])
+    with pytest.raises(ScheduleError, match=r"^phase A, step 1: eliminate on p00: its word does not cross a2$") as err:
+        run_schedule("twobridge:+,+", 1, "X1")
+    moves = err.value.trace.moves
+    assert [m.kind for m in moves] == ["slide"]
+    assert err.value.word == moves[0].after_word and handle_letters(err.value.word) == {1}
+
+
+def test_a_step_on_a_removed_handle_names_its_phase_and_step(monkeypatch):
+    # Phase C's first cancel, made twice: the second names w02 (B_2), which
+    # the first removed.  It fails as a ScheduleError with the moves so far
+    # and no word, and `full_report` records a failed check, not a crash.
+    def repeat_first_phase_c_cancel(steps):
+        k = [step.phase for step in steps].index("C")
+        return steps[: k + 1] + steps[k:]
+
+    _with_plan(monkeypatch, repeat_first_phase_c_cancel)
+    with pytest.raises(ScheduleError, match=r"^phase C, step 5: no 2-handle with id 'w02'$") as err:
+        run_schedule("twobridge:+,-", 1, "X1")
+    assert err.value.word is None and err.value.trace.final is None
+    assert [(m.kind, m.target, m.letter) for m in err.value.trace.moves[3:]] == [("cancel", "p01", 2), ("cancel", "w02", 3)]
+    report = full_report("twobridge:+,-", 1)
+    assert not report.passed
+    assert [(c.name, c.actual, c.passed) for c in report.checks] == [("schedule completes", str(err.value), False)]
 
 
 def test_failed_live_letter_check_is_schedule_error(monkeypatch):
@@ -854,13 +953,11 @@ def test_failed_live_letter_check_is_schedule_error(monkeypatch):
 def test_dead_letter_in_a_final_word_is_recorded(monkeypatch):
     # A survivor that still crosses a cancelled 1-handle fails the final
     # live-letter check, and the error carries its word.
-    phase_c = schedules._phase_c
+    def revive_a1_then_finish(cx, n):
+        cx.handle("w00").word = parse_word("a0' a1")  # B_0, a survivor
+        return finish(cx, n)
 
-    def phase_c_then_revive_a1(run):
-        phase_c(run)
-        run.cx.find("B", 0, phi_image=False).word = parse_word("a0' a1")
-
-    monkeypatch.setattr(schedules, "_phase_c", phase_c_then_revive_a1)
+    monkeypatch.setattr(schedules, "finish", revive_a1_then_finish)
     with pytest.raises(ScheduleError, match=r"uses dead letters \[1\]") as err:
         run_schedule("twobridge:+,+", 1, "X1")
     assert err.value.word == parse_word("a0' a1")
@@ -985,13 +1082,17 @@ def _handlecalc_5_document(trace):
     # Each 2-handle's origin, block flag and framing, and the final surface
     # and 0-handle count, which the rebuilt complex restates.
     x1, _ = build_pieces(parse_knot_spec(trace.knot), trace.n)
-    cx = complex_from_piece(x1)
-    start = {h.id: h for h in cx.two_handles}
+    labels = _labels(x1)
+
+    def origin(hid):
+        phi = labels[hid].startswith("phi(")
+        return {"origin": labels[hid][4:-1] if phi else labels[hid], "phi": phi}
 
     def state(s):
-        handles = [{"id": h["id"], "origin": str(start[h["id"]].origin), "phi": start[h["id"]].phi_image,
-                    "word": h["word"], "framing": "0" if h["id"] == "dF" else "fiber-1"} for h in s["two_handles"]]
-        return {"surface": {"g": cx.surface.g, "n": cx.surface.n}, "zero_handles": 1, **s, "two_handles": handles}
+        handles = [{"id": h["id"], **origin(h["id"]), "word": h["word"],
+                    "framing": "0" if h["id"] == "dF" else "fiber-1"} for h in s["two_handles"]]
+        fiber = x1.factorization.fiber
+        return {"surface": {"g": fiber.g, "n": fiber.n}, "zero_handles": 1, **s, "two_handles": handles}
 
     canonical = json.dumps(state(state_text(trace.initial)), sort_keys=True, separators=(",", ":"))
     doc = trace.to_json()

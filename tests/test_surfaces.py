@@ -48,8 +48,8 @@ def test_surfaces_above_the_limits_are_refused(g, n, message):
 
 def test_curve_id():
     assert str(CurveId("B", 2)) == "B2"
-    assert str(CurveId("boundary")) == "dF"
-    for family in ("x", "a", "b2"):  # no twist curve is a vanishing cycle
+    # No twist curve is a vanishing cycle, and the fiber boundary handle dF has no curve.
+    for family in ("x", "a", "b2", "boundary"):
         with pytest.raises(ValueError, match="unknown curve family"):
             CurveId(family, 1)
 

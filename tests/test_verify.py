@@ -183,7 +183,7 @@ def test_failing_slide_is_a_failed_check(monkeypatch):
 
     with pytest.raises(ScheduleError) as err:
         run_schedule("twobridge:+,+", 1, "X1")
-    assert str(err.value) == "cannot slide with opaque handle w00"
+    assert str(err.value) == "phase A, step 0: cannot slide with opaque handle w00"
     assert err.value.word == err.value.trace.initial["two_handles"][0]["word"]
 
 
